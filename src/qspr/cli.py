@@ -43,12 +43,12 @@ from .probes import (
     midpoint_enhancement_map,
 )
 from .simulate import (
+    LowSignalError,
     SimulationPlan,
     TrialEnsembleResult,
     enhancement_Rk,
     run_ensemble,
-    sensorgram_substream,
-    synthesize_noisy_sensorgram,
+    synthesize_noisy_sensorgrams,
 )
 from .spr_optics import OpticalStack
 
@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ValueError("nu_values, when given, must be non-empty")
         if self.p < 1:
             raise ValueError("p must be >= 1")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError("seed must lie in [0, 2**63)")
         if self.scenario not in {m.value for m in ScenarioMode}:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.case == "custom" and not self.overrides:
@@ -249,8 +251,7 @@ def _write_sensorgram_csvs(
             nu=nu, m=1, p=1, seed=config.seed, state=s, scenario=scenario,
             grid=case.grid, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
         )
-        rng = sensorgram_substream(config.seed, 0, 0)
-        sample_traces[s.kind.value] = synthesize_noisy_sensorgram(trace.t, T_L, plan, rng)
+        sample_traces[s.kind.value] = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[0]
     sample_path = out_dir / "sensorgram_sample.csv"
     _write_csv(
         sample_path,
@@ -268,18 +269,18 @@ def run_experiment(
     threads: int = 1,
     paper_fidelity: bool = False,
 ) -> ExperimentSummary:
-    """Execute the sweep and write all artifacts into ``config.output_dir``."""
+    """Execute the sweep and write all artifacts into ``config.output_dir``.
+
+    Every ensemble runs before the first file is written, so a run that fails
+    (for example with LowSignalError) leaves no partial output behind.
+    """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario = _prepare(config)
     p = max(config.p, PAPER_FIDELITY_SETS) if paper_fidelity else config.p
     nu_values = config.nu_values if config.nu_values is not None else (case.nu_default,)
-
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = ExperimentSummary(output_dir=out_dir)
-    summary.written.extend(
-        _write_sensorgram_csvs(config, case, trace, T_L, scenario, int(nu_values[0]), out_dir)
-    )
+    summary = ExperimentSummary(output_dir=Path(config.output_dir))
 
     cache: dict[SimulationPlan, TrialEnsembleResult] = {}
 
@@ -331,6 +332,12 @@ def run_experiment(
                                 config.seed,
                             )
                         )
+
+    out_dir = summary.output_dir
+    out_dir.mkdir(parents=True, exist_ok=True)
+    summary.written.extend(
+        _write_sensorgram_csvs(config, case, trace, T_L, scenario, int(nu_values[0]), out_dir)
+    )
     results_path = out_dir / "results.csv"
     _write_csv(results_path, RESULT_COLUMNS, result_rows)
     summary.written.append(results_path)
@@ -522,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, LowSignalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

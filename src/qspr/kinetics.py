@@ -187,17 +187,19 @@ def linearize_sensorgram(t, T, n_a, tau_s: float) -> np.ndarray:
     return T[0] + slope * (na2 - na2[0])
 
 
-def close_ka(k_s: float, k_d: float, L0: float) -> float:
+def close_ka(k_s: float | np.ndarray, k_d: float | np.ndarray, L0: float) -> float | np.ndarray:
     """Association constant from the fitted rates: k_a = (k_s - k_d)/L0.
 
-    A negative result (possible under noise) is returned as-is with a
-    NegativeRateWarning.
+    Works elementwise on arrays of rates. A negative result (possible under
+    noise) is returned as-is with a NegativeRateWarning.
     """
     if not L0 > 0:
         raise ValueError("L0 must be positive")
     k_a = (k_s - k_d) / L0
-    if k_a < 0:
+    if np.any(k_a < 0):
         warnings.warn(
-            f"closed k_a = {k_a:.4g} is negative (k_s < k_d)", NegativeRateWarning, stacklevel=2
+            f"closed k_a = {np.min(k_a):.4g} is negative (k_s < k_d)",
+            NegativeRateWarning,
+            stacklevel=2,
         )
     return k_a

@@ -6,7 +6,8 @@ by the central limit theorem whatever the per-shot statistics. A set consists
 of m such noisy sensorgrams, each fitted independently; the set average kbar of
 the fitted rate constants is one sample. Repeating over p sets gives the
 estimate (mean of kbar) and the estimation precision (standard deviation of
-kbar).
+kbar). The fits of a chunk of SETS_PER_CHUNK sets run as one block solve
+(``qspr.fit.fit_sensorgrams``), whose rows do not depend on each other.
 
 Randomness is counter-based: every (seed, set, sensorgram) triple owns a Philox
 substream, and normals are drawn by inverse transform (ndtri of the stream's
@@ -24,11 +25,14 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri
 
-from .fit import DEFAULT_FIT_CONFIG, FitConfig, fit_sensorgram
+from .fit import DEFAULT_FIT_CONFIG, FitConfig, fit_sensorgrams
 from .kinetics import NegativeRateWarning, TimeGrid
 from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
 UNRELIABLE_FAILURE_FRACTION = 0.2
+# sets per block solve: the unit of work of serial and pooled runs alike, keyed
+# by set index and never by worker count; bounds the block's memory for large p
+SETS_PER_CHUNK = 64
 
 
 class LowSignalError(RuntimeError):
@@ -57,8 +61,8 @@ class SimulationPlan:
         for name in ("nu", "m", "p"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not -(2**63) <= self.seed < 2**63:
-            raise ValueError("seed must fit in 64 bits")
+        if not 0 <= self.seed < 2**63:
+            raise ValueError("seed must lie in [0, 2**63)")
         if not (self.tau_s > 0 and self.L0 > 0):
             raise ValueError("tau_s and L0 must be positive")
 
@@ -103,51 +107,50 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return ndtri(u)
 
 
-def synthesize_noisy_sensorgram(
-    t, transmittance, plan: SimulationPlan, rng: np.random.Generator, noise_scale: float = 1.0
+def synthesize_noisy_sensorgrams(
+    transmittance, plan: SimulationPlan, sets, noise_scale: float = 1.0
 ) -> np.ndarray:
-    """One noisy measurement-space sensorgram Mbar(t) for the plan's probe state.
+    """Noisy measurement-space sensorgrams Mbar(t) of the given sets, one per row.
 
-    ``noise_scale`` multiplies the sample-mean noise dM/sqrt(nu); 0 recovers the
-    ideal sensorgram exactly.
+    Row i*m + j is sensorgram j of set ``sets[i]``, drawn from its own
+    (seed, set, sensorgram) substream. ``noise_scale`` multiplies the
+    sample-mean noise dM/sqrt(nu); 0 recovers the ideal sensorgram exactly.
     """
     T = np.asarray(transmittance, dtype=float)
     if np.any(T < 0) or np.any(T > 1):
         raise ValueError("ideal transmittance must lie in [0, 1]")
     mean = mean_M(plan.state, T, plan.scenario)
     sigma = noise_scale * delta_M(plan.state, T, plan.scenario) / np.sqrt(plan.nu)
-    return mean + sigma * standard_normals(rng, T.size)
+    normals = [
+        standard_normals(sensorgram_substream(plan.seed, s, j), T.size)
+        for s in sets
+        for j in range(plan.m)
+    ]
+    return mean + sigma * np.reshape(normals, (-1, T.size))
 
 
-def _simulate_set(
-    set_index: int,
+def _fit_sets(
+    first_set: int,
     *,
     plan: SimulationPlan,
     t: np.ndarray,
-    mean: np.ndarray,
-    sigma: np.ndarray,
+    transmittance: np.ndarray,
     fit_config: FitConfig,
-) -> tuple[tuple[float, float, float] | None, int]:
-    """Average of fitted (k_a, k_s, k_d) over the set's converged fits."""
-    values = []
-    failed = 0
+    noise_scale: float,
+) -> list[tuple[tuple[float, float, float] | None, int]]:
+    """(average fitted (k_a, k_s, k_d) over converged fits, failed fits) of each set in a chunk."""
+    sets = range(first_set, min(first_set + SETS_PER_CHUNK, plan.p))
+    Y = synthesize_noisy_sensorgrams(transmittance, plan, sets, noise_scale)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativeRateWarning)
-        for j in range(plan.m):
-            rng = sensorgram_substream(plan.seed, set_index, j)
-            y = mean + sigma * standard_normals(rng, t.size)
-            try:
-                result = fit_sensorgram(t, y, plan.tau_s, plan.L0, fit_config)
-            except (ValueError, np.linalg.LinAlgError):
-                failed += 1
-                continue
-            if result.converged and np.isfinite((result.k_a, result.k_s, result.k_d)).all():
-                values.append((result.k_a, result.k_s, result.k_d))
-            else:
-                failed += 1
-    if not values:
-        return None, failed
-    return tuple(np.mean(values, axis=0)), failed
+        fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0, fit_config)
+    rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
+    ok = fits.converged & np.isfinite(rates).all(axis=1)
+    outcomes = []
+    for values, good in zip(rates.reshape(len(sets), plan.m, 3), ok.reshape(len(sets), plan.m)):
+        kbar = tuple(np.mean(values[good], axis=0)) if good.any() else None
+        outcomes.append((kbar, plan.m - int(good.sum())))
+    return outcomes
 
 
 def run_ensemble(
@@ -160,25 +163,29 @@ def run_ensemble(
 ) -> TrialEnsembleResult:
     """Simulate p sets of m noisy sensorgrams and summarize the kbar distribution.
 
-    Non-converged fits are excluded from their set's average and counted; a set
-    with no converged fits at all aborts with LowSignalError. The result is
-    flagged unreliable when more than 20% of all fits failed. Output is
-    independent of ``workers``.
+    Sets are fitted in chunks of SETS_PER_CHUNK, one block solve per chunk,
+    serially or spread over ``workers`` processes. Non-converged fits are
+    excluded from their set's average and counted; a set with no converged
+    fits at all aborts with LowSignalError. The result is flagged unreliable
+    when more than 20% of all fits failed. Output is independent of ``workers``.
     """
     t = np.asarray(t, dtype=float)
     T = np.asarray(transmittance, dtype=float)
     if t.shape != T.shape:
         raise ValueError("t and transmittance must share one grid")
-    mean = mean_M(plan.state, T, plan.scenario)
-    sigma = noise_scale * delta_M(plan.state, T, plan.scenario) / np.sqrt(plan.nu)
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     worker = partial(
-        _simulate_set, plan=plan, t=t, mean=mean, sigma=sigma, fit_config=fit_config
+        _fit_sets, plan=plan, t=t, transmittance=T, fit_config=fit_config, noise_scale=noise_scale
     )
+    chunks = range(0, plan.p, SETS_PER_CHUNK)
+    workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(worker, range(plan.p), chunksize=max(1, plan.p // (4 * workers))))
+            per_chunk = list(pool.map(worker, chunks))
     else:
-        outcomes = [worker(i) for i in range(plan.p)]
+        per_chunk = map(worker, chunks)
+    outcomes = [outcome for chunk in per_chunk for outcome in chunk]
 
     kbars = []
     failed_total = 0

@@ -234,6 +234,35 @@ class TestCommandLine:
         assert "UNRELIABLE" in capsys.readouterr().err
         assert main(["run", "--config", str(cfg_path), "--allow-unreliable"]) == 0
 
+    def test_low_signal_run_fails_cleanly(self, tmp_path, capsys):
+        # lahiri1999 at N=1, nu=1, m=1: some set has no converged fit at all
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "case": "lahiri1999", "states": ["tmc"], "n_values": [1], "nu_values": [1],
+            "m_values": [1], "p": 3,
+        }))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: set ") and "fits failed" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()  # no CSVs without a manifest
+
+    @pytest.mark.parametrize("flags", [["--threads", "0"], ["--threads", "-2"], ["--seed", "-1"]])
+    def test_run_rejects_invalid_flags(self, tmp_path, capsys, flags):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
+        assert main(["run", "--config", str(cfg_path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_sensorgram_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["sensorgram", "--out", str(out), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed")
+        assert not out.exists()
+
     def test_parser_rejects_unknown_case_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--case", "bogus"])

@@ -6,7 +6,7 @@ import pytest
 
 import qspr.simulate as simulate
 from qspr.cases import KAUSAITE2007
-from qspr.fit import fit_sensorgram
+from qspr.fit import fit_sensorgram, fit_sensorgrams
 from qspr.kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from qspr.probes import ProbeKind, ProbeState, ScenarioMode, SensingScenario, delta_M, mean_M
 from qspr.simulate import (
@@ -17,7 +17,7 @@ from qspr.simulate import (
     run_ensemble,
     sensorgram_substream,
     standard_normals,
-    synthesize_noisy_sensorgram,
+    synthesize_noisy_sensorgrams,
 )
 
 NO_LOSS = SensingScenario(mode=ScenarioMode.STANDARD, eta_a=1.0)
@@ -63,26 +63,37 @@ class TestSynthesize:
     def test_zero_noise_returns_mean(self, kausaite_ideal):
         t, T_L = kausaite_ideal
         plan = make_plan()
-        got = synthesize_noisy_sensorgram(t, T_L, plan, sensorgram_substream(0, 0, 0), noise_scale=0.0)
-        assert got == pytest.approx(mean_M(plan.state, T_L, plan.scenario), rel=1e-14)
+        got = synthesize_noisy_sensorgrams(T_L, plan, sets=[0, 1], noise_scale=0.0)
+        assert got.shape == (2 * plan.m, t.size)
+        for row in got:
+            assert row == pytest.approx(mean_M(plan.state, T_L, plan.scenario), rel=1e-14)
 
     def test_fixed_seed_bit_identical(self, kausaite_ideal):
         t, T_L = kausaite_ideal
         plan = make_plan()
-        one = synthesize_noisy_sensorgram(t, T_L, plan, sensorgram_substream(plan.seed, 0, 0))
-        two = synthesize_noisy_sensorgram(t, T_L, plan, sensorgram_substream(plan.seed, 0, 0))
+        one = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])
+        two = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])
         assert np.array_equal(one, two)
+
+    def test_rows_follow_set_and_sensorgram_substreams(self, kausaite_ideal):
+        # row i*m + j is sensorgram j of the i-th requested set, whatever the
+        # other requested sets: the (seed, set, sensorgram) substreams fix the noise
+        t, T_L = kausaite_ideal
+        plan = make_plan()
+        block = synthesize_noisy_sensorgrams(T_L, plan, sets=[4, 1])
+        mean = mean_M(plan.state, T_L, plan.scenario)
+        sigma = delta_M(plan.state, T_L, plan.scenario) / np.sqrt(plan.nu)
+        for i, set_index in enumerate([4, 1]):
+            for j in range(plan.m):
+                z = standard_normals(sensorgram_substream(plan.seed, set_index, j), t.size)
+                assert np.array_equal(block[i * plan.m + j], mean + sigma * z)
+        assert np.array_equal(synthesize_noisy_sensorgrams(T_L, plan, sets=[1]), block[plan.m :])
 
     def test_sample_mean_matches_specified_law(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=100)
+        plan = make_plan(nu=100, m=10_000, p=1)
         idx = 42
-        draws = np.array(
-            [
-                synthesize_noisy_sensorgram(t, T_L, plan, sensorgram_substream(plan.seed, 0, j))[idx]
-                for j in range(10_000)
-            ]
-        )
+        draws = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[:, idx]
         mu = mean_M(plan.state, T_L[idx], plan.scenario)
         sigma = delta_M(plan.state, T_L[idx], plan.scenario) / np.sqrt(plan.nu)
         assert abs(draws.mean() - mu) < 4.0 * sigma / np.sqrt(draws.size)
@@ -92,7 +103,7 @@ class TestSynthesize:
         t, _ = kausaite_ideal
         plan = make_plan()
         with pytest.raises(ValueError):
-            synthesize_noisy_sensorgram(t, np.full_like(t, 1.5), plan, sensorgram_substream(0, 0, 0))
+            synthesize_noisy_sensorgrams(np.full_like(t, 1.5), plan, sets=[0])
 
 
 class TestRunEnsemble:
@@ -118,11 +129,13 @@ class TestRunEnsemble:
         assert abs(res.k_d.estimate - 7.771e-3) < 3.0 * res.k_d.precision
 
     def test_parallel_execution_identical(self, kausaite_ideal):
+        # three chunks of sets, so every worker count splits the work differently
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=200, m=2, p=6, seed=5)
+        plan = make_plan(nu=200, m=2, p=2 * simulate.SETS_PER_CHUNK + 6, seed=5)
         serial = run_ensemble(plan, t, T_L, workers=1)
-        parallel = run_ensemble(plan, t, T_L, workers=3)
-        assert serial == parallel  # bit-identical aggregation
+        for workers in (2, 3):
+            parallel = run_ensemble(plan, t, T_L, workers=workers)
+            assert serial == parallel  # bit-identical aggregation
 
     def test_rerun_bit_identical(self, kausaite_ideal):
         t, T_L = kausaite_ideal
@@ -132,29 +145,32 @@ class TestRunEnsemble:
     def test_all_failed_set_aborts(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
 
-        def hopeless(*args, **kwargs):
+        def hopeless(t, Y, *args, **kwargs):
+            ideal = np.tile(mean_M(make_plan().state, T_L, NO_LOSS), (len(Y), 1))
             return dataclasses.replace(
-                fit_sensorgram(t, mean_M(make_plan().state, T_L, NO_LOSS), 1100.0, 274e-9),
-                converged=False,
+                fit_sensorgrams(t, ideal, 1100.0, 274e-9),
+                converged=np.zeros(len(Y), dtype=bool),
             )
 
-        monkeypatch.setattr(simulate, "fit_sensorgram", hopeless)
+        monkeypatch.setattr(simulate, "fit_sensorgrams", hopeless)
         with pytest.raises(LowSignalError, match="all 3 fits failed"):
             run_ensemble(make_plan(m=3, p=2), t, T_L)
 
     def test_failure_fraction_flags_unreliable(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
-        real_fit = fit_sensorgram
+        real_fit = fit_sensorgrams
         calls = {"n": 0}
 
         def flaky(*args, **kwargs):
-            calls["n"] += 1
             result = real_fit(*args, **kwargs)
-            if calls["n"] % 4 == 0:  # deterministic 25% failure rate
-                return dataclasses.replace(result, converged=False)
-            return result
+            converged = result.converged.copy()
+            for i in range(converged.size):
+                calls["n"] += 1
+                if calls["n"] % 4 == 0:  # deterministic 25% failure rate
+                    converged[i] = False
+            return dataclasses.replace(result, converged=converged)
 
-        monkeypatch.setattr(simulate, "fit_sensorgram", flaky)
+        monkeypatch.setattr(simulate, "fit_sensorgrams", flaky)
         res = run_ensemble(make_plan(m=4, p=5), t, T_L)
         assert res.failed_fit_count == 5
         assert res.total_fits == 20
@@ -177,7 +193,7 @@ class TestRunEnsemble:
         # transmittance space yields the same rates for the same random stream
         t, T_L = kausaite_ideal
         plan = make_plan(nu=1000)
-        y_m = synthesize_noisy_sensorgram(t, T_L, plan, sensorgram_substream(plan.seed, 0, 0))
+        y_m = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[0]
         slope = plan.scenario.eta_a * plan.state.n_signal
         intercept = -plan.scenario.eta_b * plan.state.n_reference
         y_t = (y_m - intercept) / slope  # Tbar with noise delta_T/sqrt(nu)
@@ -241,5 +257,6 @@ class TestPlanValidation:
             make_plan(nu=0)
 
     def test_seed_range(self):
-        with pytest.raises(ValueError):
-            make_plan(seed=2**63)
+        for seed in (2**63, -1):
+            with pytest.raises(ValueError):
+                make_plan(seed=seed)
