@@ -274,8 +274,6 @@ def run_experiment(
     Every ensemble runs before the first file is written, so a run that fails
     (for example with LowSignalError) leaves no partial output behind.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario = _prepare(config)
     p = max(config.p, PAPER_FIDELITY_SETS) if paper_fidelity else config.p

@@ -6,6 +6,7 @@ import pytest
 
 import scalar_reference
 from qspr.cases import KAUSAITE2007, LAHIRI1999
+import qspr.fit as fit_module
 from qspr.fit import DEFAULT_FIT_CONFIG, FitConfig, fit_sensorgram, fit_sensorgrams, lm_solve
 from qspr.kinetics import (
     SensorgramShape,
@@ -245,6 +246,25 @@ LOW_SNR_BLOCKS = {
     "kausaite-tmsv-nu100": (KAUSAITE2007, ProbeKind.TMSV, 10.0, 100),
     "lahiri-tmc-nu1e4": (LAHIRI1999, ProbeKind.TMC, 10.0, 10_000),
 }
+# lahiri1999 at a thousandth of its shot budget, where most fits fail: here the
+# last bits by which the closed-form start differs from np.polyfit decide some fits
+HOPELESS_BLOCK = (LAHIRI1999, ProbeKind.TMC, 10.0, 100)
+
+
+def polyfit_start(t_rel, Y):
+    """The reference's per-row np.polyfit dissociation start, as a (B, 3) block."""
+    starts = [scalar_reference._dissociation_warm_start(t_rel, y) for y in Y]
+    return np.array([[b0, a0, np.log(k0)] for b0, a0, k0 in starts])
+
+
+def scalar_fits(t, Y, tau, L0):
+    """converged flags (B,) and (k_a, k_s, k_d) rows (B, 3) of the scalar reference loop."""
+    refs = [scalar_reference.fit_sensorgram(t, y, tau, L0) for y in Y]
+    return np.array([r.converged for r in refs]), np.array([[r.k_a, r.k_s, r.k_d] for r in refs])
+
+
+def rates(fits):
+    return np.column_stack([fits.k_a, fits.k_s, fits.k_d])
 
 
 @pytest.mark.filterwarnings("ignore::qspr.kinetics.NegativeRateWarning")
@@ -255,11 +275,39 @@ class TestBlockFit:
         t, Y, tau, L0 = noisy_block(*block, rows=150)
         fits = fit_sensorgrams(t, Y, tau, L0)
         assert not fits.converged.all()  # the block does reach the failing regime
-        for i, y in enumerate(Y):
-            ref = scalar_reference.fit_sensorgram(t, y, tau, L0)
-            assert fits.converged[i] == ref.converged, i
-            for name in ("k_a", "k_s", "k_d"):
-                assert getattr(fits, name)[i] == pytest.approx(getattr(ref, name), rel=1e-6), (i, name)
+        converged, expected = scalar_fits(t, Y, tau, L0)
+        assert np.array_equal(fits.converged, converged)
+        assert np.allclose(rates(fits), expected, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "block", [*LOW_SNR_BLOCKS.values(), HOPELESS_BLOCK], ids=[*LOW_SNR_BLOCKS, "lahiri-tmc-nu100"]
+    )
+    def test_matches_scalar_loop_from_the_same_start(self, block, monkeypatch):
+        # given the reference's own warm start, the block solver retraces the
+        # scalar loop on every row, failed fits included
+        monkeypatch.setattr(fit_module, "_dissociation_warm_start", polyfit_start)
+        t, Y, tau, L0 = noisy_block(*block, rows=150)
+        fits = fit_sensorgrams(t, Y, tau, L0)
+        converged, expected = scalar_fits(t, Y, tau, L0)
+        assert np.array_equal(fits.converged, converged)
+        assert np.allclose(rates(fits), expected, rtol=1e-6, atol=0.0)
+
+    def test_closed_form_start_deviation_is_bounded(self):
+        # Known deviation: where most fits fail, the closed-form start (within
+        # 1e-12 of np.polyfit's) sends a few rows to another flag or minimum;
+        # 2 rows on this block, at most 4 on 20 lahiri blocks of 200 rows at
+        # nu 100 and 1000.
+        t, Y, tau, L0 = noisy_block(*HOPELESS_BLOCK, rows=200)
+        t_rel = t[t >= tau] - tau
+        closed = fit_module._dissociation_warm_start(t_rel, Y[:, t >= tau])
+        assert np.allclose(closed, polyfit_start(t_rel, Y[:, t >= tau]), rtol=1e-12, atol=0.0)
+
+        fits = fit_sensorgrams(t, Y, tau, L0)
+        converged, expected = scalar_fits(t, Y, tau, L0)
+        assert converged.mean() < 0.5  # the hopeless regime is reached
+        same = np.isclose(rates(fits), expected, rtol=1e-6, atol=0.0).all(axis=1)
+        differ = (fits.converged != converged) | (converged & ~same)
+        assert 0 < differ.sum() <= 0.02 * len(Y)
 
     @pytest.mark.parametrize("block", LOW_SNR_BLOCKS.values(), ids=LOW_SNR_BLOCKS.keys())
     def test_rows_independent_of_block_composition(self, block):
