@@ -4,12 +4,11 @@ from .cases import CaseStudy, resolve_case
 from .kinetics import KineticParameters, SensorgramShape, TimeGrid
 from .probes import ProbeKind, ProbeState, ScenarioMode, SensingScenario
 from .simulate import SimulationPlan, TrialEnsembleResult
-from .spr_optics import AnalyteIndex, OpticalStack
+from .spr_optics import OpticalStack
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyteIndex",
     "CaseStudy",
     "KineticParameters",
     "OpticalStack",

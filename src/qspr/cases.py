@@ -18,12 +18,70 @@ thickness; its closed form is 71.2747 deg.
 """
 from __future__ import annotations
 
+import dataclasses
+import types
+import typing
 from dataclasses import dataclass
 
 from .kinetics import KineticParameters, SensorgramShape, TimeGrid
 from .spr_optics import OpticalStack, resonance_angle
 
 PBS_BUFFER_INDEX = 1.3385  # phosphate-buffered saline at the probe wavelengths
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type that a field annotation names."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        return any(_fits(value, option) for option in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        inner = typing.get_args(hint)[0]
+        return isinstance(value, list) and all(_fits(v, inner) for v in value)
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):  # JSON true/false is not a number
+        return False
+    if hint is complex and isinstance(value, list):  # [re, im]
+        return len(value) == 2 and all(_fits(v, float) for v in value)
+    if hint in (float, complex):
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+def dataclass_from_json(cls, doc, where: str):
+    """Build dataclass ``cls`` from a JSON object, nested dataclasses included.
+
+    Unknown keys, missing keys without a default and values whose JSON type
+    does not match the field annotation raise ValueError naming ``where``.
+    JSON lists become tuples; a ``complex`` field reads ``[re, im]`` or a number.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {doc!r}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(doc) - {f.name for f in fields})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    missing = [
+        f.name for f in fields
+        if f.name not in doc
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"missing {where} keys: {missing}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in doc.items():
+        if dataclasses.is_dataclass(hints[key]):
+            value = dataclass_from_json(hints[key], value, key)
+        elif not _fits(value, hints[key]):
+            hint = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            raise ValueError(f"{where} key {key!r} must be {hint}, got {value!r}")
+        elif hints[key] is complex:
+            value = complex(*value) if isinstance(value, list) else complex(value)
+        elif isinstance(value, list):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -34,13 +92,25 @@ class CaseStudy:
     angular_amplitude_deg: float
     buffer_index: float
     grid: TimeGrid
-    nu_default: int
-    reported_theta0_deg: float
+    nu_default: int = 1000
+    reported_theta0_deg: float | None = None  # None: the source prints no angle
 
     @property
     def theta0_deg(self) -> float:
         """Resonance angle of the buffer, the angular-sensorgram baseline."""
         return resonance_angle(self.buffer_index, self.stack.eps_metal.real, self.stack.n_prism)
+
+    def to_dict(self) -> dict:
+        """JSON document of the case; ``from_dict`` reads it back unchanged."""
+        doc = dataclasses.asdict(self)
+        eps = complex(self.stack.eps_metal)
+        doc["stack"]["eps_metal"] = [eps.real, eps.imag]
+        return doc
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "CaseStudy":
+        """Case from a ``to_dict`` document; a bare ``eps_metal`` number is real."""
+        return dataclass_from_json(cls, doc, "case")
 
     def angular_shape(self) -> SensorgramShape:
         return SensorgramShape(

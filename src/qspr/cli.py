@@ -24,13 +24,8 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cases import CaseStudy, available_cases, resolve_case
-from .kinetics import (
-    KineticParameters,
-    TimeGrid,
-    linearize_sensorgram,
-    reconstruct_transmittance_sensorgram,
-)
+from .cases import CaseStudy, available_cases, dataclass_from_json, resolve_case
+from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from .oracle import TruncationError, verify_closed_forms
 from .probes import (
     ProbeKind,
@@ -50,7 +45,6 @@ from .simulate import (
     run_ensemble,
     synthesize_noisy_sensorgrams,
 )
-from .spr_optics import OpticalStack
 
 PAPER_FIDELITY_SETS = 1500
 RESULT_COLUMNS = (
@@ -110,17 +104,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if "config" in doc and "schema_version" in doc:  # manifest round-trip
-            doc = doc["config"]
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        doc = dict(doc)
-        for key in ("states", "n_values", "nu_values", "m_values"):
-            if doc.get(key) is not None:
-                doc[key] = tuple(doc[key])
-        return cls(**doc)
+        """Config from a JSON document; checks each value's JSON type first."""
+        if isinstance(doc, dict) and "config" in doc and "schema_version" in doc:
+            doc = doc["config"]  # manifest round-trip
+        return dataclass_from_json(cls, doc, "config")
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -130,52 +117,14 @@ class ExperimentConfig:
         return doc
 
 
-def _stack_from_dict(doc: dict) -> OpticalStack:
-    eps = doc["eps_metal"]
-    eps = complex(eps[0], eps[1]) if isinstance(eps, (list, tuple)) else complex(eps)
-    return OpticalStack(
-        wavelength_nm=doc["wavelength_nm"],
-        n_prism=doc["n_prism"],
-        eps_metal=eps,
-        metal_thickness_nm=doc["metal_thickness_nm"],
-        theta_in_deg=doc["theta_in_deg"],
-    )
-
-
 def build_case(config: ExperimentConfig) -> CaseStudy:
-    """Materialize the case study, applying any overrides."""
-    overrides = config.overrides or {}
-    if config.case == "custom":
-        required = {"stack", "kinetics", "angular_amplitude_deg", "buffer_index", "grid"}
-        missing = required - set(overrides)
-        if missing:
-            raise ValueError(f"custom case missing overrides: {sorted(missing)}")
-        base = None
-    else:
-        base = resolve_case(config.case)
+    """Materialize the case study; each override key replaces the base case's.
 
-    def pick(key, fallback):
-        return overrides[key] if key in overrides else fallback
-
-    stack = _stack_from_dict(overrides["stack"]) if "stack" in overrides else base.stack
-    kin = (
-        KineticParameters(**overrides["kinetics"]) if "kinetics" in overrides else base.kinetics
-    )
-    grid = TimeGrid(**overrides["grid"]) if "grid" in overrides else base.grid
-    return CaseStudy(
-        name=config.case,
-        stack=stack,
-        kinetics=kin,
-        angular_amplitude_deg=pick(
-            "angular_amplitude_deg", base.angular_amplitude_deg if base else None
-        ),
-        buffer_index=pick("buffer_index", base.buffer_index if base else None),
-        grid=grid,
-        nu_default=pick("nu_default", base.nu_default if base else 1000),
-        reported_theta0_deg=pick(
-            "reported_theta0_deg", base.reported_theta0_deg if base else float("nan")
-        ),
-    )
+    ``qspr case NAME`` prints a complete override document. A ``custom`` case
+    has no base, so its overrides must give every required key.
+    """
+    base = {} if config.case == "custom" else resolve_case(config.case).to_dict()
+    return CaseStudy.from_dict({**base, **(config.overrides or {}), "name": config.case})
 
 
 def _make_state(name: str, n_mean: float, tmsd_gain: float) -> ProbeState:
@@ -227,7 +176,7 @@ def _write_sensorgram_csvs(
 ) -> list[Path]:
     """sensorgram_ideal.csv and one seeded noisy realization per state."""
     states = [_make_state(s, config.n_values[0], config.tmsd_gain) for s in config.states]
-    mean_traces = {s.kind.value: mean_M(s, T_L, scenario) for s in states}
+    mean_traces = {s.kind.value: mean_M(s, T_L, scenario.eta_a, scenario.eta_b) for s in states}
     ideal_path = out_dir / "sensorgram_ideal.csv"
     _write_csv(
         ideal_path,
@@ -410,38 +359,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_case(args: argparse.Namespace) -> int:
-    case = resolve_case(args.name)
-    doc = {
-        "name": case.name,
-        "stack": {
-            "wavelength_nm": case.stack.wavelength_nm,
-            "n_prism": case.stack.n_prism,
-            "eps_metal": [case.stack.eps_metal.real, case.stack.eps_metal.imag],
-            "metal_thickness_nm": case.stack.metal_thickness_nm,
-            "theta_in_deg": case.stack.theta_in_deg,
-        },
-        "kinetics": {
-            "k_a": case.kinetics.k_a,
-            "k_d": case.kinetics.k_d,
-            "L0": case.kinetics.L0,
-            "tau_s": case.kinetics.tau_s,
-            "k_s": case.kinetics.k_s,
-        },
-        "angular_amplitude_deg": case.angular_amplitude_deg,
-        "buffer_index": case.buffer_index,
-        "theta0_deg": case.theta0_deg,
-        "reported_theta0_deg": case.reported_theta0_deg,
-        "grid": {"t_start": case.grid.t_start, "t_end": case.grid.t_end, "step": case.grid.step},
-        "nu_default": case.nu_default,
-    }
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(resolve_case(args.name).to_dict(), indent=2))
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.tuples < 1:
-        print("--tuples must be >= 1", file=sys.stderr)
-        return 2
     try:
         reports = verify_closed_forms(tuples=args.tuples, cutoff=args.cutoff, seed=args.seed)
     except TruncationError as exc:

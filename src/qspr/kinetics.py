@@ -51,11 +51,6 @@ class KineticParameters:
         """Dissociation equilibrium constant k_d/k_a (M)."""
         return self.k_d / self.k_a
 
-    @property
-    def K_A(self) -> float:
-        """Affinity 1/K_D (1/M)."""
-        return self.k_a / self.k_d
-
 
 @dataclass(frozen=True)
 class SensorgramShape:

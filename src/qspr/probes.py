@@ -137,15 +137,19 @@ class SensingScenario:
         return 0.0
 
 
-def mean_M_channels(state: ProbeState, T, eta_a: float, eta_b: float):
-    """<M> = <n_a> - <n_b> for explicit channel transmissivities (eta_a, eta_b)."""
+def mean_M(state: ProbeState, T, eta_a: float, eta_b: float):
+    """Expected intensity difference <M> = <n_a> - <n_b> after sensor and losses.
+
+    ``eta_a``/``eta_b`` are the channel transmissivities of the signal and
+    reference modes; for a scenario pass ``sc.eta_a, sc.eta_b``.
+    """
     T = np.asarray(T, dtype=float)
     out = eta_a * T * state.n_signal - eta_b * state.n_reference
     return float(out) if out.ndim == 0 else out
 
 
-def delta_M_channels(state: ProbeState, T, eta_a: float, eta_b: float):
-    """Single-shot uncertainty of M for explicit channel transmissivities."""
+def delta_M(state: ProbeState, T, eta_a: float, eta_b: float):
+    """Single-shot uncertainty of the intensity difference M for the probe state."""
     T = np.asarray(T, dtype=float)
     ea, eb = eta_a, eta_b
     N = state.n_mean
@@ -173,16 +177,6 @@ def delta_M_channels(state: ProbeState, T, eta_a: float, eta_b: float):
     return float(out) if out.ndim == 0 else out
 
 
-def mean_M(state: ProbeState, T, sc: SensingScenario):
-    """Expected intensity difference <M> = <n_a> - <n_b> after sensor and losses."""
-    return mean_M_channels(state, T, sc.eta_a, sc.eta_b)
-
-
-def delta_M(state: ProbeState, T, sc: SensingScenario):
-    """Single-shot uncertainty of the intensity difference for the probe state."""
-    return delta_M_channels(state, T, sc.eta_a, sc.eta_b)
-
-
 def tmsd_delta_M_large_alpha(state: ProbeState, T, eta_a: float, eta_b: float):
     """Leading-order TMSD uncertainty for |alpha|^2 >> 1 (bright displaced beam)."""
     if state.kind is not ProbeKind.TMSD:
@@ -204,7 +198,7 @@ def delta_T(state: ProbeState, T, sc: SensingScenario, nu: int):
     """Estimation precision of the sample-mean transmittance from nu shots."""
     if not nu >= 1:
         raise ValueError("nu must be >= 1")
-    out = delta_M(state, T, sc) / sensitivity(state, sc) / np.sqrt(nu)
+    out = delta_M(state, T, sc.eta_a, sc.eta_b) / sensitivity(state, sc) / np.sqrt(nu)
     return out
 
 
@@ -227,12 +221,7 @@ def enhancement_RM(state: ProbeState, T, sc: SensingScenario):
     if state.kind is ProbeKind.TMC:
         raise ValueError("R_M compares a quantum state against the TMC benchmark")
     reference = matched_classical_reference(state)
-    return delta_M(reference, T, sc) / delta_M(state, T, sc)
-
-
-def noise_reduction_factor(state: ProbeState, T, sc: SensingScenario):
-    """NRF = 1/R_M^2: intensity-difference variance normalized to shot noise."""
-    return 1.0 / enhancement_RM(state, T, sc) ** 2
+    return delta_M(reference, T, sc.eta_a, sc.eta_b) / delta_M(state, T, sc.eta_a, sc.eta_b)
 
 
 def midpoint_enhancement_map(

@@ -119,8 +119,9 @@ def synthesize_noisy_sensorgrams(
     T = np.asarray(transmittance, dtype=float)
     if np.any(T < 0) or np.any(T > 1):
         raise ValueError("ideal transmittance must lie in [0, 1]")
-    mean = mean_M(plan.state, T, plan.scenario)
-    sigma = noise_scale * delta_M(plan.state, T, plan.scenario) / np.sqrt(plan.nu)
+    eta_a, eta_b = plan.scenario.eta_a, plan.scenario.eta_b
+    mean = mean_M(plan.state, T, eta_a, eta_b)
+    sigma = noise_scale * delta_M(plan.state, T, eta_a, eta_b) / np.sqrt(plan.nu)
     normals = [
         standard_normals(sensorgram_substream(plan.seed, s, j), T.size)
         for s in sets

@@ -54,21 +54,6 @@ class OpticalStack:
         return self.n_prism ** 2
 
 
-@dataclass(frozen=True)
-class AnalyteIndex:
-    """Refractive index of the medium above the metal film (eps_a = n_a^2)."""
-
-    n_a: float
-
-    def __post_init__(self) -> None:
-        if not self.n_a >= 1:
-            raise ValueError("analyte index must be >= 1")
-
-    @property
-    def eps(self) -> float:
-        return self.n_a ** 2
-
-
 def _kz(eps, eps1_sin2, k0):
     """Normal wavevector component k_i = k0 * sqrt(eps_i - eps_1 sin^2(theta)).
 
@@ -107,40 +92,8 @@ def reflection_from_permittivities(
     return complex(r) if np.ndim(r) == 0 else r
 
 
-def _check_evanescent(stack: OpticalStack, n_a) -> None:
-    limit = stack.n_prism * np.sin(np.radians(stack.theta_in_deg))
-    if np.any(np.asarray(n_a) >= limit):
-        raise ValueError(
-            f"analyte index >= n_prism*sin(theta_in) = {limit:.6f}: "
-            "analyte wave is propagating, not evanescent"
-        )
-
-
-def reflection_coefficient(
-    stack: OpticalStack, analyte: AnalyteIndex, *, require_evanescent: bool = False
-) -> complex:
-    """Complex reflection coefficient of the sensor for a given analyte index."""
-    if require_evanescent:
-        _check_evanescent(stack, analyte.n_a)
-    return reflection_from_permittivities(
-        stack.eps_prism,
-        stack.eps_metal,
-        analyte.eps,
-        stack.theta_in_deg,
-        stack.wavelength_nm,
-        stack.metal_thickness_nm,
-    )
-
-
-def transmittance(
-    stack: OpticalStack, analyte: AnalyteIndex, *, require_evanescent: bool = False
-) -> float:
-    """Sensor transmittance T = |r|^2 in [0, 1]."""
-    return abs(reflection_coefficient(stack, analyte, require_evanescent=require_evanescent)) ** 2
-
-
 def transmittance_from_index(stack: OpticalStack, n_a) -> np.ndarray:
-    """Vectorized transmittance over an array of analyte indices."""
+    """Sensor transmittance T = |r|^2 at analyte index ``n_a`` (scalar or array)."""
     r = reflection_from_permittivities(
         stack.eps_prism,
         stack.eps_metal,

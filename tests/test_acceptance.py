@@ -17,7 +17,7 @@ from qspr.probes import (
     ProbeState,
     ScenarioMode,
     SensingScenario,
-    delta_M_channels,
+    delta_M,
     enhancement_RM,
 )
 from qspr.simulate import SimulationPlan, enhancement_Rk, m_enhancement, run_ensemble
@@ -161,8 +161,8 @@ def test_criterion_05_optimized_identity():
         n = float(rng.uniform(0.5, 5e3))
         T = float(rng.uniform(0.02, 0.98))
         eta_a = float(rng.uniform(0.05, 1.0))
-        dm_f = delta_M_channels(ProbeState(ProbeKind.TMF, n), T, eta_a, eta_a * T)
-        dm_v = delta_M_channels(ProbeState(ProbeKind.TMSV, n), T, eta_a, eta_a * T)
+        dm_f = delta_M(ProbeState(ProbeKind.TMF, n), T, eta_a, eta_a * T)
+        dm_v = delta_M(ProbeState(ProbeKind.TMSV, n), T, eta_a, eta_a * T)
         worst = max(worst, abs(dm_f / dm_v - 1.0))
     ok = worst < 1e-12
     report(5, ok, f"TMF/TMSV noise identity at eta_b=eta_a*T, worst rel dev {worst:.2e} vs 1e-12")

@@ -1,10 +1,18 @@
 """Experiment runner: config handling, artifacts, determinism, exit codes."""
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qspr.cases import resolve_case
+import qspr
+from qspr.cases import KAUSAITE2007, LAHIRI1999, CaseStudy, resolve_case
 from qspr.cli import (
     ExperimentConfig,
     build_case,
@@ -101,6 +109,122 @@ class TestConfig:
         case = build_case(cfg)
         assert case.stack.eps_metal == complex(-16.0, 1.1)
         assert case.kinetics.k_s == pytest.approx(5e3 * 3e-7 + 6e-3)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = JSON_SCALARS | st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+VALID_CONFIGS = st.builds(
+    ExperimentConfig,
+    case=st.sampled_from(["kausaite2007", "lahiri1999"]),
+    scenario=st.sampled_from(["standard", "optimized", "single_mode"]),
+    eta_a=st.floats(0.01, 1.0),
+    states=st.lists(
+        st.sampled_from(["tmc", "tmf", "tmsv", "tmsd"]), min_size=1, unique=True
+    ).map(tuple),
+    tmsd_gain=st.floats(1.01, 10.0),
+    n_values=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=3).map(tuple),
+    nu_values=st.none() | st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(tuple),
+    m_values=st.lists(st.integers(1, 100), min_size=1, max_size=3).map(tuple),
+    p=st.integers(1, 5000),
+    seed=st.integers(0, 2**63 - 1),
+    output_dir=st.text(max_size=12),
+    overrides=st.none() | st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3),
+)
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+class TestConfigDocuments:
+    @given(VALID_CONFIGS)
+    @settings(deadline=None)
+    def test_config_round_trip_through_json(self, cfg):
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @given(st.sampled_from(CONFIG_KEYS), JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_value_gives_typed_fields_or_value_error(self, key, value):
+        try:
+            cfg = ExperimentConfig.from_dict({key: value})
+        except ValueError:
+            return
+        assert all(isinstance(v, str) for v in (cfg.case, cfg.scenario, cfg.output_dir))
+        assert _number(cfg.eta_a) and _number(cfg.tmsd_gain)
+        assert type(cfg.p) is int and type(cfg.seed) is int
+        assert isinstance(cfg.states, tuple) and all(isinstance(s, str) for s in cfg.states)
+        assert isinstance(cfg.n_values, tuple) and all(map(_number, cfg.n_values))
+        for ints in (cfg.m_values, cfg.nu_values or ()):
+            assert isinstance(ints, tuple) and all(type(v) is int for v in ints)
+        assert cfg.overrides is None or isinstance(cfg.overrides, dict)
+
+    @pytest.mark.parametrize("case", [KAUSAITE2007, LAHIRI1999], ids=lambda c: c.name)
+    def test_case_round_trip_through_json(self, case):
+        assert CaseStudy.from_dict(json.loads(json.dumps(case.to_dict()))) == case
+
+    def test_case_output_feeds_overrides(self, tmp_path, capsys):
+        assert main(["case", "kausaite2007"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == KAUSAITE2007.to_dict()
+        run_experiment(tiny_config(tmp_path / "plain"))
+        run_experiment(tiny_config(tmp_path / "fed", overrides=printed))
+        run_experiment(tiny_config(tmp_path / "custom", case="custom", overrides=printed))
+        plain = (tmp_path / "plain" / "results.csv").read_bytes()
+        assert (tmp_path / "fed" / "results.csv").read_bytes() == plain
+        custom = read_rows(tmp_path / "custom" / "results.csv")
+        assert [{**row, "case": "kausaite2007"} for row in custom] == read_rows(
+            tmp_path / "plain" / "results.csv"
+        )
+
+    def test_custom_case_without_reported_angle(self):
+        overrides = KAUSAITE2007.to_dict()
+        del overrides["reported_theta0_deg"], overrides["nu_default"]
+        case = build_case(ExperimentConfig(case="custom", overrides=overrides))
+        assert case.reported_theta0_deg is None and case.nu_default == 1000
+        assert json.loads(json.dumps(case.to_dict()))["reported_theta0_deg"] is None
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"p": "200"},
+            {"p": True},
+            {"seed": "1"},
+            {"eta_a": "x"},
+            {"n_values": 10},
+            {"overrides": [1]},
+            {"overrides": {"kinetcs": {"k_a": 1e4}}},
+            {"overrides": {"nu_defualt": 10}},
+            {"overrides": {"stack": {"n_prism": 1.6}}},
+            {"overrides": {"kinetics": {"k_a": 1e4}}},
+            {"overrides": {"kinetics": {**KAUSAITE2007.to_dict()["kinetics"], "k_s": 0.01}}},
+        ],
+    )
+    def test_invalid_document_exits_2(self, tmp_path, capsys, doc):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cli_import_leaves_scipy_stats_out(self):
+        code = "import sys, qspr.cli; print('scipy.stats' in sys.modules)"
+        src = str(Path(qspr.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestRunExperiment:

@@ -63,7 +63,6 @@ class TestKineticParameters:
         kp = KAUSAITE2007.kinetics
         assert kp.k_s == pytest.approx(9.36e3 * 274e-9 + 7.85e-3, rel=1e-14)
         assert kp.K_D == pytest.approx(7.85e-3 / 9.36e3, rel=1e-14)
-        assert kp.K_A == pytest.approx(1.0 / kp.K_D, rel=1e-14)
         assert kp.k_s > kp.k_d
 
     def test_rejects_nonpositive(self):

@@ -9,12 +9,7 @@ from qspr.oracle import (
     oracle_moments,
     verify_closed_forms,
 )
-from qspr.probes import (
-    ProbeKind,
-    ProbeState,
-    delta_M_channels,
-    mean_M_channels,
-)
+from qspr.probes import ProbeKind, ProbeState, delta_M, mean_M
 
 
 def tmsv_with_r(r: float) -> ProbeState:
@@ -117,15 +112,15 @@ class TestOracleMoments:
         probe = tmsv_with_r(0.4)
         state = build_state(probe, cutoff=60)
         mm, dm = oracle_moments(apply_channels(state, 0.6, 0.8, 0.8))
-        assert dm == pytest.approx(delta_M_channels(probe, 0.6, 0.8, 0.8), rel=1e-8)
-        assert mm == pytest.approx(mean_M_channels(probe, 0.6, 0.8, 0.8), abs=1e-8)
+        assert dm == pytest.approx(delta_M(probe, 0.6, 0.8, 0.8), rel=1e-8)
+        assert mm == pytest.approx(mean_M(probe, 0.6, 0.8, 0.8), abs=1e-8)
 
     def test_tmsd_against_closed_form(self):
         probe = tmsd_with(2.0, float(np.arccosh(np.sqrt(1.5))))
         state = build_state(probe, cutoff=60)
         mm, dm = oracle_moments(apply_channels(state, 0.5, 1.0, 1.0))
-        assert dm == pytest.approx(delta_M_channels(probe, 0.5, 1.0, 1.0), rel=1e-6)
-        assert mm == pytest.approx(mean_M_channels(probe, 0.5, 1.0, 1.0), rel=1e-6)
+        assert dm == pytest.approx(delta_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
+        assert mm == pytest.approx(mean_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
 
     def test_cutoff_convergence(self):
         probe = tmsd_with(1.5, 0.4)

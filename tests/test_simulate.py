@@ -66,7 +66,7 @@ class TestSynthesize:
         got = synthesize_noisy_sensorgrams(T_L, plan, sets=[0, 1], noise_scale=0.0)
         assert got.shape == (2 * plan.m, t.size)
         for row in got:
-            assert row == pytest.approx(mean_M(plan.state, T_L, plan.scenario), rel=1e-14)
+            assert row == pytest.approx(mean_M(plan.state, T_L, 1.0, 1.0), rel=1e-14)
 
     def test_fixed_seed_bit_identical(self, kausaite_ideal):
         t, T_L = kausaite_ideal
@@ -81,8 +81,8 @@ class TestSynthesize:
         t, T_L = kausaite_ideal
         plan = make_plan()
         block = synthesize_noisy_sensorgrams(T_L, plan, sets=[4, 1])
-        mean = mean_M(plan.state, T_L, plan.scenario)
-        sigma = delta_M(plan.state, T_L, plan.scenario) / np.sqrt(plan.nu)
+        mean = mean_M(plan.state, T_L, 1.0, 1.0)
+        sigma = delta_M(plan.state, T_L, 1.0, 1.0) / np.sqrt(plan.nu)
         for i, set_index in enumerate([4, 1]):
             for j in range(plan.m):
                 z = standard_normals(sensorgram_substream(plan.seed, set_index, j), t.size)
@@ -94,8 +94,8 @@ class TestSynthesize:
         plan = make_plan(nu=100, m=10_000, p=1)
         idx = 42
         draws = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[:, idx]
-        mu = mean_M(plan.state, T_L[idx], plan.scenario)
-        sigma = delta_M(plan.state, T_L[idx], plan.scenario) / np.sqrt(plan.nu)
+        mu = mean_M(plan.state, T_L[idx], 1.0, 1.0)
+        sigma = delta_M(plan.state, T_L[idx], 1.0, 1.0) / np.sqrt(plan.nu)
         assert abs(draws.mean() - mu) < 4.0 * sigma / np.sqrt(draws.size)
         assert draws.std() == pytest.approx(sigma, rel=0.05)
 
@@ -112,7 +112,7 @@ class TestRunEnsemble:
         plan = make_plan(p=4, m=2)
         res = run_ensemble(plan, t, T_L, noise_scale=0.0)
         ideal = fit_sensorgram(
-            t, mean_M(plan.state, T_L, plan.scenario), plan.tau_s, plan.L0
+            t, mean_M(plan.state, T_L, 1.0, 1.0), plan.tau_s, plan.L0
         )
         assert res.k_d.precision == 0.0
         assert res.k_s.precision == 0.0
@@ -146,7 +146,7 @@ class TestRunEnsemble:
         t, T_L = kausaite_ideal
 
         def hopeless(t, Y, *args, **kwargs):
-            ideal = np.tile(mean_M(make_plan().state, T_L, NO_LOSS), (len(Y), 1))
+            ideal = np.tile(mean_M(make_plan().state, T_L, 1.0, 1.0), (len(Y), 1))
             return dataclasses.replace(
                 fit_sensorgrams(t, ideal, 1100.0, 274e-9),
                 converged=np.zeros(len(Y), dtype=bool),

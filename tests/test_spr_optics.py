@@ -7,17 +7,14 @@ import pytest
 
 from qspr.cases import KAUSAITE2007, LAHIRI1999
 from qspr.spr_optics import (
-    AnalyteIndex,
     OpticalStack,
     index_from_angle,
-    reflection_coefficient,
     reflection_from_permittivities,
     resonance_angle,
-    transmittance,
     transmittance_from_index,
 )
 
-BUFFER = AnalyteIndex(1.3385)
+BUFFER_INDEX = 1.3385
 
 # frozen output of an independent scalar transcription of the 3-layer model
 # (see _rspp_reference below), evaluated once for the two case-study stacks
@@ -72,10 +69,6 @@ class TestStackValidation:
         with pytest.raises(ValueError):
             OpticalStack(**kwargs)
 
-    def test_rejects_subunity_analyte(self):
-        with pytest.raises(ValueError):
-            AnalyteIndex(0.99)
-
 
 class TestReflection:
     def test_identity_layers_give_zero(self):
@@ -93,10 +86,12 @@ class TestReflection:
         assert abs(r_thin - r_direct) < 1e-8
 
     def test_kausaite_baseline_regression(self):
-        assert transmittance(KAUSAITE2007.stack, BUFFER) == pytest.approx(KAUSAITE_T0, abs=1e-12)
+        got = transmittance_from_index(KAUSAITE2007.stack, BUFFER_INDEX)
+        assert got == pytest.approx(KAUSAITE_T0, abs=1e-12)
 
     def test_lahiri_baseline_regression(self):
-        assert transmittance(LAHIRI1999.stack, BUFFER) == pytest.approx(LAHIRI_T0, abs=1e-12)
+        got = transmittance_from_index(LAHIRI1999.stack, BUFFER_INDEX)
+        assert got == pytest.approx(LAHIRI_T0, abs=1e-12)
 
     def test_matches_independent_transcription_on_random_stacks(self):
         rng = np.random.default_rng(11)
@@ -110,14 +105,6 @@ class TestReflection:
             got = reflection_from_permittivities(eps1, eps2, eps3, theta, lam, d)
             want = _rspp_reference(eps1, eps2, eps3, theta, lam, d)
             assert got == pytest.approx(want, rel=1e-12)
-
-    def test_evanescent_validation(self):
-        stack = KAUSAITE2007.stack
-        propagating = AnalyteIndex(stack.n_prism * math.sin(math.radians(stack.theta_in_deg)) + 0.01)
-        with pytest.raises(ValueError, match="propagating"):
-            reflection_coefficient(stack, propagating, require_evanescent=True)
-        # unchecked mode still evaluates the general formula
-        assert np.isfinite(abs(reflection_coefficient(stack, propagating)))
 
     def test_passivity_on_grid(self):
         for theta in np.linspace(40.0, 89.0, 12):
@@ -153,7 +140,7 @@ class TestResonanceAngle:
             [
                 abs(
                     reflection_from_permittivities(
-                        stack.eps_prism, stack.eps_metal, BUFFER.eps, float(th),
+                        stack.eps_prism, stack.eps_metal, BUFFER_INDEX**2, float(th),
                         stack.wavelength_nm, stack.metal_thickness_nm,
                     )
                 )
@@ -177,7 +164,7 @@ class TestResonanceAngle:
             [
                 abs(
                     reflection_from_permittivities(
-                        stack.eps_prism, stack.eps_metal, BUFFER.eps, float(th),
+                        stack.eps_prism, stack.eps_metal, BUFFER_INDEX**2, float(th),
                         stack.wavelength_nm, stack.metal_thickness_nm,
                     )
                 )
