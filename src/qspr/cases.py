@@ -95,6 +95,10 @@ class CaseStudy:
     nu_default: int = 1000
     reported_theta0_deg: float | None = None  # None: the source prints no angle
 
+    def __post_init__(self) -> None:
+        if not self.nu_default >= 1:
+            raise ValueError("nu_default must be >= 1")
+
     @property
     def theta0_deg(self) -> float:
         """Resonance angle of the buffer, the angular-sensorgram baseline."""

@@ -26,7 +26,6 @@ import scipy
 from . import __version__
 from .cases import CaseStudy, available_cases, dataclass_from_json, resolve_case
 from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
-from .oracle import TruncationError, verify_closed_forms
 from .probes import (
     ProbeKind,
     ProbeState,
@@ -93,6 +92,12 @@ class ExperimentConfig:
             raise ValueError("config needs at least one sweep point")
         if self.nu_values is not None and not self.nu_values:
             raise ValueError("nu_values, when given, must be non-empty")
+        for name in ("m_values", "nu_values"):
+            if not all(v >= 1 for v in getattr(self, name) or ()):
+                raise ValueError(f"every entry of {name} must be >= 1")
+        for state in self.states:  # ProbeState checks N > 0, and N >= G - 1 for TMSD
+            for n_mean in self.n_values:
+                _make_state(state, n_mean, self.tmsd_gain)
         if self.p < 1:
             raise ValueError("p must be >= 1")
         if not 0 <= self.seed < 2**63:
@@ -159,7 +164,7 @@ class ExperimentSummary:
 
 
 def _prepare(config: ExperimentConfig):
-    """Case, grids, ideal traces and scenario shared by every subcommand."""
+    """Case, grids, ideal traces, scenario and swept nu values shared by every subcommand."""
     case = build_case(config)
     trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
     T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
@@ -168,7 +173,8 @@ def _prepare(config: ExperimentConfig):
     scenario = SensingScenario(
         mode=ScenarioMode(config.scenario), eta_a=config.eta_a, t_mid=t_mid
     )
-    return case, trace, T_L, t_mid, scenario
+    nu_values = config.nu_values if config.nu_values is not None else (case.nu_default,)
+    return case, trace, T_L, t_mid, scenario, nu_values
 
 
 def _write_sensorgram_csvs(
@@ -198,7 +204,7 @@ def _write_sensorgram_csvs(
     for s in states:
         plan = SimulationPlan(
             nu=nu, m=1, p=1, seed=config.seed, state=s, scenario=scenario,
-            grid=case.grid, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
+            tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
         )
         sample_traces[s.kind.value] = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[0]
     sample_path = out_dir / "sensorgram_sample.csv"
@@ -224,9 +230,8 @@ def run_experiment(
     (for example with LowSignalError) leaves no partial output behind.
     """
     started = time.perf_counter()
-    case, trace, T_L, t_mid, scenario = _prepare(config)
+    case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
     p = max(config.p, PAPER_FIDELITY_SETS) if paper_fidelity else config.p
-    nu_values = config.nu_values if config.nu_values is not None else (case.nu_default,)
     summary = ExperimentSummary(output_dir=Path(config.output_dir))
 
     cache: dict[SimulationPlan, TrialEnsembleResult] = {}
@@ -244,8 +249,7 @@ def run_experiment(
                 for m in config.m_values:
                     plan = SimulationPlan(
                         nu=int(nu), m=int(m), p=int(p), seed=config.seed, state=state,
-                        scenario=scenario, grid=case.grid,
-                        tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
+                        scenario=scenario, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
                     )
                     res = ensemble(plan)
                     if res.unreliable:
@@ -327,19 +331,6 @@ def run_experiment(
     return summary
 
 
-def write_sensorgram_artifacts(config: ExperimentConfig) -> ExperimentSummary:
-    """Ideal + one seeded noisy sensorgram per state, no ensembles (fast)."""
-    case, trace, T_L, _, scenario = _prepare(config)
-    nu = int(config.nu_values[0]) if config.nu_values is not None else case.nu_default
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    summary = ExperimentSummary(output_dir=out_dir)
-    summary.written.extend(
-        _write_sensorgram_csvs(config, case, trace, T_L, scenario, nu, out_dir)
-    )
-    return summary
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
     summary = run_experiment(config, threads=args.threads, paper_fidelity=args.paper_fidelity)
@@ -364,6 +355,9 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # imported here: the oracle loads scipy.sparse.linalg, which no other command needs
+    from .oracle import TruncationError, verify_closed_forms
+
     try:
         reports = verify_closed_forms(tuples=args.tuples, cutoff=args.cutoff, seed=args.seed)
     except TruncationError as exc:
@@ -382,25 +376,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_sensorgram(args: argparse.Namespace) -> int:
+    """Ideal + one seeded noisy sensorgram per state, no ensembles (fast)."""
     config = _load_config(args)
-    summary = write_sensorgram_artifacts(config)
-    for path in summary.written:
+    case, trace, T_L, _, scenario, nu_values = _prepare(config)
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    nu = int(nu_values[0])
+    for path in _write_sensorgram_csvs(config, case, trace, T_L, scenario, nu, out_dir):
         print(f"wrote {path}")
     return 0
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if getattr(args, "config", None):
-        doc = json.loads(Path(args.config).read_text())
-        config = ExperimentConfig.from_dict(doc)
+    if args.config:
+        config = ExperimentConfig.from_dict(json.loads(Path(args.config).read_text()))
     else:
         config = ExperimentConfig()
     updates = {}
-    if getattr(args, "case", None):
+    if args.case:
         updates["case"] = args.case
-    if getattr(args, "out", None):
+    if args.out:
         updates["output_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = args.seed
     return replace(config, **updates) if updates else config
 
@@ -411,12 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantum-enhanced SPR binding-kinetics simulation toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the config-loading options of ``run`` and ``sensorgram``, read by _load_config
+    config_opts = argparse.ArgumentParser(add_help=False)
+    config_opts.add_argument("--config", help="JSON config (a manifest.json also works)")
+    config_opts.add_argument("--case", choices=[*available_cases(), "custom"])
+    config_opts.add_argument("--out", help="output directory")
+    config_opts.add_argument("--seed", type=int)
 
-    run_p = sub.add_parser("run", help="run a sweep and write CSV artifacts")
-    run_p.add_argument("--config", help="JSON config (a manifest.json also works)")
-    run_p.add_argument("--case", choices=[*available_cases(), "custom"])
-    run_p.add_argument("--out", help="output directory")
-    run_p.add_argument("--seed", type=int)
+    run_p = sub.add_parser("run", parents=[config_opts], help="run a sweep and write CSV artifacts")
     run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument(
         "--paper-fidelity", action="store_true",
@@ -436,11 +435,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--seed", type=int, default=2024)
     verify_p.set_defaults(func=_cmd_verify)
 
-    sens_p = sub.add_parser("sensorgram", help="write ideal and sample sensorgrams")
-    sens_p.add_argument("--config")
-    sens_p.add_argument("--case", choices=[*available_cases(), "custom"])
-    sens_p.add_argument("--out")
-    sens_p.add_argument("--seed", type=int)
+    sens_p = sub.add_parser(
+        "sensorgram", parents=[config_opts], help="write ideal and sample sensorgrams"
+    )
     sens_p.set_defaults(func=_cmd_sensorgram)
     return parser
 

@@ -23,18 +23,12 @@ import numpy as np
 from .kinetics import close_ka
 
 _TINY = np.finfo(float).tiny
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    max_iters: int = 200
-    step_tolerance: float = 1e-10  # relative step size
-    damping_init: float = 1e-3
-    grad_tolerance: float = 1e-8  # cosine of residual against Jacobian columns
-    cost_tolerance: float = 1e-12  # relative decrease of the squared norm
-
-
-DEFAULT_FIT_CONFIG = FitConfig()
+# Levenberg-Marquardt settings, read by ``lm_solve`` at call time
+MAX_ITERS = 200  # per row and segment solve
+STEP_TOLERANCE = 1e-10  # relative step size
+DAMPING_INIT = 1e-3
+GRAD_TOLERANCE = 1e-8  # cosine of residual against Jacobian columns
+COST_TOLERANCE = 1e-12  # relative decrease of the squared norm
 
 
 @dataclass(frozen=True)
@@ -74,7 +68,6 @@ def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def lm_solve(
     fun: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0,
-    cfg: FitConfig = DEFAULT_FIT_CONFIG,
 ) -> LMSolution:
     """Minimize ||r_b(x_b)||^2 for every row b of a (B, P) parameter block.
 
@@ -93,14 +86,14 @@ def lm_solve(
     if r.shape[1] < n_params:
         raise ValueError("need at least as many data points as parameters")
     ssq = _sum_squares(r)
-    lam = np.full(n_rows, cfg.damping_init)
+    lam = np.full(n_rows, DAMPING_INIT)
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
     running = np.ones(n_rows, dtype=bool)
     on_diag = np.arange(n_params)
 
     while True:
-        live = np.flatnonzero(running & (iterations < cfg.max_iters))
+        live = np.flatnonzero(running & (iterations < MAX_ITERS))
         if not live.size:
             break
         J_live = J[live]
@@ -111,7 +104,7 @@ def lm_solve(
         # scale-free first-order test: residual nearly orthogonal to every column
         col_norm = np.sqrt(np.maximum(diag, 0.0)) * np.maximum(np.sqrt(ssq[live]), _TINY)[:, None]
         cosine = np.where(col_norm > 0.0, np.abs(g) / np.maximum(col_norm, _TINY), 0.0).max(axis=1)
-        stationary = (ssq[live] == 0.0) | (cosine < cfg.grad_tolerance)
+        stationary = (ssq[live] == 0.0) | (cosine < GRAD_TOLERANCE)
         converged[live[stationary]] = True
         running[live[stationary]] = False
         go = ~stationary
@@ -138,10 +131,10 @@ def lm_solve(
         reduction = ssq[moved] - ssq_new[better]
         x[moved], r[moved], J[moved], ssq[moved] = x_new[better], r_new[better], J_new[better], ssq_new[better]
         lam[moved] = np.maximum(lam[moved] / 3.0, 1e-14)
-        small_step = np.linalg.norm(step[better], axis=1) <= cfg.step_tolerance * (
-            np.linalg.norm(x[moved], axis=1) + cfg.step_tolerance
+        small_step = np.linalg.norm(step[better], axis=1) <= STEP_TOLERANCE * (
+            np.linalg.norm(x[moved], axis=1) + STEP_TOLERANCE
         )
-        done = small_step | (reduction <= cfg.cost_tolerance * np.maximum(ssq[moved], _TINY))
+        done = small_step | (reduction <= COST_TOLERANCE * np.maximum(ssq[moved], _TINY))
         converged[moved[done]] = True
         running[moved[done]] = False
 
@@ -167,7 +160,7 @@ class FitResult:
 
     ``row(i)`` gives sensorgram i's fit as plain Python scalars, which is what
     ``fit_sensorgram`` returns. ``iterations`` is the total over the two
-    segment solves, each individually bounded by the config's max_iters.
+    segment solves, each individually bounded by MAX_ITERS.
     """
 
     k_s: np.ndarray | float
@@ -233,9 +226,7 @@ def _association_warm_start(t: np.ndarray, Y: np.ndarray, baseline: np.ndarray) 
     return np.column_stack([a0, np.log(k0)])
 
 
-def fit_sensorgrams(
-    t, Y, tau_s: float, L0: float, cfg: FitConfig = DEFAULT_FIT_CONFIG
-) -> FitResult:
+def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
     """Fit each row of a (B, n) block of (possibly noisy) sensorgrams on the grid ``t``.
 
     Rows may live in transmittance space or measurement space; the rate
@@ -262,7 +253,7 @@ def fit_sensorgrams(
         J = np.stack([np.ones_like(decay), decay, -a * kd * t_rel * decay], axis=-1)
         return R, J
 
-    sol_d = lm_solve(resid_dissociation, _dissociation_warm_start(t_rel, Y_d), cfg)
+    sol_d = lm_solve(resid_dissociation, _dissociation_warm_start(t_rel, Y_d))
     baseline = sol_d.x[:, 0]
     k_d, kd_pinned = _rate_from_log(sol_d.x[:, 2])
 
@@ -274,7 +265,7 @@ def fit_sensorgrams(
         J = np.stack([1.0 - decay, a_inf * ks * t_a * decay], axis=-1)
         return R, J
 
-    sol_a = lm_solve(resid_association, _association_warm_start(t_a, Y_a, baseline), cfg)
+    sol_a = lm_solve(resid_association, _association_warm_start(t_a, Y_a, baseline))
     k_s, ks_pinned = _rate_from_log(sol_a.x[:, 1])
 
     return FitResult(
@@ -289,6 +280,6 @@ def fit_sensorgrams(
     )
 
 
-def fit_sensorgram(t, y, tau_s: float, L0: float, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> FitResult:
+def fit_sensorgram(t, y, tau_s: float, L0: float) -> FitResult:
     """Fit one sensorgram: the one-row case of ``fit_sensorgrams``, as Python scalars."""
-    return fit_sensorgrams(t, np.asarray(y, dtype=float)[None], tau_s, L0, cfg).row(0)
+    return fit_sensorgrams(t, np.asarray(y, dtype=float)[None], tau_s, L0).row(0)

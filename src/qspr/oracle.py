@@ -20,6 +20,10 @@ from scipy.special import gammaln, xlog1py, xlogy
 from .probes import ProbeKind, ProbeState, delta_M, mean_M
 
 
+# largest probability mass a truncated state may leave outside its cutoff
+TAIL_TOLERANCE = 1e-10
+
+
 class TruncationError(RuntimeError):
     """Fock-space cutoff too small for the requested state."""
 
@@ -52,39 +56,38 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
-def _squeeze_generator(cutoff: int, phase: float) -> csr_matrix:
-    """Sparse matrix of chi* a b - chi a^dag b^dag on the (cutoff+1)^2 basis, chi = e^{i phase}."""
+def _squeeze_generator(cutoff: int) -> csr_matrix:
+    """Sparse matrix of a b - a^dag b^dag on the (cutoff+1)^2 basis (squeezing phase 0)."""
     d = cutoff + 1
-    chi = np.exp(1j * phase)
     rows, cols, vals = [], [], []
     sq = np.sqrt(np.arange(d + 1, dtype=float))
     for na in range(d):
         for nb in range(d):
             col = na * d + nb
-            if na >= 1 and nb >= 1:  # chi* a b
+            if na >= 1 and nb >= 1:  # a b
                 rows.append((na - 1) * d + (nb - 1))
                 cols.append(col)
-                vals.append(np.conj(chi) * sq[na] * sq[nb])
-            if na + 1 < d and nb + 1 < d:  # -chi a^dag b^dag
+                vals.append(sq[na] * sq[nb])
+            if na + 1 < d and nb + 1 < d:  # -a^dag b^dag
                 rows.append((na + 1) * d + (nb + 1))
                 cols.append(col)
-                vals.append(-chi * sq[na + 1] * sq[nb + 1])
-    return csr_matrix((vals, (rows, cols)), shape=(d * d, d * d))
+                vals.append(-sq[na + 1] * sq[nb + 1])
+    return csr_matrix((vals, (rows, cols)), shape=(d * d, d * d), dtype=complex)
 
 
-def _tmsd_amplitudes(alpha: complex, r: float, phase: float, cutoff: int) -> np.ndarray:
+def _tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
     d = cutoff + 1
     v0 = np.zeros((d, d), dtype=complex)
     v0[:, 0] = _coherent_amplitudes(alpha, cutoff)
-    out = expm_multiply(r * _squeeze_generator(cutoff, phase), v0.ravel())
+    out = expm_multiply(r * _squeeze_generator(cutoff), v0.ravel())
     return out.reshape(d, d)
 
 
-def build_state(state: ProbeState, cutoff: int, *, tail_tol: float = 1e-10) -> TruncatedTwoModeState:
+def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
     """Explicit truncated amplitudes of a probe state.
 
     Raises TruncationError if the probability mass outside the cutoff exceeds
-    ``tail_tol`` (for TMSD, also if the generator exponentiation has not
+    TAIL_TOLERANCE (for TMSD, also if the generator exponentiation has not
     converged against a larger cutoff).
     """
     if cutoff < 1:
@@ -92,7 +95,7 @@ def build_state(state: ProbeState, cutoff: int, *, tail_tol: float = 1e-10) -> T
     d = cutoff + 1
     if state.kind is ProbeKind.TMC:
         amps = np.outer(
-            _coherent_amplitudes(np.sqrt(state.n_signal), cutoff),
+            _coherent_amplitudes(np.sqrt(state.n_mean), cutoff),
             _coherent_amplitudes(np.sqrt(state.n_reference), cutoff),
         )
     elif state.kind is ProbeKind.TMF:
@@ -107,22 +110,22 @@ def build_state(state: ProbeState, cutoff: int, *, tail_tol: float = 1e-10) -> T
         lam = np.tanh(state.squeeze_r)
         n = np.arange(d)
         amps = np.zeros((d, d), dtype=complex)
-        # S(chi)|00> has Schmidt form sqrt(1-lam^2) * (-e^{i theta} lam)^n |n,n>
-        amps[n, n] = np.sqrt(1.0 - lam**2) * (-np.exp(1j * state.squeeze_phase) * lam) ** n
+        # S(r)|00> has Schmidt form sqrt(1-lam^2) * (-lam)^n |n,n>
+        amps[n, n] = np.sqrt(1.0 - lam**2) * complex(-lam) ** n
     else:  # TMSD by truncated generator exponentiation
         alpha = complex(np.sqrt(state.alpha_sq))
-        amps = _tmsd_amplitudes(alpha, state.squeeze_r, state.squeeze_phase, cutoff)
-        check = _tmsd_amplitudes(alpha, state.squeeze_r, state.squeeze_phase, cutoff + 8)
+        amps = _tmsd_amplitudes(alpha, state.squeeze_r, cutoff)
+        check = _tmsd_amplitudes(alpha, state.squeeze_r, cutoff + 8)
         # convergence is judged on photon-number probabilities, the only
         # quantity the moments consume
         drift = float(np.max(np.abs(np.abs(check[:d, :d]) ** 2 - np.abs(amps) ** 2)))
-        if drift > max(100.0 * tail_tol, 1e-9):
+        if drift > max(100.0 * TAIL_TOLERANCE, 1e-9):
             raise TruncationError(
                 f"TMSD exponentiation not converged at cutoff {cutoff}: drift {drift:.2e}"
             )
     tail = float(max(1.0 - np.sum(np.abs(amps) ** 2), 0.0))
-    if tail > tail_tol:
-        raise TruncationError(f"truncated tail mass {tail:.2e} exceeds {tail_tol:.1e}")
+    if tail > TAIL_TOLERANCE:
+        raise TruncationError(f"truncated tail mass {tail:.2e} exceeds {TAIL_TOLERANCE:.1e}")
     return TruncatedTwoModeState(cutoff=cutoff, amplitudes=amps, tail_mass=tail)
 
 
@@ -199,13 +202,7 @@ def _random_small_state(kind: ProbeKind, rng: np.random.Generator) -> ProbeState
     return ProbeState(kind=kind, n_mean=g * alpha_sq + (g - 1.0), g=g)
 
 
-def verify_closed_forms(
-    kinds: tuple[ProbeKind, ...] = tuple(ProbeKind),
-    tuples: int = 50,
-    cutoff: int = 40,
-    seed: int = 2024,
-    tail_tol: float = 1e-10,
-) -> list[OracleReport]:
+def verify_closed_forms(tuples: int = 50, cutoff: int = 40, seed: int = 2024) -> list[OracleReport]:
     """Compare oracle moments against the closed forms on random channel tuples.
 
     Deviations are relative to the closed form; the mean is scaled by the
@@ -215,12 +212,12 @@ def verify_closed_forms(
         raise ValueError("tuples must be >= 1")
     rng = np.random.default_rng(seed)
     reports = []
-    for kind in kinds:
+    for kind in ProbeKind:
         worst_dm, worst_mm = 0.0, 0.0
         for _ in range(tuples):
             T, eta_a, eta_b = rng.uniform(0.05, 0.95, size=3)
             state = _random_small_state(kind, rng)
-            dist = apply_channels(build_state(state, cutoff, tail_tol=tail_tol), T, eta_a, eta_b)
+            dist = apply_channels(build_state(state, cutoff), T, eta_a, eta_b)
             mm_oracle, dm_oracle = oracle_moments(dist)
             dm_closed = delta_M(state, T, eta_a, eta_b)
             mm_closed = mean_M(state, T, eta_a, eta_b)

@@ -40,8 +40,6 @@ class ProbeState:
         kind: probe family.
         n_mean: mean photon number N of the signal mode.
         g: squeezing gain G = cosh^2(r), TMSD only.
-        squeeze_phase: squeezing phase (radians); stored for completeness, the
-            photon-number moments do not depend on it.
         n_ref: reference-mode mean photon number, TMC only; defaults to
             ``n_mean`` (balanced classical benchmark).
     """
@@ -49,7 +47,6 @@ class ProbeState:
     kind: ProbeKind
     n_mean: float
     g: float = DEFAULT_TMSD_GAIN
-    squeeze_phase: float = 0.0
     n_ref: float | None = None
 
     def __post_init__(self) -> None:
@@ -86,11 +83,6 @@ class ProbeState:
         if self.kind is ProbeKind.TMSD:
             return float(np.arccosh(np.sqrt(self.g)))
         raise ValueError(f"{self.kind.value} state carries no squeezing")
-
-    @property
-    def n_signal(self) -> float:
-        """Mean photon number entering the sensor (= n_mean by convention)."""
-        return self.n_mean
 
     @property
     def n_reference(self) -> float:
@@ -144,7 +136,7 @@ def mean_M(state: ProbeState, T, eta_a: float, eta_b: float):
     reference modes; for a scenario pass ``sc.eta_a, sc.eta_b``.
     """
     T = np.asarray(T, dtype=float)
-    out = eta_a * T * state.n_signal - eta_b * state.n_reference
+    out = eta_a * T * state.n_mean - eta_b * state.n_reference
     return float(out) if out.ndim == 0 else out
 
 
@@ -154,7 +146,7 @@ def delta_M(state: ProbeState, T, eta_a: float, eta_b: float):
     ea, eb = eta_a, eta_b
     N = state.n_mean
     if state.kind is ProbeKind.TMC:
-        var = ea * T * state.n_signal + eb * state.n_reference
+        var = ea * T * state.n_mean + eb * state.n_reference
     elif state.kind is ProbeKind.TMF:
         var = N * (ea * T * (1.0 - ea * T) + eb * (1.0 - eb))
     elif state.kind is ProbeKind.TMSV:
@@ -191,7 +183,7 @@ def tmsd_delta_M_large_alpha(state: ProbeState, T, eta_a: float, eta_b: float):
 
 def sensitivity(state: ProbeState, sc: SensingScenario) -> float:
     """|d<M>/dT| = eta_a * N; <M> is affine in T for every probe family."""
-    return sc.eta_a * state.n_signal
+    return sc.eta_a * state.n_mean
 
 
 def delta_T(state: ProbeState, T, sc: SensingScenario, nu: int):
@@ -208,8 +200,8 @@ def matched_classical_reference(state: ProbeState) -> ProbeState:
     Balanced references are canonicalized to ``n_ref=None`` so that equal
     physical configurations compare (and hash) equal.
     """
-    n_ref = None if state.n_reference == state.n_signal else state.n_reference
-    return ProbeState(kind=ProbeKind.TMC, n_mean=state.n_signal, n_ref=n_ref)
+    n_ref = None if state.n_reference == state.n_mean else state.n_reference
+    return ProbeState(kind=ProbeKind.TMC, n_mean=state.n_mean, n_ref=n_ref)
 
 
 def enhancement_RM(state: ProbeState, T, sc: SensingScenario):

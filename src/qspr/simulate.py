@@ -25,8 +25,8 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri
 
-from .fit import DEFAULT_FIT_CONFIG, FitConfig, fit_sensorgrams
-from .kinetics import NegativeRateWarning, TimeGrid
+from .fit import fit_sensorgrams
+from .kinetics import NegativeRateWarning
 from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
 UNRELIABLE_FAILURE_FRACTION = 0.2
@@ -53,7 +53,6 @@ class SimulationPlan:
     seed: int
     state: ProbeState
     scenario: SensingScenario
-    grid: TimeGrid
     tau_s: float
     L0: float
 
@@ -85,10 +84,6 @@ class TrialEnsembleResult:
     unreliable: bool
     plan: SimulationPlan
 
-    @property
-    def failed_fraction(self) -> float:
-        return self.failed_fit_count / self.total_fits
-
     def summary(self, parameter: str) -> ParameterSummary:
         if parameter not in ("k_a", "k_s", "k_d"):
             raise KeyError(parameter)
@@ -107,21 +102,18 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return ndtri(u)
 
 
-def synthesize_noisy_sensorgrams(
-    transmittance, plan: SimulationPlan, sets, noise_scale: float = 1.0
-) -> np.ndarray:
+def synthesize_noisy_sensorgrams(transmittance, plan: SimulationPlan, sets) -> np.ndarray:
     """Noisy measurement-space sensorgrams Mbar(t) of the given sets, one per row.
 
     Row i*m + j is sensorgram j of set ``sets[i]``, drawn from its own
-    (seed, set, sensorgram) substream. ``noise_scale`` multiplies the
-    sample-mean noise dM/sqrt(nu); 0 recovers the ideal sensorgram exactly.
+    (seed, set, sensorgram) substream; the sample-mean noise is dM/sqrt(nu).
     """
     T = np.asarray(transmittance, dtype=float)
     if np.any(T < 0) or np.any(T > 1):
         raise ValueError("ideal transmittance must lie in [0, 1]")
     eta_a, eta_b = plan.scenario.eta_a, plan.scenario.eta_b
     mean = mean_M(plan.state, T, eta_a, eta_b)
-    sigma = noise_scale * delta_M(plan.state, T, eta_a, eta_b) / np.sqrt(plan.nu)
+    sigma = delta_M(plan.state, T, eta_a, eta_b) / np.sqrt(plan.nu)
     normals = [
         standard_normals(sensorgram_substream(plan.seed, s, j), T.size)
         for s in sets
@@ -136,15 +128,13 @@ def _fit_sets(
     plan: SimulationPlan,
     t: np.ndarray,
     transmittance: np.ndarray,
-    fit_config: FitConfig,
-    noise_scale: float,
 ) -> list[tuple[tuple[float, float, float] | None, int]]:
     """(average fitted (k_a, k_s, k_d) over converged fits, failed fits) of each set in a chunk."""
     sets = range(first_set, min(first_set + SETS_PER_CHUNK, plan.p))
-    Y = synthesize_noisy_sensorgrams(transmittance, plan, sets, noise_scale)
+    Y = synthesize_noisy_sensorgrams(transmittance, plan, sets)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", NegativeRateWarning)
-        fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0, fit_config)
+        fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
     rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
     ok = fits.converged & np.isfinite(rates).all(axis=1)
     outcomes = []
@@ -154,14 +144,7 @@ def _fit_sets(
     return outcomes
 
 
-def run_ensemble(
-    plan: SimulationPlan,
-    t,
-    transmittance,
-    fit_config: FitConfig = DEFAULT_FIT_CONFIG,
-    workers: int = 1,
-    noise_scale: float = 1.0,
-) -> TrialEnsembleResult:
+def run_ensemble(plan: SimulationPlan, t, transmittance, workers: int = 1) -> TrialEnsembleResult:
     """Simulate p sets of m noisy sensorgrams and summarize the kbar distribution.
 
     Sets are fitted in chunks of SETS_PER_CHUNK, one block solve per chunk,
@@ -176,9 +159,7 @@ def run_ensemble(
         raise ValueError("t and transmittance must share one grid")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    worker = partial(
-        _fit_sets, plan=plan, t=t, transmittance=T, fit_config=fit_config, noise_scale=noise_scale
-    )
+    worker = partial(_fit_sets, plan=plan, t=t, transmittance=T)
     chunks = range(0, plan.p, SETS_PER_CHUNK)
     workers = min(workers, len(chunks))
     if workers > 1:

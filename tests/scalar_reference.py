@@ -11,7 +11,14 @@ from typing import Callable
 
 import numpy as np
 
-from qspr.fit import DEFAULT_FIT_CONFIG, FitConfig, FitResult
+from qspr.fit import (
+    COST_TOLERANCE,
+    DAMPING_INIT,
+    GRAD_TOLERANCE,
+    MAX_ITERS,
+    STEP_TOLERANCE,
+    FitResult,
+)
 from qspr.kinetics import close_ka
 
 
@@ -26,7 +33,6 @@ class LMSolution:
 def lm_solve(
     fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0,
-    cfg: FitConfig = DEFAULT_FIT_CONFIG,
 ) -> LMSolution:
     """Minimize ||r(x)||^2 where ``fun(x) -> (residuals, jacobian)``.
 
@@ -42,18 +48,18 @@ def lm_solve(
     if len(r) < len(x):
         raise ValueError("need at least as many data points as parameters")
     ssq = float(r @ r)
-    lam = cfg.damping_init
+    lam = DAMPING_INIT
     iterations = 0
     converged = False
 
-    while iterations < cfg.max_iters:
+    while iterations < MAX_ITERS:
         g = J.T @ r
         JtJ = J.T @ J
         diag = np.diag(JtJ).copy()
         # scale-free first-order test: residual nearly orthogonal to every column
         col_norm = np.sqrt(np.maximum(diag, 0.0)) * max(np.sqrt(ssq), np.finfo(float).tiny)
         cosine = np.where(col_norm > 0.0, np.abs(g) / np.maximum(col_norm, np.finfo(float).tiny), 0.0)
-        if ssq == 0.0 or np.max(cosine) < cfg.grad_tolerance:
+        if ssq == 0.0 or np.max(cosine) < GRAD_TOLERANCE:
             converged = True
             break
         # floor the damping scale so rank-deficient Jacobians stay solvable
@@ -73,10 +79,10 @@ def lm_solve(
             reduction = ssq - ssq_new
             x, r, J, ssq = x_new, r_new, J_new, ssq_new
             lam = max(lam / 3.0, 1e-14)
-            small_step = np.linalg.norm(step) <= cfg.step_tolerance * (
-                np.linalg.norm(x) + cfg.step_tolerance
+            small_step = np.linalg.norm(step) <= STEP_TOLERANCE * (
+                np.linalg.norm(x) + STEP_TOLERANCE
             )
-            if small_step or reduction <= cfg.cost_tolerance * max(ssq, np.finfo(float).tiny):
+            if small_step or reduction <= COST_TOLERANCE * max(ssq, np.finfo(float).tiny):
                 converged = True
                 break
         else:
@@ -129,7 +135,7 @@ def _association_warm_start(t: np.ndarray, y: np.ndarray, baseline: float) -> tu
     return a0, k0
 
 
-def fit_sensorgram(t, y, tau_s: float, L0: float, cfg: FitConfig = DEFAULT_FIT_CONFIG) -> FitResult:
+def fit_sensorgram(t, y, tau_s: float, L0: float) -> FitResult:
     """Fit a (possibly noisy) sensorgram and close the association constant.
 
     ``y`` may live in transmittance space or measurement space; the rate
@@ -157,7 +163,7 @@ def fit_sensorgram(t, y, tau_s: float, L0: float, cfg: FitConfig = DEFAULT_FIT_C
         return r, J
 
     b0, a0, kd0 = _dissociation_warm_start(t_rel, y_d)
-    sol_d = lm_solve(resid_dissociation, np.array([b0, a0, np.log(kd0)]), cfg)
+    sol_d = lm_solve(resid_dissociation, np.array([b0, a0, np.log(kd0)]))
     baseline, _, ln_kd = sol_d.x
     k_d, kd_pinned = _rate_from_log(ln_kd)
 
@@ -170,7 +176,7 @@ def fit_sensorgram(t, y, tau_s: float, L0: float, cfg: FitConfig = DEFAULT_FIT_C
         return r, J
 
     a_inf0, ks0 = _association_warm_start(t_a, y_a, baseline)
-    sol_a = lm_solve(resid_association, np.array([a_inf0, np.log(ks0)]), cfg)
+    sol_a = lm_solve(resid_association, np.array([a_inf0, np.log(ks0)]))
     amplitude, ln_ks = sol_a.x
     k_s, ks_pinned = _rate_from_log(ln_ks)
 

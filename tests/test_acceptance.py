@@ -61,7 +61,6 @@ class EnsembleBank:
             nu=nu, m=m, p=200, seed=42,
             state=ProbeState(kind=kind, n_mean=10.0),
             scenario=scenario,
-            grid=KAUSAITE2007.grid,
             tau_s=KAUSAITE2007.kinetics.tau_s,
             L0=KAUSAITE2007.kinetics.L0,
         )
@@ -225,7 +224,6 @@ def test_criterion_09_tmsv_degrades_with_photon_number(kausaite_pipeline):
         return SimulationPlan(
             nu=100, m=10, p=100, seed=42,
             state=ProbeState(kind=kind, n_mean=1e4), scenario=NO_LOSS,
-            grid=KAUSAITE2007.grid,
             tau_s=KAUSAITE2007.kinetics.tau_s, L0=KAUSAITE2007.kinetics.L0,
         )
 

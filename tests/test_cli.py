@@ -128,7 +128,8 @@ VALID_CONFIGS = st.builds(
         st.sampled_from(["tmc", "tmf", "tmsv", "tmsd"]), min_size=1, unique=True
     ).map(tuple),
     tmsd_gain=st.floats(1.01, 10.0),
-    n_values=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=3).map(tuple),
+    # N >= 9 keeps every TMSD state valid (N >= G - 1) for the gains drawn above
+    n_values=st.lists(st.floats(9.0, 1e4), min_size=1, max_size=3).map(tuple),
     nu_values=st.none() | st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(tuple),
     m_values=st.lists(st.integers(1, 100), min_size=1, max_size=3).map(tuple),
     p=st.integers(1, 5000),
@@ -203,19 +204,29 @@ class TestConfigDocuments:
             {"overrides": {"stack": {"n_prism": 1.6}}},
             {"overrides": {"kinetics": {"k_a": 1e4}}},
             {"overrides": {"kinetics": {**KAUSAITE2007.to_dict()["kinetics"], "k_s": 0.01}}},
+            {"m_values": [0]},
+            {"n_values": [10, 0]},
+            {"states": ["tmsd"], "n_values": [10, 1]},  # TMSD needs N >= G - 1 = 3.5
+            {"nu_values": [100, 0]},
+            {"overrides": {"nu_default": 0}},
         ],
     )
     def test_invalid_document_exits_2(self, tmp_path, capsys, doc):
+        # ``run`` and ``sensorgram`` load the config alike and reject it alike
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
-        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
+        for command in ("run", "sensorgram"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, command
+            assert not out.exists(), command
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        code = "import sys, qspr.cli; print('scipy.stats' in sys.modules)"
+        # neither scipy.stats nor the oracle (and its scipy.sparse.linalg) is
+        # imported before ``qspr verify`` needs it
+        modules = ("scipy.stats", "qspr.oracle", "scipy.sparse.linalg")
+        code = f"import sys, qspr.cli; print([m for m in {modules!r} if m in sys.modules])"
         src = str(Path(qspr.__file__).resolve().parents[1])
         done = subprocess.run(
             [sys.executable, "-c", code],
@@ -224,7 +235,7 @@ class TestConfigDocuments:
             text=True,
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
 
 class TestRunExperiment:

@@ -47,7 +47,7 @@ class TestProbeState:
         tmsd = ProbeState(kind=ProbeKind.TMSD, n_mean=10.0, g=4.5)
         ref = matched_classical_reference(tmsd)
         assert ref.kind is ProbeKind.TMC
-        assert ref.n_signal == 10.0
+        assert ref.n_mean == 10.0
         assert ref.n_reference == pytest.approx(10.0 - tmsd.alpha_sq)
         balanced = matched_classical_reference(ProbeState(kind=ProbeKind.TMF, n_mean=7.0))
         assert balanced == ProbeState(kind=ProbeKind.TMC, n_mean=7.0)
