@@ -355,7 +355,9 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # imported here: the oracle loads scipy.sparse.linalg, which no other command needs
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    # imported here: no other command needs the oracle or scipy.linalg
     from .oracle import TruncationError, verify_closed_forms
 
     try:

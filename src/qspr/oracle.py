@@ -4,17 +4,21 @@ Independent of the closed forms in :mod:`qspr.probes`: states are built as
 explicit amplitude arrays, the sensor and losses are applied as exact binomial
 thinning of the joint photon-number distribution (valid because the measured
 observable is photon-number diagonal), and moments come from direct summation.
-The TMSD state is deliberately constructed by exponentiating the two-mode
-squeezing generator numerically rather than reusing any Heisenberg-picture
-algebra, so the two routes share no derivation.
+TMSD is built by exponentiating the squeezing generator G = a b - a^dag b^dag
+numerically, with no Heisenberg-picture algebra, so the two routes share no
+derivation. G keeps D = n_a - n_b fixed and |alpha>|0> puts coh[D] on the
+first site of sector D, so each sector is exponentiated on its own, exactly:
+on |D+j, j>, G = S (i A_D) S^-1 with S = diag(i^j) and A_D real symmetric
+tridiagonal (zero diagonal, off-diagonal sqrt((D+j+1)(j+1))). With
+A_D = V_D diag(w_D) V_D^T, amps[D+j, j] = coh[D] i^j (V_D (e^(i r w_D) * V_D[0]))_j.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import expm_multiply
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, xlog1py, xlogy
 
 from .probes import ProbeKind, ProbeState, delta_M, mean_M
@@ -47,40 +51,32 @@ class JointPhotonDistribution:
 
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     n = np.arange(cutoff + 1)
-    if alpha == 0:
-        amps = np.zeros(cutoff + 1, dtype=complex)
-        amps[0] = 1.0
-        return amps
     mag = np.abs(alpha)
-    log_mag = -0.5 * mag**2 + n * np.log(mag) - 0.5 * gammaln(n + 1.0)
+    # xlogy keeps alpha = 0 exact: 0 * log(0) = 0 gives the vacuum
+    log_mag = -0.5 * mag**2 + xlogy(n, mag) - 0.5 * gammaln(n + 1.0)
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
-def _squeeze_generator(cutoff: int) -> csr_matrix:
-    """Sparse matrix of a b - a^dag b^dag on the (cutoff+1)^2 basis (squeezing phase 0)."""
-    d = cutoff + 1
-    rows, cols, vals = [], [], []
-    sq = np.sqrt(np.arange(d + 1, dtype=float))
-    for na in range(d):
-        for nb in range(d):
-            col = na * d + nb
-            if na >= 1 and nb >= 1:  # a b
-                rows.append((na - 1) * d + (nb - 1))
-                cols.append(col)
-                vals.append(sq[na] * sq[nb])
-            if na + 1 < d and nb + 1 < d:  # -a^dag b^dag
-                rows.append((na + 1) * d + (nb + 1))
-                cols.append(col)
-                vals.append(-sq[na + 1] * sq[nb + 1])
-    return csr_matrix((vals, (rows, cols)), shape=(d * d, d * d), dtype=complex)
+@lru_cache(maxsize=2)  # one verify pass builds at cutoff and cutoff + 8
+def _squeeze_sectors(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Eigenpairs (w_D, V_D) of A_D for each sector D = 0..cutoff, read-only."""
+    sectors = []
+    for D in range(cutoff + 1):
+        j = np.arange(cutoff - D, dtype=float)
+        w, V = eigh_tridiagonal(np.zeros(cutoff + 1 - D), np.sqrt((D + j + 1.0) * (j + 1.0)))
+        w.flags.writeable = V.flags.writeable = False
+        sectors.append((w, V))
+    return tuple(sectors)
 
 
 def _tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
+    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, sector by sector."""
     d = cutoff + 1
-    v0 = np.zeros((d, d), dtype=complex)
-    v0[:, 0] = _coherent_amplitudes(alpha, cutoff)
-    out = expm_multiply(r * _squeeze_generator(cutoff), v0.ravel())
-    return out.reshape(d, d)
+    coh = _coherent_amplitudes(alpha, cutoff)
+    amps = np.zeros((d, d), dtype=complex)
+    for D, (w, V) in enumerate(_squeeze_sectors(cutoff)):  # sector D is amps[D + j, j]
+        np.fill_diagonal(amps[D:], V @ (np.exp(1j * r * w) * (coh[D] * V[0])))
+    return amps * 1j ** np.arange(d)  # S = diag(i^j), j = n_b
 
 
 def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
@@ -115,18 +111,31 @@ def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
     else:  # TMSD by truncated generator exponentiation
         alpha = complex(np.sqrt(state.alpha_sq))
         amps = _tmsd_amplitudes(alpha, state.squeeze_r, cutoff)
-        check = _tmsd_amplitudes(alpha, state.squeeze_r, cutoff + 8)
+        check = _tmsd_amplitudes(alpha, state.squeeze_r, cutoff + 8)[:d, :d]
         # convergence is judged on photon-number probabilities, the only
         # quantity the moments consume
-        drift = float(np.max(np.abs(np.abs(check[:d, :d]) ** 2 - np.abs(amps) ** 2)))
+        drift = float(np.max(np.abs(np.abs(check) ** 2 - np.abs(amps) ** 2)))
         if drift > max(100.0 * TAIL_TOLERANCE, 1e-9):
             raise TruncationError(
                 f"TMSD exponentiation not converged at cutoff {cutoff}: drift {drift:.2e}"
             )
-    tail = float(max(1.0 - np.sum(np.abs(amps) ** 2), 0.0))
+    # the TMSD exponential is unitary on the box: its leak shows only in `check`
+    inside = check if state.kind is ProbeKind.TMSD else amps
+    tail = float(max(1.0 - np.sum(np.abs(inside) ** 2), 0.0))
     if tail > TAIL_TOLERANCE:
         raise TruncationError(f"truncated tail mass {tail:.2e} exceeds {TAIL_TOLERANCE:.1e}")
     return TruncatedTwoModeState(cutoff=cutoff, amplitudes=amps, tail_mass=tail)
+
+
+@lru_cache(maxsize=2)
+def _thinning_logs(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lost photons N - k, log C(N, k)) on [N, k], read-only; log C is -inf where k > N."""
+    N, k = np.ogrid[: cutoff + 1, : cutoff + 1]
+    lost = np.maximum(N - k, 0)
+    log_binom = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(lost + 1.0)
+    log_binom[k > N] = -np.inf
+    lost.flags.writeable = log_binom.flags.writeable = False
+    return lost, log_binom
 
 
 def _thinning_matrix(cutoff: int, transmissivity: float) -> np.ndarray:
@@ -135,12 +144,9 @@ def _thinning_matrix(cutoff: int, transmissivity: float) -> np.ndarray:
     Summed in logs so that no binomial coefficient overflows at large cutoffs;
     xlogy/xlog1py give 0*log(0) = 0, which keeps p = 0 and p = 1 exact.
     """
-    n = np.arange(cutoff + 1)
-    N, k = n[:, None], n[None, :]
-    lost = np.maximum(N - k, 0)
-    log_pmf = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(lost + 1.0)
-    log_pmf += xlogy(k, transmissivity) + xlog1py(lost, -transmissivity)
-    return np.where(k <= N, np.exp(log_pmf), 0.0)
+    lost, log_binom = _thinning_logs(cutoff)
+    k = np.arange(cutoff + 1)
+    return np.exp(log_binom + (xlogy(k, transmissivity) + xlog1py(lost, -transmissivity)))
 
 
 def apply_channels(
@@ -170,7 +176,7 @@ def oracle_moments(dist: JointPhotonDistribution) -> tuple[float, float]:
     var_a = pa @ n**2 - mean_a**2
     var_b = pb @ n**2 - mean_b**2
     cov = n @ P @ n - mean_a * mean_b
-    return mean_a - mean_b, float(np.sqrt(var_a + var_b - 2.0 * cov))
+    return float(mean_a - mean_b), float(np.sqrt(var_a + var_b - 2.0 * cov))
 
 
 @dataclass(frozen=True)
@@ -224,13 +230,7 @@ def verify_closed_forms(tuples: int = 50, cutoff: int = 40, seed: int = 2024) ->
             worst_dm = max(worst_dm, abs(dm_oracle - dm_closed) / dm_closed)
             scale = max(abs(mm_closed), dm_closed)
             worst_mm = max(worst_mm, abs(mm_oracle - mm_closed) / scale)
-        reports.append(
-            OracleReport(
-                kind=kind,
-                tuples=tuples,
-                cutoff=cutoff,
-                max_dev_delta_M=worst_dm,
-                max_dev_mean_M=worst_mm,
-            )
-        )
+        reports.append(OracleReport(
+            kind, tuples, cutoff, max_dev_delta_M=worst_dm, max_dev_mean_M=worst_mm
+        ))
     return reports

@@ -223,9 +223,9 @@ class TestConfigDocuments:
             assert not out.exists(), command
 
     def test_cli_import_leaves_scipy_stats_out(self):
-        # neither scipy.stats nor the oracle (and its scipy.sparse.linalg) is
-        # imported before ``qspr verify`` needs it
-        modules = ("scipy.stats", "qspr.oracle", "scipy.sparse.linalg")
+        # neither scipy.stats nor the oracle (and its scipy.linalg) is imported
+        # before ``qspr verify`` needs it
+        modules = ("scipy.stats", "qspr.oracle", "scipy.linalg", "scipy.sparse.linalg")
         code = f"import sys, qspr.cli; print([m for m in {modules!r} if m in sys.modules])"
         src = str(Path(qspr.__file__).resolve().parents[1])
         done = subprocess.run(
@@ -325,6 +325,19 @@ class TestCommandLine:
 
     def test_verify_rejects_zero_tuples(self):
         assert main(["verify", "--tuples", "0"]) == 2
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_verify_rejects_invalid_tol(self, monkeypatch, capsys, tol):
+        import qspr.oracle
+
+        def unreachable(**kwargs):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(qspr.oracle, "verify_closed_forms", unreachable)
+        assert main(["verify", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_case_subcommand(self, capsys):
         assert main(["case", "lahiri1999"]) == 0

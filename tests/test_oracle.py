@@ -1,9 +1,19 @@
 """Truncated-Fock oracle: state construction, loss channels, moment checks."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import expm_multiply
 
+import qspr
 from qspr.oracle import (
     TruncationError,
+    _coherent_amplitudes,
+    _tmsd_amplitudes,
     apply_channels,
     build_state,
     oracle_moments,
@@ -19,6 +29,53 @@ def tmsv_with_r(r: float) -> ProbeState:
 def tmsd_with(alpha_sq: float, r: float) -> ProbeState:
     g = float(np.cosh(r) ** 2)
     return ProbeState(kind=ProbeKind.TMSD, n_mean=g * alpha_sq + (g - 1.0), g=g)
+
+
+def sparse_tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
+    """Reference: expm_multiply of the full sparse a b - a^dag b^dag on the (cutoff+1)^2 box."""
+    d = cutoff + 1
+    rows, cols, vals = [], [], []
+    sq = np.sqrt(np.arange(d + 1, dtype=float))
+    for na in range(d):
+        for nb in range(d):
+            col = na * d + nb
+            if na >= 1 and nb >= 1:  # a b
+                rows.append((na - 1) * d + (nb - 1))
+                cols.append(col)
+                vals.append(sq[na] * sq[nb])
+            if na + 1 < d and nb + 1 < d:  # -a^dag b^dag
+                rows.append((na + 1) * d + (nb + 1))
+                cols.append(col)
+                vals.append(-sq[na + 1] * sq[nb + 1])
+    generator = csr_matrix((vals, (rows, cols)), shape=(d * d, d * d), dtype=complex)
+    v0 = np.zeros((d, d), dtype=complex)
+    v0[:, 0] = _coherent_amplitudes(alpha, cutoff)
+    return expm_multiply(r * generator, v0.ravel()).reshape(d, d)
+
+
+class TestSectorExponential:
+    @pytest.mark.parametrize("cutoff", [6, 40, 48])
+    def test_matches_full_sparse_exponential(self, cutoff):
+        for alpha_sq in (0.0, 0.1, 4.0):
+            for r in (0.1, 0.5):
+                alpha = complex(np.sqrt(alpha_sq))
+                ref = sparse_tmsd_amplitudes(alpha, r, cutoff)
+                amps = _tmsd_amplitudes(alpha, r, cutoff)
+                assert np.max(np.abs(amps - ref)) <= 1e-12, (alpha_sq, r)
+        if cutoff == 6:  # the one-site sector D = cutoff, |6, 0>, carries real weight
+            assert abs(ref[6, 0]) > 0.3
+
+    def test_import_leaves_scipy_sparse_out(self):
+        code = "import sys, qspr.oracle; print([m for m in sys.modules if m.startswith('scipy.sparse')])"
+        src = str(Path(qspr.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestBuildState:
@@ -60,6 +117,20 @@ class TestBuildState:
             build_state(ProbeState(ProbeKind.TMC, 4.0), cutoff=8)
         with pytest.raises(TruncationError):
             build_state(ProbeState(ProbeKind.TMF, 6.0), cutoff=4)
+
+    def test_tmsd_unconverged_exponential_raises(self):
+        # the cutoff + 8 drift check is the only guard on squeezing truncation
+        # here: the drift is 1.6e-8 against a 1e-8 threshold
+        with pytest.raises(TruncationError, match="not converged"):
+            build_state(tmsd_with(0.1, 0.5), cutoff=12)
+
+    def test_tmsd_tail_mass_is_the_squeezing_leak(self):
+        probe = tmsd_with(0.1, 0.5)
+        state = build_state(probe, cutoff=16)
+        large = build_state(probe, cutoff=60).amplitudes
+        leak = 1.0 - np.sum(np.abs(large[:17, :17]) ** 2)
+        assert leak == pytest.approx(9.1e-11, rel=0.01)
+        assert state.tail_mass == pytest.approx(leak, rel=0.01)
 
     def test_tmsd_mean_photon_partition(self):
         state_spec = tmsd_with(2.0, 0.4)
@@ -105,7 +176,8 @@ class TestApplyChannels:
 class TestOracleMoments:
     def test_tmf_against_closed_form(self):
         state = build_state(ProbeState(ProbeKind.TMF, 4.0), cutoff=10)
-        _, dm = oracle_moments(apply_channels(state, 0.3, 1.0, 1.0))
+        mm, dm = oracle_moments(apply_channels(state, 0.3, 1.0, 1.0))
+        assert type(mm) is float and type(dm) is float
         assert dm == pytest.approx(np.sqrt(4 * (0.3 * 0.7 + 0.0)), rel=1e-10)
 
     def test_tmsv_against_closed_form(self):
