@@ -19,6 +19,7 @@ thickness; its closed form is 71.2747 deg.
 from __future__ import annotations
 
 import dataclasses
+import sys
 import types
 import typing
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ PBS_BUFFER_INDEX = 1.3385  # phosphate-buffered saline at the probe wavelengths
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type that a field annotation names."""
+    """Whether a JSON value has the type that a field annotation names; numbers must be finite."""
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_fits(value, option) for option in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -43,15 +44,18 @@ def _fits(value, hint) -> bool:
     if hint is complex and isinstance(value, list):  # [re, im]
         return len(value) == 2 and all(_fits(v, float) for v in value)
     if hint in (float, complex):
-        return isinstance(value, (int, float))
+        # false for NaN, for +/-inf (json.loads reads Infinity and 1e999 so) and
+        # for integers beyond the float range
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 
 def dataclass_from_json(cls, doc, where: str):
     """Build dataclass ``cls`` from a JSON object, nested dataclasses included.
 
-    Unknown keys, missing keys without a default and values whose JSON type
-    does not match the field annotation raise ValueError naming ``where``.
+    Unknown keys, missing keys without a default, values whose JSON type does
+    not match the field annotation and non-finite numbers raise ValueError
+    naming ``where``.
     JSON lists become tuples; a ``complex`` field reads ``[re, im]`` or a number.
     """
     if not isinstance(doc, dict):

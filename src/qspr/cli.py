@@ -17,7 +17,7 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from . import __version__
 from .cases import CaseStudy, available_cases, dataclass_from_json, resolve_case
 from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from .probes import (
+    DEFAULT_TMSD_GAIN,
     ProbeKind,
     ProbeState,
     ScenarioMode,
@@ -37,6 +38,7 @@ from .probes import (
     midpoint_enhancement_map,
 )
 from .simulate import (
+    PARAMETER_NAMES,
     LowSignalError,
     SimulationPlan,
     TrialEnsembleResult,
@@ -71,7 +73,7 @@ class ExperimentConfig:
     scenario: str = "standard"
     eta_a: float = 1.0
     states: tuple[str, ...] = ("tmc", "tmf")
-    tmsd_gain: float = 4.5
+    tmsd_gain: float = DEFAULT_TMSD_GAIN
     n_values: tuple[float, ...] = (10.0,)
     nu_values: tuple[int, ...] | None = None
     m_values: tuple[int, ...] = (10,)
@@ -86,12 +88,14 @@ class ExperimentConfig:
         unknown = [s for s in self.states if s not in {k.value for k in ProbeKind}]
         if unknown:
             raise ValueError(f"unknown probe state(s): {unknown}")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError("duplicate probe states in config")
         if not (self.n_values and self.m_values):
             raise ValueError("config needs at least one sweep point")
         if self.nu_values is not None and not self.nu_values:
             raise ValueError("nu_values, when given, must be non-empty")
+        for name in ("states", "n_values", "nu_values", "m_values"):
+            values = getattr(self, name) or ()
+            if len(set(values)) != len(values):
+                raise ValueError(f"duplicate {name} in config")
         for name in ("m_values", "nu_values"):
             if not all(v >= 1 for v in getattr(self, name) or ()):
                 raise ValueError(f"every entry of {name} must be >= 1")
@@ -155,14 +159,6 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-@dataclass
-class ExperimentSummary:
-    output_dir: Path
-    written: list[Path] = field(default_factory=list)
-    unreliable: list[str] = field(default_factory=list)
-    runtime_seconds: float = 0.0
-
-
 def _prepare(config: ExperimentConfig):
     """Case, grids, ideal traces, scenario and swept nu values shared by every subcommand."""
     case = build_case(config)
@@ -223,8 +219,8 @@ def run_experiment(
     config: ExperimentConfig,
     threads: int = 1,
     paper_fidelity: bool = False,
-) -> ExperimentSummary:
-    """Execute the sweep and write all artifacts into ``config.output_dir``.
+) -> dict:
+    """Execute the sweep, write all artifacts into ``config.output_dir`` and return the manifest.
 
     Every ensemble runs before the first file is written, so a run that fails
     (for example with LowSignalError) leaves no partial output behind.
@@ -232,7 +228,7 @@ def run_experiment(
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
     p = max(config.p, PAPER_FIDELITY_SETS) if paper_fidelity else config.p
-    summary = ExperimentSummary(output_dir=Path(config.output_dir))
+    unreliable = []
 
     cache: dict[SimulationPlan, TrialEnsembleResult] = {}
 
@@ -253,18 +249,18 @@ def run_experiment(
                     )
                     res = ensemble(plan)
                     if res.unreliable:
-                        summary.unreliable.append(
+                        unreliable.append(
                             f"{state_name} N={n_mean} nu={nu} m={m}: "
                             f"{res.failed_fit_count}/{res.total_fits} fits failed"
                         )
                     if state.kind is ProbeKind.TMC:
-                        r_k = {name: 1.0 for name in ("k_a", "k_s", "k_d")}
+                        r_k = {name: 1.0 for name in PARAMETER_NAMES}
                         r_m = 1.0
                     else:
                         twin = ensemble(replace(plan, state=matched_classical_reference(state)))
                         r_k = enhancement_Rk(twin, res)
                         r_m = float(enhancement_RM(state, t_mid, scenario))
-                    for parameter in ("k_a", "k_s", "k_d"):
+                    for parameter in PARAMETER_NAMES:
                         ps = res.summary(parameter)
                         result_rows.append(
                             (
@@ -284,14 +280,11 @@ def run_experiment(
                             )
                         )
 
-    out_dir = summary.output_dir
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    summary.written.extend(
-        _write_sensorgram_csvs(config, case, trace, T_L, scenario, int(nu_values[0]), out_dir)
-    )
-    results_path = out_dir / "results.csv"
-    _write_csv(results_path, RESULT_COLUMNS, result_rows)
-    summary.written.append(results_path)
+    written = _write_sensorgram_csvs(config, case, trace, T_L, scenario, int(nu_values[0]), out_dir)
+    written.append(out_dir / "results.csv")
+    _write_csv(written[-1], RESULT_COLUMNS, result_rows)
 
     map_T = np.linspace(float(T_L.min()), float(T_L.max()), 41)
     map_N = np.geomspace(10.0, 1e4, 25)
@@ -306,11 +299,9 @@ def run_experiment(
             for i in range(map_N.size)
             for j in range(map_T.size)
         ]
-        map_path = out_dir / f"midpoint_map_{state_name}.csv"
-        _write_csv(map_path, ("N", "T", "R_M"), rows)
-        summary.written.append(map_path)
+        written.append(out_dir / f"midpoint_map_{state_name}.csv")
+        _write_csv(written[-1], ("N", "T", "R_M"), rows)
 
-    summary.runtime_seconds = time.perf_counter() - started
     manifest = {
         "schema_version": 1,
         "config": {**config.to_dict(), "p": p},
@@ -321,24 +312,22 @@ def run_experiment(
             "python": sys.version.split()[0],
         },
         "midpoint_transmittance": float(t_mid),
-        "unreliable_ensembles": summary.unreliable,
-        "outputs": [path.name for path in summary.written],
-        "runtime_seconds": summary.runtime_seconds,
+        "unreliable_ensembles": unreliable,
+        "outputs": [path.name for path in written],
+        "runtime_seconds": time.perf_counter() - started,
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    summary.written.append(manifest_path)
-    return summary
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return manifest
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    summary = run_experiment(config, threads=args.threads, paper_fidelity=args.paper_fidelity)
-    for path in summary.written:
-        print(f"wrote {path}")
-    print(f"done in {summary.runtime_seconds:.1f}s")
-    if summary.unreliable and not args.allow_unreliable:
-        for line in summary.unreliable:
+    manifest = run_experiment(config, threads=args.threads, paper_fidelity=args.paper_fidelity)
+    for name in (*manifest["outputs"], "manifest.json"):
+        print(f"wrote {Path(config.output_dir) / name}")
+    print(f"done in {manifest['runtime_seconds']:.1f}s")
+    if manifest["unreliable_ensembles"] and not args.allow_unreliable:
+        for line in manifest["unreliable_ensembles"]:
             print(f"UNRELIABLE: {line}", file=sys.stderr)
         print(
             "one or more ensembles exceeded the fit-failure threshold; "

@@ -10,12 +10,12 @@ one time grid: the dissociation tail is fitted first for (baseline, amplitude,
 k_d), then the association segment for (amplitude, k_s) with the baseline held
 fixed. The phases decouple in the piecewise-exponential model, so the
 sequential fit is better conditioned than a joint one. Rates are parameterized
-as exp(u) to keep them positive on noisy data. ``fit_sensorgram`` is the
-one-row case of ``fit_sensorgrams``.
+as exp(u) to keep them positive on noisy data. ``FitResult.converged`` is the
+one rule for whether a fit is usable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -158,22 +158,20 @@ def lm_solve(
 class FitResult:
     """Kinetic parameters extracted from a block of sensorgrams, one (B,) array per field.
 
-    ``row(i)`` gives sensorgram i's fit as plain Python scalars, which is what
-    ``fit_sensorgram`` returns. ``iterations`` is the total over the two
-    segment solves, each individually bounded by MAX_ITERS.
+    ``converged`` marks the usable fits: both segment solves converged, no rate
+    is pinned at the exp(+/-50) clip, and k_a, k_s and k_d are all finite.
+    ``iterations`` is the total over the two segment solves, each individually
+    bounded by MAX_ITERS.
     """
 
-    k_s: np.ndarray | float
-    k_d: np.ndarray | float
-    k_a: np.ndarray | float
-    baseline: np.ndarray | float
-    amplitude: np.ndarray | float
-    converged: np.ndarray | bool
-    iterations: np.ndarray | int
-    residual_norm: np.ndarray | float
-
-    def row(self, i: int) -> "FitResult":
-        return FitResult(**{f.name: getattr(self, f.name)[i].item() for f in fields(self)})
+    k_s: np.ndarray
+    k_d: np.ndarray
+    k_a: np.ndarray
+    baseline: np.ndarray
+    amplitude: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+    residual_norm: np.ndarray
 
 
 _LN_RATE_LIMIT = 50.0  # rates confined to exp(+/-50); a solution pinned here is garbage
@@ -267,19 +265,17 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
 
     sol_a = lm_solve(resid_association, _association_warm_start(t_a, Y_a, baseline))
     k_s, ks_pinned = _rate_from_log(sol_a.x[:, 1])
+    k_a = close_ka(k_s, k_d, L0)
+    usable = np.array(sol_d.converged) & np.array(sol_a.converged) & ~(kd_pinned | ks_pinned)
 
     return FitResult(
         k_s=k_s,
         k_d=k_d,
-        k_a=close_ka(k_s, k_d, L0),
+        k_a=k_a,
         baseline=baseline,
         amplitude=sol_a.x[:, 0],
-        converged=np.array(sol_d.converged) & np.array(sol_a.converged) & ~(kd_pinned | ks_pinned),
+        converged=usable & np.isfinite(k_a) & np.isfinite(k_s) & np.isfinite(k_d),
         iterations=np.add(sol_d.iterations, sol_a.iterations),
         residual_norm=np.hypot(sol_d.residual_norm, sol_a.residual_norm),
     )
 
-
-def fit_sensorgram(t, y, tau_s: float, L0: float) -> FitResult:
-    """Fit one sensorgram: the one-row case of ``fit_sensorgrams``, as Python scalars."""
-    return fit_sensorgrams(t, np.asarray(y, dtype=float)[None], tau_s, L0).row(0)

@@ -8,16 +8,11 @@ angular sensorgram (degrees) and the transmittance sensorgram.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .spr_optics import OpticalStack, index_from_angle, transmittance_from_index
-
-
-class NegativeRateWarning(UserWarning):
-    """A closed association constant came out negative (noise-dominated fit)."""
 
 
 @dataclass(frozen=True)
@@ -185,16 +180,9 @@ def linearize_sensorgram(t, T, n_a, tau_s: float) -> np.ndarray:
 def close_ka(k_s: float | np.ndarray, k_d: float | np.ndarray, L0: float) -> float | np.ndarray:
     """Association constant from the fitted rates: k_a = (k_s - k_d)/L0.
 
-    Works elementwise on arrays of rates. A negative result (possible under
-    noise) is returned as-is with a NegativeRateWarning.
+    Works elementwise on arrays of rates. A negative result (k_s < k_d,
+    possible under noise) is returned as-is.
     """
     if not L0 > 0:
         raise ValueError("L0 must be positive")
-    k_a = (k_s - k_d) / L0
-    if np.any(k_a < 0):
-        warnings.warn(
-            f"closed k_a = {np.min(k_a):.4g} is negative (k_s < k_d)",
-            NegativeRateWarning,
-            stacklevel=2,
-        )
-    return k_a
+    return (k_s - k_d) / L0

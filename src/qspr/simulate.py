@@ -17,7 +17,6 @@ normals across states/scenarios (common random numbers).
 """
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -26,7 +25,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .fit import fit_sensorgrams
-from .kinetics import NegativeRateWarning
 from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
 UNRELIABLE_FAILURE_FRACTION = 0.2
@@ -128,20 +126,13 @@ def _fit_sets(
     plan: SimulationPlan,
     t: np.ndarray,
     transmittance: np.ndarray,
-) -> list[tuple[tuple[float, float, float] | None, int]]:
-    """(average fitted (k_a, k_s, k_d) over converged fits, failed fits) of each set in a chunk."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted (k_a, k_s, k_d) (sets, m, 3) and their converged flags (sets, m) of a chunk."""
     sets = range(first_set, min(first_set + SETS_PER_CHUNK, plan.p))
     Y = synthesize_noisy_sensorgrams(transmittance, plan, sets)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", NegativeRateWarning)
-        fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
+    fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
     rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
-    ok = fits.converged & np.isfinite(rates).all(axis=1)
-    outcomes = []
-    for values, good in zip(rates.reshape(len(sets), plan.m, 3), ok.reshape(len(sets), plan.m)):
-        kbar = tuple(np.mean(values[good], axis=0)) if good.any() else None
-        outcomes.append((kbar, plan.m - int(good.sum())))
-    return outcomes
+    return rates.reshape(len(sets), plan.m, 3), fits.converged.reshape(len(sets), plan.m)
 
 
 def run_ensemble(plan: SimulationPlan, t, transmittance, workers: int = 1) -> TrialEnsembleResult:
@@ -167,29 +158,27 @@ def run_ensemble(plan: SimulationPlan, t, transmittance, workers: int = 1) -> Tr
             per_chunk = list(pool.map(worker, chunks))
     else:
         per_chunk = map(worker, chunks)
-    outcomes = [outcome for chunk in per_chunk for outcome in chunk]
+    rates, converged = (np.concatenate(parts) for parts in zip(*per_chunk))
 
-    kbars = []
-    failed_total = 0
-    for set_index, (kbar, failed) in enumerate(outcomes):
-        failed_total += failed
-        if kbar is None:
-            raise LowSignalError(
-                f"set {set_index}: all {plan.m} fits failed; "
-                "signal-to-noise too low for this plan (raise nu, m or N)"
-            )
-        kbars.append(kbar)
-    kbars = np.asarray(kbars)
+    good = converged.sum(axis=1)
+    if not good.all():
+        raise LowSignalError(
+            f"set {np.argmin(good)}: all {plan.m} fits failed; "
+            "signal-to-noise too low for this plan (raise nu, m or N)"
+        )
+    # each set's mean over its converged fits
+    kbars = np.where(converged[:, :, None], rates, 0.0).sum(axis=1) / good[:, None]
     estimates = kbars.mean(axis=0)
     precisions = kbars.std(axis=0, ddof=1) if plan.p > 1 else np.zeros(3)
     total = plan.m * plan.p
+    failed = total - int(good.sum())
     return TrialEnsembleResult(
         k_a=ParameterSummary(float(estimates[0]), float(precisions[0])),
         k_s=ParameterSummary(float(estimates[1]), float(precisions[1])),
         k_d=ParameterSummary(float(estimates[2]), float(precisions[2])),
-        failed_fit_count=failed_total,
+        failed_fit_count=failed,
         total_fits=total,
-        unreliable=failed_total > UNRELIABLE_FAILURE_FRACTION * total,
+        unreliable=failed > UNRELIABLE_FAILURE_FRACTION * total,
         plan=plan,
     )
 

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from qspr.cases import KAUSAITE2007, LAHIRI1999
-from qspr.fit import fit_sensorgram
+from qspr.fit import fit_sensorgrams
 from qspr.kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from qspr.oracle import verify_closed_forms
 from qspr.probes import (
@@ -116,32 +116,34 @@ def test_criterion_01_resonance_angles():
 
 def test_criterion_02_kausaite_noise_free_pipeline(kausaite_pipeline):
     trace, T_L, _ = kausaite_pipeline
-    res = fit_sensorgram(trace.t, T_L, KAUSAITE2007.kinetics.tau_s, KAUSAITE2007.kinetics.L0)
+    res = fit_sensorgrams(
+        trace.t, T_L[None], KAUSAITE2007.kinetics.tau_s, KAUSAITE2007.kinetics.L0
+    )
     targets = {"k_s": 0.0105, "k_d": 7.771e-3, "k_a": 10.029e3}
-    devs = {name: abs(getattr(res, name) / value - 1.0) for name, value in targets.items()}
-    ok = res.converged and all(d < 0.02 for d in devs.values())
+    devs = {name: abs(getattr(res, name)[0] / value - 1.0) for name, value in targets.items()}
+    ok = res.converged[0] and all(d < 0.02 for d in devs.values())
     report(
         2,
         ok,
         "kausaite fit k_s={:.5g} k_d={:.5g} k_a={:.5g} (max dev {:.2%} vs 2%)".format(
-            res.k_s, res.k_d, res.k_a, max(devs.values())
+            res.k_s[0], res.k_d[0], res.k_a[0], max(devs.values())
         ),
     )
 
 
 def test_criterion_03_lahiri_noise_free_pipeline(lahiri_pipeline):
     trace = lahiri_pipeline
-    res = fit_sensorgram(
-        trace.t, trace.transmittance, LAHIRI1999.kinetics.tau_s, LAHIRI1999.kinetics.L0
+    res = fit_sensorgrams(
+        trace.t, trace.transmittance[None], LAHIRI1999.kinetics.tau_s, LAHIRI1999.kinetics.L0
     )
     targets = {"k_s": 22.98e-3, "k_d": 15e-3, "k_a": 3.8e-3}
-    devs = {name: abs(getattr(res, name) / value - 1.0) for name, value in targets.items()}
-    ok = res.converged and all(d < 0.005 for d in devs.values())
+    devs = {name: abs(getattr(res, name)[0] / value - 1.0) for name, value in targets.items()}
+    ok = res.converged[0] and all(d < 0.005 for d in devs.values())
     report(
         3,
         ok,
         "lahiri fit k_s={:.5g} k_d={:.5g} k_a={:.5g} (max dev {:.3%} vs 0.5%)".format(
-            res.k_s, res.k_d, res.k_a, max(devs.values())
+            res.k_s[0], res.k_d[0], res.k_a[0], max(devs.values())
         ),
     )
 

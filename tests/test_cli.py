@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -111,13 +112,18 @@ class TestConfig:
         assert case.kinetics.k_s == pytest.approx(5e3 * 3e-7 + 6e-3)
 
 
-JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-JSON_VALUES = JSON_SCALARS | st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
-    max_leaves=8,
-)
+def json_values(floats):
+    scalars = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=6)
+    return scalars | st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=8,
+    )
+
+
+# json.loads reads NaN, Infinity and 1e999 as floats, so documents can hold them
+JSON_VALUES = json_values(st.floats())
 CONFIG_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 VALID_CONFIGS = st.builds(
     ExperimentConfig,
@@ -129,13 +135,20 @@ VALID_CONFIGS = st.builds(
     ).map(tuple),
     tmsd_gain=st.floats(1.01, 10.0),
     # N >= 9 keeps every TMSD state valid (N >= G - 1) for the gains drawn above
-    n_values=st.lists(st.floats(9.0, 1e4), min_size=1, max_size=3).map(tuple),
-    nu_values=st.none() | st.lists(st.integers(1, 10**6), min_size=1, max_size=3).map(tuple),
-    m_values=st.lists(st.integers(1, 100), min_size=1, max_size=3).map(tuple),
+    n_values=st.lists(st.floats(9.0, 1e4), min_size=1, max_size=3, unique=True).map(tuple),
+    nu_values=st.none()
+    | st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True).map(tuple),
+    m_values=st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True).map(tuple),
     p=st.integers(1, 5000),
     seed=st.integers(0, 2**63 - 1),
     output_dir=st.text(max_size=12),
-    overrides=st.none() | st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=3),
+    # finite only: NaN != NaN, so a config holding one cannot equal its round trip
+    overrides=st.none()
+    | st.dictionaries(
+        st.text(max_size=6),
+        json_values(st.floats(allow_nan=False, allow_infinity=False)),
+        max_size=3,
+    ),
 )
 
 
@@ -158,6 +171,7 @@ class TestConfigDocuments:
             return
         assert all(isinstance(v, str) for v in (cfg.case, cfg.scenario, cfg.output_dir))
         assert _number(cfg.eta_a) and _number(cfg.tmsd_gain)
+        assert math.isfinite(cfg.eta_a) and math.isfinite(cfg.tmsd_gain)
         assert type(cfg.p) is int and type(cfg.seed) is int
         assert isinstance(cfg.states, tuple) and all(isinstance(s, str) for s in cfg.states)
         assert isinstance(cfg.n_values, tuple) and all(map(_number, cfg.n_values))
@@ -209,12 +223,21 @@ class TestConfigDocuments:
             {"states": ["tmsd"], "n_values": [10, 1]},  # TMSD needs N >= G - 1 = 3.5
             {"nu_values": [100, 0]},
             {"overrides": {"nu_default": 0}},
+            # raw JSON text: numbers that json.loads reads as NaN or +/-inf
+            '{"states": ["tmc"], "tmsd_gain": NaN}',
+            '{"eta_a": Infinity}',
+            '{"n_values": [1e999]}',
+            '{"overrides": {"buffer_index": NaN}}',
+            '{"overrides": {"angular_amplitude_deg": Infinity}}',
+            {"states": ["tmc"], "n_values": [10, 10.0], "m_values": [2], "p": 3},
+            {"nu_values": [100, 1000, 100]},
+            {"m_values": [2, 2]},
         ],
     )
     def test_invalid_document_exits_2(self, tmp_path, capsys, doc):
         # ``run`` and ``sensorgram`` load the config alike and reject it alike
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(doc))
+        cfg_path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         out = tmp_path / "out"
         for command in ("run", "sensorgram"):
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
@@ -241,15 +264,16 @@ class TestConfigDocuments:
 class TestRunExperiment:
     def test_artifacts_and_completeness(self, tmp_path):
         cfg = tiny_config(tmp_path / "out")
-        summary = run_experiment(cfg)
-        names = {p.name for p in summary.written}
-        assert names == {
+        manifest = run_experiment(cfg)
+        names = {
             "sensorgram_ideal.csv",
             "sensorgram_sample.csv",
             "results.csv",
             "midpoint_map_tmf.csv",
-            "manifest.json",
         }
+        assert set(manifest["outputs"]) == names
+        assert {p.name for p in (tmp_path / "out").iterdir()} == names | {"manifest.json"}
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text()) == manifest
         rows = read_rows(tmp_path / "out" / "results.csv")
         # one row per state x sweep point x parameter
         assert len(rows) == 2 * 1 * 1 * 1 * 3

@@ -144,19 +144,18 @@ class TestBuildState:
 class TestApplyChannels:
     def test_identity_channel_preserves_distribution(self):
         state = build_state(ProbeState(ProbeKind.TMC, 2.0), cutoff=30)
-        dist = apply_channels(state, T=1.0, eta_a=1.0, eta_b=1.0)
-        assert dist.probabilities == pytest.approx(np.abs(state.amplitudes) ** 2, abs=1e-14)
+        P = apply_channels(state, T=1.0, eta_a=1.0, eta_b=1.0)
+        assert P == pytest.approx(np.abs(state.amplitudes) ** 2, abs=1e-14)
 
     def test_single_photon_binomial(self):
         state = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
-        dist = apply_channels(state, T=0.5, eta_a=1.0, eta_b=1.0)
-        assert dist.probabilities[0, 1] == pytest.approx(0.5, rel=1e-12)
-        assert dist.probabilities[1, 1] == pytest.approx(0.5, rel=1e-12)
+        P = apply_channels(state, T=0.5, eta_a=1.0, eta_b=1.0)
+        assert P[0, 1] == pytest.approx(0.5, rel=1e-12)
+        assert P[1, 1] == pytest.approx(0.5, rel=1e-12)
 
     def test_poisson_thinning(self):
         state = build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=45)
-        dist = apply_channels(state, T=0.4, eta_a=1.0, eta_b=1.0)
-        marginal_a = dist.probabilities.sum(axis=1)
+        marginal_a = apply_channels(state, T=0.4, eta_a=1.0, eta_b=1.0).sum(axis=1)
         assert marginal_a[0] == pytest.approx(np.exp(-1.2), rel=1e-10)
 
     def test_channel_bounds_checked(self):
@@ -168,9 +167,9 @@ class TestApplyChannels:
         # binomial loss moves photons, never mass: sum + tail stays 1
         for probe in (ProbeState(ProbeKind.TMC, 2.5), tmsd_with(1.2, 0.35)):
             state = build_state(probe, cutoff=45)
-            dist = apply_channels(state, T=0.37, eta_a=0.81, eta_b=0.64)
-            assert np.all(dist.probabilities >= 0.0)
-            assert dist.probabilities.sum() + dist.tail_mass == pytest.approx(1.0, abs=1e-12)
+            P = apply_channels(state, T=0.37, eta_a=0.81, eta_b=0.64)
+            assert np.all(P >= 0.0)
+            assert P.sum() + state.tail_mass == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOracleMoments:

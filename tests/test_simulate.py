@@ -6,7 +6,7 @@ import pytest
 
 import qspr.simulate as simulate
 from qspr.cases import KAUSAITE2007
-from qspr.fit import fit_sensorgram, fit_sensorgrams
+from qspr.fit import fit_sensorgrams
 from qspr.kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from qspr.probes import ProbeKind, ProbeState, ScenarioMode, SensingScenario, delta_M, mean_M
 from qspr.simulate import (
@@ -117,13 +117,13 @@ class TestRunEnsemble:
         plan = make_plan(p=4, m=2)
         monkeypatch.setattr(simulate, "standard_normals", zero_normals)
         res = run_ensemble(plan, t, T_L)  # serial: the patch reaches every draw
-        ideal = fit_sensorgram(
-            t, mean_M(plan.state, T_L, 1.0, 1.0), plan.tau_s, plan.L0
+        ideal = fit_sensorgrams(
+            t, mean_M(plan.state, T_L, 1.0, 1.0)[None], plan.tau_s, plan.L0
         )
         assert res.k_d.precision == 0.0
         assert res.k_s.precision == 0.0
-        assert res.k_d.estimate == pytest.approx(ideal.k_d, rel=1e-12)
-        assert res.k_s.estimate == pytest.approx(ideal.k_s, rel=1e-12)
+        assert res.k_d.estimate == pytest.approx(ideal.k_d[0], rel=1e-12)
+        assert res.k_s.estimate == pytest.approx(ideal.k_s[0], rel=1e-12)
         assert res.failed_fit_count == 0
 
     def test_unbiased_at_reference_snr(self, kausaite_ideal):
@@ -203,10 +203,10 @@ class TestRunEnsemble:
         slope = plan.scenario.eta_a * plan.state.n_mean
         intercept = -plan.scenario.eta_b * plan.state.n_reference
         y_t = (y_m - intercept) / slope  # Tbar with noise delta_T/sqrt(nu)
-        fit_m = fit_sensorgram(t, y_m, plan.tau_s, plan.L0)
-        fit_t = fit_sensorgram(t, y_t, plan.tau_s, plan.L0)
-        assert fit_m.k_s == pytest.approx(fit_t.k_s, rel=1e-8)
-        assert fit_m.k_d == pytest.approx(fit_t.k_d, rel=1e-8)
+        fit_m = fit_sensorgrams(t, y_m[None], plan.tau_s, plan.L0)
+        fit_t = fit_sensorgrams(t, y_t[None], plan.tau_s, plan.L0)
+        assert fit_m.k_s[0] == pytest.approx(fit_t.k_s[0], rel=1e-8)
+        assert fit_m.k_d[0] == pytest.approx(fit_t.k_d[0], rel=1e-8)
 
 
 class TestEnhancementRatios:
