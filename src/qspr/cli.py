@@ -41,9 +41,8 @@ from .simulate import (
     PARAMETER_NAMES,
     LowSignalError,
     SimulationPlan,
-    TrialEnsembleResult,
     enhancement_Rk,
-    run_ensemble,
+    run_ensembles,
     synthesize_noisy_sensorgrams,
 )
 
@@ -102,8 +101,8 @@ class ExperimentConfig:
         for state in self.states:  # ProbeState checks N > 0, and N >= G - 1 for TMSD
             for n_mean in self.n_values:
                 _make_state(state, n_mean, self.tmsd_gain)
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
+        if self.p < 2:  # precision is a standard deviation over sets
+            raise ValueError("p must be >= 2")
         if not 0 <= self.seed < 2**63:
             raise ValueError("seed must lie in [0, 2**63)")
         if self.scenario not in {m.value for m in ScenarioMode}:
@@ -228,16 +227,7 @@ def run_experiment(
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
     p = max(config.p, PAPER_FIDELITY_SETS) if paper_fidelity else config.p
-    unreliable = []
-
-    cache: dict[SimulationPlan, TrialEnsembleResult] = {}
-
-    def ensemble(plan: SimulationPlan) -> TrialEnsembleResult:
-        if plan not in cache:
-            cache[plan] = run_ensemble(plan, trace.t, T_L, workers=threads)
-        return cache[plan]
-
-    result_rows = []
+    points = []  # (state name, N, plan, its classical twin or None)
     for state_name in config.states:
         for n_mean in config.n_values:
             state = _make_state(state_name, n_mean, config.tmsd_gain)
@@ -247,38 +237,49 @@ def run_experiment(
                         nu=int(nu), m=int(m), p=int(p), seed=config.seed, state=state,
                         scenario=scenario, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
                     )
-                    res = ensemble(plan)
-                    if res.unreliable:
-                        unreliable.append(
-                            f"{state_name} N={n_mean} nu={nu} m={m}: "
-                            f"{res.failed_fit_count}/{res.total_fits} fits failed"
-                        )
-                    if state.kind is ProbeKind.TMC:
-                        r_k = {name: 1.0 for name in PARAMETER_NAMES}
-                        r_m = 1.0
-                    else:
-                        twin = ensemble(replace(plan, state=matched_classical_reference(state)))
-                        r_k = enhancement_Rk(twin, res)
-                        r_m = float(enhancement_RM(state, t_mid, scenario))
-                    for parameter in PARAMETER_NAMES:
-                        ps = res.summary(parameter)
-                        result_rows.append(
-                            (
-                                case.name,
-                                state_name,
-                                config.scenario,
-                                n_mean,
-                                int(nu),
-                                int(m),
-                                parameter,
-                                ps.estimate,
-                                ps.precision,
-                                r_k[parameter],
-                                r_m,
-                                res.failed_fit_count,
-                                config.seed,
-                            )
-                        )
+                    twin = None
+                    if state.kind is not ProbeKind.TMC:
+                        twin = replace(plan, state=matched_classical_reference(state))
+                    points.append((state_name, n_mean, plan, twin))
+    # every distinct plan once, in first-request order, in one set-major run
+    plans = list(dict.fromkeys(
+        each for *_, plan, twin in points for each in (plan, twin) if each is not None
+    ))
+    ensembles = dict(zip(plans, run_ensembles(plans, trace.t, T_L, workers=threads)))
+
+    result_rows, unreliable = [], []
+    for state_name, n_mean, plan, twin in points:
+        res = ensembles[plan]
+        if res.unreliable:
+            unreliable.append(
+                f"{state_name} N={n_mean} nu={plan.nu} m={plan.m}: "
+                f"{res.failed_fit_count}/{res.total_fits} fits failed"
+            )
+        if twin is None:
+            r_k = {name: 1.0 for name in PARAMETER_NAMES}
+            r_m = 1.0
+        else:
+            r_k = enhancement_Rk(ensembles[twin], res)
+            r_m = float(enhancement_RM(plan.state, t_mid, scenario))
+        for parameter in PARAMETER_NAMES:
+            ps = res.summary(parameter)
+            result_rows.append(
+                (
+                    case.name,
+                    state_name,
+                    config.scenario,
+                    n_mean,
+                    plan.nu,
+                    plan.m,
+                    parameter,
+                    ps.estimate,
+                    ps.precision,
+                    r_k[parameter],
+                    r_m,
+                    res.failed_fit_count,
+                    config.seed,
+                )
+            )
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -50,6 +50,12 @@ def _sum_squares(r: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
+def _normal_equations(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row J^T J (k, P, P) and J^T r (k, P) of residuals (k, n) and Jacobians (k, n, P)."""
+    Jt = J.transpose(0, 2, 1)
+    return Jt @ J, (Jt @ r[:, :, None])[:, :, 0]
+
+
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solve each A[i] x = b[i]; rows whose matrix is singular come back flagged False."""
     try:
@@ -76,7 +82,9 @@ def lm_solve(
     Levenberg-Marquardt with multiplicative damping on the scaled normal
     equations; a step is accepted only if it strictly decreases the row's
     residual norm. A row that runs out of iterations or damping keeps its last
-    iterate, flagged non-converged.
+    iterate, flagged non-converged. Each row keeps only its normal equations
+    (J^T J and J^T r), formed at the start and after each accepted step; a
+    rejected step reuses them.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     if not np.all(np.isfinite(x)):
@@ -85,7 +93,7 @@ def lm_solve(
     r, J = fun(x, np.arange(n_rows))
     if r.shape[1] < n_params:
         raise ValueError("need at least as many data points as parameters")
-    ssq = _sum_squares(r)
+    ssq, JtJ, g = _sum_squares(r), *_normal_equations(r, J)
     lam = np.full(n_rows, DAMPING_INIT)
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
@@ -96,26 +104,23 @@ def lm_solve(
         live = np.flatnonzero(running & (iterations < MAX_ITERS))
         if not live.size:
             break
-        J_live = J[live]
-        Jt = J_live.transpose(0, 2, 1)
-        g = (Jt @ r[live][:, :, None])[:, :, 0]
-        JtJ = Jt @ J_live
-        diag = JtJ[:, on_diag, on_diag]
+        g_live, diag = g[live], JtJ[live][:, on_diag, on_diag]
         # scale-free first-order test: residual nearly orthogonal to every column
         col_norm = np.sqrt(np.maximum(diag, 0.0)) * np.maximum(np.sqrt(ssq[live]), _TINY)[:, None]
-        cosine = np.where(col_norm > 0.0, np.abs(g) / np.maximum(col_norm, _TINY), 0.0).max(axis=1)
+        cosine = np.where(col_norm > 0.0, np.abs(g_live) / np.maximum(col_norm, _TINY), 0.0).max(axis=1)
         stationary = (ssq[live] == 0.0) | (cosine < GRAD_TOLERANCE)
         converged[live[stationary]] = True
         running[live[stationary]] = False
         go = ~stationary
-        live, g, JtJ, diag, cosine = live[go], g[go], JtJ[go], diag[go], cosine[go]
+        live, g_live, diag, cosine = live[go], g_live[go], diag[go], cosine[go]
         if not live.size:
             continue
         # floor the damping scale so rank-deficient Jacobians stay solvable
         diag = np.maximum(diag, 1e-12 * np.maximum(diag.max(axis=1), 1.0)[:, None])
         iterations[live] += 1
-        JtJ[:, on_diag, on_diag] += lam[live, None] * diag
-        step, solved = _solve_rows(JtJ, -g)
+        damped = JtJ[live]
+        damped[:, on_diag, on_diag] += lam[live, None] * diag
+        step, solved = _solve_rows(damped, -g_live)
 
         singular = live[~solved]
         lam[singular] *= 10.0
@@ -129,7 +134,8 @@ def lm_solve(
 
         moved = live[better]
         reduction = ssq[moved] - ssq_new[better]
-        x[moved], r[moved], J[moved], ssq[moved] = x_new[better], r_new[better], J_new[better], ssq_new[better]
+        x[moved], ssq[moved] = x_new[better], ssq_new[better]
+        JtJ[moved], g[moved] = _normal_equations(r_new[better], J_new[better])
         lam[moved] = np.maximum(lam[moved] / 3.0, 1e-14)
         small_step = np.linalg.norm(step[better], axis=1) <= STEP_TOLERANCE * (
             np.linalg.norm(x[moved], axis=1) + STEP_TOLERANCE
@@ -247,9 +253,11 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         b, a, ln_kd = X[:, 0:1], X[:, 1:2], X[:, 2:3]
         kd = np.exp(np.clip(ln_kd, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
         decay = np.exp(-kd * t_rel)
-        R = b + a * decay - Y_d[rows]
-        J = np.stack([np.ones_like(decay), decay, -a * kd * t_rel * decay], axis=-1)
-        return R, J
+        J = np.empty(decay.shape + (3,))
+        J[..., 0] = 1.0
+        J[..., 1] = decay
+        J[..., 2] = -a * kd * t_rel * decay
+        return b + a * decay - Y_d[rows], J
 
     sol_d = lm_solve(resid_dissociation, _dissociation_warm_start(t_rel, Y_d))
     baseline = sol_d.x[:, 0]
@@ -259,9 +267,11 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         a_inf, ln_ks = X[:, 0:1], X[:, 1:2]
         ks = np.exp(np.clip(ln_ks, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
         decay = np.exp(-ks * t_a)
-        R = baseline[rows, None] + a_inf * (1.0 - decay) - Y_a[rows]
-        J = np.stack([1.0 - decay, a_inf * ks * t_a * decay], axis=-1)
-        return R, J
+        rise = 1.0 - decay
+        J = np.empty(decay.shape + (2,))
+        J[..., 0] = rise
+        J[..., 1] = a_inf * ks * t_a * decay
+        return baseline[rows, None] + a_inf * rise - Y_a[rows], J
 
     sol_a = lm_solve(resid_association, _association_warm_start(t_a, Y_a, baseline))
     k_s, ks_pinned = _rate_from_log(sol_a.x[:, 1])

@@ -35,6 +35,8 @@ class KineticParameters:
         for name in ("k_a", "k_d", "L0", "tau_s"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.k_s == self.k_d:
+            raise ValueError("k_a*L0 vanishes against k_d in k_s = k_a*L0 + k_d; k_a is not recoverable")
 
     @property
     def k_s(self) -> float:

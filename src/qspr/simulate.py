@@ -6,14 +6,19 @@ by the central limit theorem whatever the per-shot statistics. A set consists
 of m such noisy sensorgrams, each fitted independently; the set average kbar of
 the fitted rate constants is one sample. Repeating over p sets gives the
 estimate (mean of kbar) and the estimation precision (standard deviation of
-kbar). The fits of a chunk of SETS_PER_CHUNK sets run as one block solve
-(``qspr.fit.fit_sensorgrams``), whose rows do not depend on each other.
+kbar).
 
 Randomness is counter-based: every (seed, set, sensorgram) triple owns a Philox
 substream, and normals are drawn by inverse transform (ndtri of the stream's
 uniforms). Results are therefore bit-identical for any execution order or
-worker count, and runs that share a seed reuse the same underlying standard
-normals across states/scenarios (common random numbers).
+worker count, and plans that share a seed share the same underlying standard
+normals across states, nu and m (common random numbers).
+
+The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
+once. Each chunk of SETS_PER_CHUNK sets draws its substreams once, for the
+largest m; each plan reads the first m sensorgrams of every set and fits them
+as one block solve (``qspr.fit.fit_sensorgrams``), whose rows do not depend on
+each other. So a plan's result is the same whatever other plans share its run.
 """
 from __future__ import annotations
 
@@ -100,6 +105,24 @@ def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
     return ndtri(u)
 
 
+def _substream_normals(seed: int, sets, m: int, n: int) -> np.ndarray:
+    """(sets, m, n) standard normals; [i, j] comes from the substream of set ``sets[i]``, sensorgram j."""
+    Z = np.empty((len(sets), m, n))
+    for i, s in enumerate(sets):
+        for j in range(m):
+            Z[i, j] = standard_normals(sensorgram_substream(seed, s, j), n)
+    return Z
+
+
+def _noise_law(plan: SimulationPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard deviation dM/sqrt(nu) of the plan's measured sensorgram on T."""
+    if np.any(T < 0) or np.any(T > 1):
+        raise ValueError("ideal transmittance must lie in [0, 1]")
+    eta_a, eta_b = plan.scenario.eta_a, plan.scenario.eta_b
+    mean = mean_M(plan.state, T, eta_a, eta_b)
+    return mean, delta_M(plan.state, T, eta_a, eta_b) / np.sqrt(plan.nu)
+
+
 def synthesize_noisy_sensorgrams(transmittance, plan: SimulationPlan, sets) -> np.ndarray:
     """Noisy measurement-space sensorgrams Mbar(t) of the given sets, one per row.
 
@@ -107,59 +130,37 @@ def synthesize_noisy_sensorgrams(transmittance, plan: SimulationPlan, sets) -> n
     (seed, set, sensorgram) substream; the sample-mean noise is dM/sqrt(nu).
     """
     T = np.asarray(transmittance, dtype=float)
-    if np.any(T < 0) or np.any(T > 1):
-        raise ValueError("ideal transmittance must lie in [0, 1]")
-    eta_a, eta_b = plan.scenario.eta_a, plan.scenario.eta_b
-    mean = mean_M(plan.state, T, eta_a, eta_b)
-    sigma = delta_M(plan.state, T, eta_a, eta_b) / np.sqrt(plan.nu)
-    normals = [
-        standard_normals(sensorgram_substream(plan.seed, s, j), T.size)
-        for s in sets
-        for j in range(plan.m)
-    ]
-    return mean + sigma * np.reshape(normals, (-1, T.size))
+    mean, sigma = _noise_law(plan, T)
+    Z = _substream_normals(plan.seed, sets, plan.m, T.size)
+    return mean + sigma * Z.reshape(-1, T.size)
 
 
-def _fit_sets(
+def _fit_chunk(
     first_set: int,
     *,
-    plan: SimulationPlan,
+    plans: list[SimulationPlan],
+    laws: list[tuple[np.ndarray, np.ndarray]],
     t: np.ndarray,
-    transmittance: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted (k_a, k_s, k_d) (sets, m, 3) and their converged flags (sets, m) of a chunk."""
-    sets = range(first_set, min(first_set + SETS_PER_CHUNK, plan.p))
-    Y = synthesize_noisy_sensorgrams(transmittance, plan, sets)
-    fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
-    rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
-    return rates.reshape(len(sets), plan.m, 3), fits.converged.reshape(len(sets), plan.m)
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per plan, fitted (k_a, k_s, k_d) (sets, m, 3) and converged flags (sets, m) of a chunk.
 
-
-def run_ensemble(plan: SimulationPlan, t, transmittance, workers: int = 1) -> TrialEnsembleResult:
-    """Simulate p sets of m noisy sensorgrams and summarize the kbar distribution.
-
-    Sets are fitted in chunks of SETS_PER_CHUNK, one block solve per chunk,
-    serially or spread over ``workers`` processes. Non-converged fits are
-    excluded from their set's average and counted; a set with no converged
-    fits at all aborts with LowSignalError. The result is flagged unreliable
-    when more than 20% of all fits failed. Output is independent of ``workers``.
+    The chunk's normals are drawn once, for the largest m; a plan with m
+    sensorgrams per set reads the first m of each set, which is exactly its own draw.
     """
-    t = np.asarray(t, dtype=float)
-    T = np.asarray(transmittance, dtype=float)
-    if t.shape != T.shape:
-        raise ValueError("t and transmittance must share one grid")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    worker = partial(_fit_sets, plan=plan, t=t, transmittance=T)
-    chunks = range(0, plan.p, SETS_PER_CHUNK)
-    workers = min(workers, len(chunks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(worker, chunks))
-    else:
-        per_chunk = map(worker, chunks)
-    rates, converged = (np.concatenate(parts) for parts in zip(*per_chunk))
+    head = plans[0]
+    sets = range(first_set, min(first_set + SETS_PER_CHUNK, head.p))
+    Z = _substream_normals(head.seed, sets, max(plan.m for plan in plans), t.size)
+    out = []
+    for plan, (mean, sigma) in zip(plans, laws):
+        Y = mean + sigma * Z[:, : plan.m].reshape(-1, t.size)
+        fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
+        rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
+        out.append((rates.reshape(len(sets), plan.m, 3), fits.converged.reshape(len(sets), plan.m)))
+    return out
 
+
+def _summarize(plan: SimulationPlan, rates: np.ndarray, converged: np.ndarray) -> TrialEnsembleResult:
+    """The kbar distribution over the plan's sets; LowSignalError for a set without a usable fit."""
     good = converged.sum(axis=1)
     if not good.all():
         raise LowSignalError(
@@ -181,6 +182,48 @@ def run_ensemble(plan: SimulationPlan, t, transmittance, workers: int = 1) -> Tr
         unreliable=failed > UNRELIABLE_FAILURE_FRACTION * total,
         plan=plan,
     )
+
+
+def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsembleResult]:
+    """Simulate p sets of m noisy sensorgrams per plan and summarize each kbar distribution.
+
+    The plans must share seed, p, tau_s and L0. Sets are processed in chunks
+    of SETS_PER_CHUNK, serially or spread over ``workers`` processes (one pool
+    for all plans); each chunk draws every (seed, set, sensorgram) substream
+    once for all plans and runs one block solve per plan. Non-converged fits
+    are excluded from their set's average and counted; a set with no converged
+    fits at all aborts with LowSignalError, raised for the first such plan in
+    the order given. A result is flagged unreliable when more than 20% of its
+    fits failed. Output is independent of ``workers`` and of the other plans.
+    """
+    plans = list(plans)
+    if len({(plan.seed, plan.p, plan.tau_s, plan.L0) for plan in plans}) != 1:
+        raise ValueError("run_ensembles needs one or more plans sharing seed, p, tau_s and L0")
+    t = np.asarray(t, dtype=float)
+    T = np.asarray(transmittance, dtype=float)
+    if t.shape != T.shape:
+        raise ValueError("t and transmittance must share one grid")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    laws = [_noise_law(plan, T) for plan in plans]
+    worker = partial(_fit_chunk, plans=plans, laws=laws, t=t)
+    chunks = range(0, plans[0].p, SETS_PER_CHUNK)
+    workers = min(workers, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_chunk = list(pool.map(worker, chunks))
+    else:
+        per_chunk = map(worker, chunks)
+    results = []
+    for plan, parts in zip(plans, zip(*per_chunk)):
+        rates, converged = (np.concatenate(column) for column in zip(*parts))
+        results.append(_summarize(plan, rates, converged))
+    return results
+
+
+def run_ensemble(plan: SimulationPlan, t, transmittance, workers: int = 1) -> TrialEnsembleResult:
+    """One plan's ensemble: ``run_ensembles([plan], ...)[0]``."""
+    return run_ensembles([plan], t, transmittance, workers=workers)[0]
 
 
 PARAMETER_NAMES = ("k_a", "k_s", "k_d")

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,7 +140,7 @@ VALID_CONFIGS = st.builds(
     nu_values=st.none()
     | st.lists(st.integers(1, 10**6), min_size=1, max_size=3, unique=True).map(tuple),
     m_values=st.lists(st.integers(1, 100), min_size=1, max_size=3, unique=True).map(tuple),
-    p=st.integers(1, 5000),
+    p=st.integers(2, 5000),
     seed=st.integers(0, 2**63 - 1),
     output_dir=st.text(max_size=12),
     # finite only: NaN != NaN, so a config holding one cannot equal its round trip
@@ -232,6 +233,9 @@ class TestConfigDocuments:
             {"states": ["tmc"], "n_values": [10, 10.0], "m_values": [2], "p": 3},
             {"nu_values": [100, 1000, 100]},
             {"m_values": [2, 2]},
+            {"states": ["tmc", "tmf"], "m_values": [2], "p": 1},  # no precision from one set
+            # k_a*L0 lost against k_d in k_s: k_a cannot be recovered
+            {"overrides": {"kinetics": {**KAUSAITE2007.to_dict()["kinetics"], "L0": 5e-324}}},
         ],
     )
     def test_invalid_document_exits_2(self, tmp_path, capsys, doc):
@@ -310,6 +314,27 @@ class TestRunExperiment:
         run_experiment(cfg_b)
         for name in ("results.csv", "sensorgram_ideal.csv", "sensorgram_sample.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_run_builds_each_substream_once(self, tmp_path, monkeypatch):
+        # every plan of the run, twins included, reads one draw of each
+        # (seed, set, sensorgram) substream across two chunks of sets
+        import qspr.simulate as simulate
+
+        real = simulate.sensorgram_substream
+        built = Counter()
+
+        def counting(seed, set_index, sensorgram_index):
+            built[seed, set_index, sensorgram_index] += 1
+            return real(seed, set_index, sensorgram_index)
+
+        monkeypatch.setattr(simulate, "sensorgram_substream", counting)
+        p = simulate.SETS_PER_CHUNK + 3
+        cfg = tiny_config(tmp_path / "out", states=("tmc", "tmf", "tmsv"), m_values=(2, 3), p=p)
+        run_experiment(cfg)
+        expected = Counter({(cfg.seed, s, j): 1 for s in range(p) for j in range(3)})
+        # plus one draw per state for the single noisy realization of sensorgram_sample.csv
+        expected[cfg.seed, 0, 0] += len(cfg.states)
+        assert built == expected
 
     def test_manifest_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")
@@ -391,15 +416,17 @@ class TestCommandLine:
 
         import qspr.cli as cli
 
-        real = cli.run_ensemble
+        real = cli.run_ensembles
 
-        def degraded(plan, *args, **kwargs):
-            result = real(plan, *args, **kwargs)
-            return dataclasses.replace(
-                result, failed_fit_count=plan.m * plan.p, unreliable=True
-            )
+        def degraded(plans, *args, **kwargs):
+            return [
+                dataclasses.replace(
+                    result, failed_fit_count=result.plan.m * result.plan.p, unreliable=True
+                )
+                for result in real(plans, *args, **kwargs)
+            ]
 
-        monkeypatch.setattr(cli, "run_ensemble", degraded)
+        monkeypatch.setattr(cli, "run_ensembles", degraded)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
         assert main(["run", "--config", str(cfg_path)]) == 1

@@ -15,6 +15,7 @@ from qspr.simulate import (
     enhancement_Rk,
     m_enhancement,
     run_ensemble,
+    run_ensembles,
     sensorgram_substream,
     standard_normals,
     synthesize_noisy_sensorgrams,
@@ -207,6 +208,50 @@ class TestRunEnsemble:
         fit_t = fit_sensorgrams(t, y_t[None], plan.tau_s, plan.L0)
         assert fit_m.k_s[0] == pytest.approx(fit_t.k_s[0], rel=1e-8)
         assert fit_m.k_d[0] == pytest.approx(fit_t.k_d[0], rel=1e-8)
+
+
+class TestRunEnsembles:
+    def test_equals_per_plan_runs(self, kausaite_ideal):
+        # mixed states, nu and m over two chunks of sets: each plan's result is
+        # exactly its own run_ensemble result, for any worker count
+        t, T_L = kausaite_ideal
+        p = simulate.SETS_PER_CHUNK + 3
+        plans = [
+            make_plan(kind=ProbeKind.TMF, nu=300, m=2, p=p),
+            make_plan(kind=ProbeKind.TMC, nu=1000, m=3, p=p),
+            make_plan(kind=ProbeKind.TMSV, nu=300, m=3, p=p, n_mean=100.0),
+            make_plan(kind=ProbeKind.TMC, nu=300, m=2, p=p),
+        ]
+        alone = [run_ensemble(plan, t, T_L) for plan in plans]
+        for workers in (1, 2):
+            assert run_ensembles(plans, t, T_L, workers=workers) == alone
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"seed": 100}, {"p": 6}, {"tau_s": 1000.0}, {"L0": 1e-6}, None],
+        ids=lambda change: next(iter(change)) if change else "no-plans",
+    )
+    def test_plans_must_share_sets_and_fit(self, kausaite_ideal, change):
+        t, T_L = kausaite_ideal
+        plan = make_plan(m=2, p=5)
+        plans = [plan, dataclasses.replace(plan, **change)] if change else []
+        with pytest.raises(ValueError, match="sharing seed, p, tau_s and L0"):
+            run_ensembles(plans, t, T_L)
+
+    def test_first_failing_plan_in_given_order_raises(self, kausaite_ideal, monkeypatch):
+        t, T_L = kausaite_ideal
+
+        def hopeless(t, Y, *args, **kwargs):
+            return dataclasses.replace(
+                fit_sensorgrams(t, Y, *args, **kwargs), converged=np.zeros(len(Y), dtype=bool)
+            )
+
+        monkeypatch.setattr(simulate, "fit_sensorgrams", hopeless)
+        two, three = make_plan(m=2, p=2), make_plan(m=3, p=2)
+        with pytest.raises(LowSignalError, match="all 2 fits failed"):
+            run_ensembles([two, three], t, T_L)
+        with pytest.raises(LowSignalError, match="all 3 fits failed"):
+            run_ensembles([three, two], t, T_L)
 
 
 class TestEnhancementRatios:
