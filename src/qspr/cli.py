@@ -47,6 +47,7 @@ from .simulate import (
 )
 
 PAPER_FIDELITY_SETS = 1500
+MAP_N_MAX = 1e4  # midpoint maps span N in [10, MAP_N_MAX]; a TMSD map keeps N >= G - 1
 RESULT_COLUMNS = (
     "case",
     "state",
@@ -101,6 +102,8 @@ class ExperimentConfig:
         for state in self.states:  # ProbeState checks N > 0, and N >= G - 1 for TMSD
             for n_mean in self.n_values:
                 _make_state(state, n_mean, self.tmsd_gain)
+        if ProbeKind.TMSD.value in self.states and self.tmsd_gain - 1.0 > MAP_N_MAX:
+            raise ValueError(f"tmsd_gain - 1 > {MAP_N_MAX:g} leaves the TMSD midpoint map empty")
         if self.p < 2:  # precision is a standard deviation over sets
             raise ValueError("p must be >= 2")
         if not 0 <= self.seed < 2**63:
@@ -221,8 +224,9 @@ def run_experiment(
 ) -> dict:
     """Execute the sweep, write all artifacts into ``config.output_dir`` and return the manifest.
 
-    Every ensemble runs before the first file is written, so a run that fails
-    (for example with LowSignalError) leaves no partial output behind.
+    Every ensemble and midpoint map is computed before the first file is
+    written, so a run that fails (for example with LowSignalError) leaves no
+    partial output behind.
     """
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
@@ -281,25 +285,25 @@ def run_experiment(
                 )
             )
 
+    map_T = np.linspace(float(T_L.min()), float(T_L.max()), 41)
+    maps = {}  # midpoint-map rows per state
+    for state_name in config.states:
+        if state_name == ProbeKind.TMC.value:
+            continue
+        map_N = np.geomspace(10.0, MAP_N_MAX, 25)
+        if state_name == ProbeKind.TMSD.value:
+            map_N = map_N[map_N >= config.tmsd_gain - 1.0]
+        grid = midpoint_enhancement_map(
+            ProbeKind(state_name), scenario, map_T, map_N, g=config.tmsd_gain
+        )
+        maps[state_name] = [(n, T, r) for n, row in zip(map_N, grid) for T, r in zip(map_T, row)]
+
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = _write_sensorgram_csvs(config, case, trace, T_L, scenario, int(nu_values[0]), out_dir)
     written.append(out_dir / "results.csv")
     _write_csv(written[-1], RESULT_COLUMNS, result_rows)
-
-    map_T = np.linspace(float(T_L.min()), float(T_L.max()), 41)
-    map_N = np.geomspace(10.0, 1e4, 25)
-    for state_name in config.states:
-        if state_name == ProbeKind.TMC.value:
-            continue
-        grid = midpoint_enhancement_map(
-            ProbeKind(state_name), scenario, map_T, map_N, g=config.tmsd_gain
-        )
-        rows = [
-            (map_N[i], map_T[j], grid[i, j])
-            for i in range(map_N.size)
-            for j in range(map_T.size)
-        ]
+    for state_name, rows in maps.items():
         written.append(out_dir / f"midpoint_map_{state_name}.csv")
         _write_csv(written[-1], ("N", "T", "R_M"), rows)
 

@@ -98,18 +98,14 @@ class TimeGrid:
 def complex_concentration(t, kp: KineticParameters, R0: float):
     """Receptor-ligand complex concentration [C](t) (M).
 
-    Association: C_ss*(1 - exp(-k_s t)) with steady state
-    C_ss = L0*R0/(L0 + K_D); dissociation: C(tau)*exp(-k_d (t - tau)).
-    Valid under L0 >> R0 (pseudo-first-order); the caller owns that assumption.
+    The sensorgram law with zero baseline and amplitude C_ss = L0*R0/(L0 + K_D),
+    the association steady state. Valid under L0 >> R0 (pseudo-first-order);
+    the caller owns that assumption.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("t must be non-negative")
+    if not R0 > 0:
+        raise ValueError("R0 must be positive")
     c_ss = kp.L0 * R0 / (kp.L0 + kp.K_D)
-    c_tau = c_ss * -np.expm1(-kp.k_s * kp.tau_s)
-    decay = np.exp(-kp.k_d * np.clip(t - kp.tau_s, 0.0, None))
-    out = np.where(t < kp.tau_s, c_ss * -np.expm1(-kp.k_s * t), c_tau * decay)
-    return float(out) if out.ndim == 0 else out
+    return ideal_sensorgram(t, SensorgramShape(0.0, c_ss, kp.k_s, kp.k_d, kp.tau_s))
 
 
 def ideal_sensorgram(t, shape: SensorgramShape):

@@ -1,12 +1,12 @@
 """Brute-force verification of the measurement moments in a truncated Fock basis.
 
-Independent of the closed forms in :mod:`qspr.probes`: states are built as
-explicit amplitude arrays, the sensor and losses are applied as exact binomial
-thinning of the joint photon-number distribution (valid because the measured
-observable is photon-number diagonal), and moments come from direct summation.
-TMSD is built by exponentiating the squeezing generator G = a b - a^dag b^dag
-numerically, with no Heisenberg-picture algebra, so the two routes share no
-derivation. G keeps D = n_a - n_b fixed and |alpha>|0> puts coh[D] on the
+:mod:`qspr.probes` applies one thinning law to a hand-derived table of input
+photon-number moments. Here states are explicit amplitude arrays, the channels
+thin the joint photon-number distribution numerically (exact, as M is
+photon-number diagonal) and moments are direct sums, so the amplitudes and the
+numerical thinning check both the table and the law. TMSD is built by
+exponentiating the squeezing generator G = a b - a^dag b^dag numerically, with
+no moment algebra. G keeps D = n_a - n_b fixed and |alpha>|0> puts coh[D] on the
 first site of sector D, so each sector is exponentiated on its own, exactly:
 on |D+j, j>, G = S (i A_D) S^-1 with S = diag(i^j) and A_D real symmetric
 tridiagonal (zero diagonal, off-diagonal sqrt((D+j+1)(j+1))). With

@@ -11,8 +11,16 @@ carries N mean photons.
 
 The sensor acts as a beamsplitter of transmittance T on the signal mode;
 independent losses eta_a, eta_b act on the two modes. The measured observable
-is the photon-number difference M = n_a - n_b. All first and second moments
-below are closed forms in (T, eta_a, eta_b) and the state parameters.
+is the photon-number difference M = n_a - n_b. On photon numbers the channels
+are binomial thinning, keeping each photon with probability t = eta_a*T
+(signal) or eta_b (reference). So <M> = t N - eta_b N_ref, and every probe has
+Var M = C (t-eta_b)^2 + D_a t^2 + D_b eta_b^2 + t(1-t) N + eta_b(1-eta_b) N_ref
+with input moments C = Cov(n_a, n_b), D_a = Var n_a - C, D_b = Var n_b - C:
+
+    TMC (0, N, N_ref)   TMF (0, 0, 0)   TMSV (N(N+1), 0, 0)
+    TMSD (G(G-1)(1+2|alpha|^2), G|alpha|^2, -(G-1)|alpha|^2)
+
+Every term is >= 0 for TMC, TMF and TMSV, so the sum has no cancellation.
 """
 from __future__ import annotations
 
@@ -65,14 +73,9 @@ class ProbeState:
 
     @property
     def alpha_sq(self) -> float:
-        """Coherent displacement |alpha|^2 implied by the energy convention.
-
-        TMSD: (N - (G - 1))/G. TMC: the signal-mode photon number itself.
-        """
+        """TMSD displacement |alpha|^2 = (N - (G - 1))/G implied by the energy convention."""
         if self.kind is ProbeKind.TMSD:
             return (self.n_mean - (self.g - 1.0)) / self.g
-        if self.kind is ProbeKind.TMC:
-            return self.n_mean
         raise ValueError(f"{self.kind.value} state carries no displacement")
 
     @property
@@ -140,45 +143,41 @@ def mean_M(state: ProbeState, T, eta_a: float, eta_b: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _thinned_sd(moments: tuple[float, ...], T, eta_a: float, eta_b: float):
+    """sqrt(Var M) by the thinning law for input moments (C, D_a, D_b, N, N_ref)."""
+    C, D_a, D_b, N, N_ref = moments
+    t = eta_a * np.asarray(T, dtype=float)
+    var = C * (t - eta_b) ** 2 + D_a * t**2 + D_b * eta_b**2 + t * (1.0 - t) * N
+    out = np.sqrt(var + eta_b * (1.0 - eta_b) * N_ref)
+    return float(out) if out.ndim == 0 else out
+
+
 def delta_M(state: ProbeState, T, eta_a: float, eta_b: float):
     """Single-shot uncertainty of the intensity difference M for the probe state."""
-    T = np.asarray(T, dtype=float)
-    ea, eb = eta_a, eta_b
     N = state.n_mean
     if state.kind is ProbeKind.TMC:
-        var = ea * T * state.n_mean + eb * state.n_reference
+        C, D_a, D_b = 0.0, N, state.n_reference
     elif state.kind is ProbeKind.TMF:
-        var = N * (ea * T * (1.0 - ea * T) + eb * (1.0 - eb))
+        C, D_a, D_b = 0.0, 0.0, 0.0
     elif state.kind is ProbeKind.TMSV:
-        var = N * ((T * ea - eb) ** 2 * N + eb + T * ea * (1.0 - 2.0 * eb))
-    else:  # TMSD, from the Heisenberg-picture photon-number moments
+        C, D_a, D_b = N * (N + 1.0), 0.0, 0.0
+    else:  # TMSD
         G, a2 = state.g, state.alpha_sq
-        var_na = T**2 * ea**2 * (G - 1.0) * ((G - 1.0) + 2.0 * G * a2) + T * ea * (
-            (G - 1.0) + G * a2
-        )
-        var_nb = (G - 1.0) ** 2 * eb**2 * (2.0 * a2 + 1.0) + (G - 1.0) * eb * (a2 + 1.0)
-        corr_nanb = T * ea * eb * (
-            G * (G - 1.0) * (a2**2 + 2.0 * a2)
-            + G * (G - 1.0) * (a2 + 1.0)
-            + (G - 1.0) ** 2 * (a2 + 1.0)
-        )
-        n_a = T * ea * (G * a2 + (G - 1.0))
-        n_b = eb * (G - 1.0) * (a2 + 1.0)
-        var = var_na + var_nb - 2.0 * (corr_nanb - n_a * n_b)
-    out = np.sqrt(var)
-    return float(out) if out.ndim == 0 else out
+        C, D_a, D_b = G * (G - 1.0) * (1.0 + 2.0 * a2), G * a2, -(G - 1.0) * a2
+    return _thinned_sd((C, D_a, D_b, N, state.n_reference), T, eta_a, eta_b)
 
 
 def tmsd_delta_M_large_alpha(state: ProbeState, T, eta_a: float, eta_b: float):
-    """Leading-order TMSD uncertainty for |alpha|^2 >> 1 (bright displaced beam)."""
+    """TMSD uncertainty of the |alpha|^2 part of its moments (bright displaced beam).
+
+    TMSD moments are TMSV's at N = G - 1 plus |alpha|^2 (2G(G-1), G, -(G-1), G, G-1),
+    so delta_M(TMSD)^2 = delta_M(TMSV, N=G-1)^2 + tmsd_delta_M_large_alpha^2 exactly.
+    """
     if state.kind is not ProbeKind.TMSD:
-        raise ValueError("asymptotic form applies to TMSD states only")
-    T = np.asarray(T, dtype=float)
-    ea, eb = eta_a, eta_b
-    G, a2 = state.g, state.alpha_sq
-    var = T * ea * G + eb * (G - 1.0) + 2.0 * (G - 1.0) * (G * (T * ea - eb) ** 2 - eb**2)
-    out = np.sqrt(a2 * var)
-    return float(out) if out.ndim == 0 else out
+        raise ValueError("the bright-beam form applies to TMSD states only")
+    G = state.g
+    per_alpha_sq = (2.0 * G * (G - 1.0), G, -(G - 1.0), G, G - 1.0)
+    return _thinned_sd(tuple(state.alpha_sq * m for m in per_alpha_sq), T, eta_a, eta_b)
 
 
 def sensitivity(state: ProbeState, sc: SensingScenario) -> float:

@@ -236,6 +236,8 @@ class TestConfigDocuments:
             {"states": ["tmc", "tmf"], "m_values": [2], "p": 1},  # no precision from one set
             # k_a*L0 lost against k_d in k_s: k_a cannot be recovered
             {"overrides": {"kinetics": {**KAUSAITE2007.to_dict()["kinetics"], "L0": 5e-324}}},
+            # N >= G - 1 holds, but the TMSD midpoint map (N <= 1e4) would have no rows
+            {"states": ["tmsd"], "tmsd_gain": 2e4, "n_values": [2e4]},
         ],
     )
     def test_invalid_document_exits_2(self, tmp_path, capsys, doc):
@@ -354,6 +356,28 @@ class TestRunExperiment:
         assert len(rows) == 41 * 25
         n_values = sorted({float(r["N"]) for r in rows})
         assert n_values[0] == 10.0 and n_values[-1] == pytest.approx(1e4)
+
+    def test_tmsd_map_starts_at_g_minus_1(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"states": ["tmc", "tmsd"], "tmsd_gain": 20, "n_values": [100], "m_values": [2], "p": 3}
+        ))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        n_values = sorted({float(r["N"]) for r in read_rows(out / "midpoint_map_tmsd.csv")})
+        assert n_values[0] >= 19.0 and n_values[-1] == pytest.approx(1e4)
+
+    def test_failed_map_leaves_no_output(self, tmp_path, monkeypatch):
+        import qspr.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("map failed")
+
+        monkeypatch.setattr(cli, "midpoint_enhancement_map", broken)
+        cfg = tiny_config(tmp_path / "out")
+        with pytest.raises(ValueError, match="map failed"):
+            run_experiment(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_lahiri_default_shot_budget(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", case="lahiri1999", nu_values=None)

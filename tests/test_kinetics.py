@@ -56,6 +56,11 @@ class TestComplexConcentration:
         with pytest.raises(ValueError):
             complex_concentration(-1.0, KAUSAITE2007.kinetics, 1e-9)
 
+    @pytest.mark.parametrize("R0", [0.0, -1e-9, float("nan")])
+    def test_rejects_nonpositive_receptor_density(self, R0):
+        with pytest.raises(ValueError, match="R0"):
+            complex_concentration(1.0, KAUSAITE2007.kinetics, R0)
+
 
 class TestKineticParameters:
     def test_derived_rates(self):

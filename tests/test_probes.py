@@ -1,4 +1,6 @@
 """Closed-form measurement moments and enhancement ratios of the probe states."""
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,65 @@ class TestChannelForms:
         vec = delta_M(state, T, 1.0, 1.0)
         scalar = np.array([delta_M(state, float(x), 1.0, 1.0) for x in T])
         assert vec == pytest.approx(scalar, rel=1e-15)
+
+
+def exact_variance(state: ProbeState, T: float, ea: float, eb: float) -> Fraction:
+    """Var M in exact rational arithmetic from the per-probe Heisenberg-picture forms."""
+    t, eb = Fraction(ea) * Fraction(T), Fraction(eb)
+    N, N_ref = Fraction(state.n_mean), Fraction(state.n_reference)
+    if state.kind is ProbeKind.TMC:
+        return t * N + eb * N_ref
+    if state.kind is ProbeKind.TMF:
+        return N * (t * (1 - t) + eb * (1 - eb))
+    if state.kind is ProbeKind.TMSV:
+        return N * ((t - eb) ** 2 * N + eb + t * (1 - 2 * eb))
+    G, a2 = Fraction(state.g), Fraction(state.alpha_sq)
+    var_na = t**2 * (G - 1) * ((G - 1) + 2 * G * a2) + t * ((G - 1) + G * a2)
+    var_nb = (G - 1) ** 2 * eb**2 * (2 * a2 + 1) + (G - 1) * eb * (a2 + 1)
+    corr_nanb = t * eb * (
+        G * (G - 1) * (a2**2 + 2 * a2) + G * (G - 1) * (a2 + 1) + (G - 1) ** 2 * (a2 + 1)
+    )
+    n_a, n_b = t * (G * a2 + (G - 1)), eb * (G - 1) * (a2 + 1)
+    return var_na + var_nb - 2 * (corr_nanb - n_a * n_b)
+
+
+class TestThinningLaw:
+    EDGES = (0.0, 2.0**-53, 0.5, 1.0 - 2.0**-53, 1.0)
+
+    def _draw(self, rng) -> float:
+        return float(rng.choice(self.EDGES)) if rng.random() < 0.5 else float(rng.random())
+
+    def test_matches_exact_rational_arithmetic(self):
+        rng = np.random.default_rng(11)
+        zeros = 0
+        for i in range(10_000):
+            kind = list(ProbeKind)[i % 4]
+            g = float(rng.uniform(1.01, 10.0))
+            n = float(10.0 ** rng.uniform(-1.0, 4.0))
+            if kind is ProbeKind.TMSD:
+                n = max(n, g - 1.0)
+            state = ProbeState(kind, n, g=g) if kind is ProbeKind.TMSD else ProbeState(kind, n)
+            T, ea, eb = self._draw(rng), self._draw(rng), self._draw(rng)
+            exact = exact_variance(state, T, ea, eb)
+            with np.errstate(all="raise"):
+                got = delta_M(state, T, ea, eb) ** 2
+            if exact == 0:
+                zeros += 1
+                assert got == 0.0, (state, T, ea, eb)
+            else:
+                assert abs(Fraction(got) - exact) / exact <= 1e-12, (state, T, ea, eb)
+        assert zeros > 100  # the edge draws reach the exact zeros
+
+    def test_tmsd_is_tmsv_plus_bright_beam(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            g = float(rng.uniform(1.01, 10.0))
+            tmsd = ProbeState(ProbeKind.TMSD, float(rng.uniform(g - 1.0, 1e4)), g=g)
+            tmsv = ProbeState(ProbeKind.TMSV, g - 1.0)
+            T, ea, eb = rng.uniform(0.0, 1.0, size=3)
+            expected = delta_M(tmsv, T, ea, eb) ** 2 + tmsd_delta_M_large_alpha(tmsd, T, ea, eb) ** 2
+            assert delta_M(tmsd, T, ea, eb) ** 2 == pytest.approx(expected, rel=1e-12)
+
+    def test_bright_beam_form_needs_tmsd(self):
+        with pytest.raises(ValueError, match="TMSD"):
+            tmsd_delta_M_large_alpha(ProbeState(ProbeKind.TMSV, 3.0), 0.5, 1.0, 1.0)
