@@ -3,7 +3,10 @@
 One Levenberg-Marquardt solver (damped Gauss-Newton, analytic Jacobians) runs
 on a (B, P) block of parameter rows at once. Every row keeps its own damping,
 iteration count and convergence tests and leaves the block when it finishes,
-so a row's result depends only on its own data, never on the rest of the block.
+so a row's result depends only on its own data, never on the rest of the block,
+and bitwise so: the block is C-ordered and each segment is a column range of
+it, so every row sum runs over one row's contiguous samples in one order, and
+the batched products and solves are evaluated one row at a time.
 
 The solver drives a two-segment fit of a (B, n) block of sensorgrams sharing
 one time grid: the dissociation tail is fitted first for (baseline, amplitude,
@@ -83,8 +86,8 @@ def lm_solve(
     equations; a step is accepted only if it strictly decreases the row's
     residual norm. A row that runs out of iterations or damping keeps its last
     iterate, flagged non-converged. Each row keeps only its normal equations
-    (J^T J and J^T r), formed at the start and after each accepted step; a
-    rejected step reuses them.
+    (J^T J and J^T r), from the start and from each accepted step; a rejected
+    step reuses them.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     if not np.all(np.isfinite(x)):
@@ -94,6 +97,7 @@ def lm_solve(
     if r.shape[1] < n_params:
         raise ValueError("need at least as many data points as parameters")
     ssq, JtJ, g = _sum_squares(r), *_normal_equations(r, J)
+    del r, J
     lam = np.full(n_rows, DAMPING_INIT)
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
@@ -131,11 +135,15 @@ def lm_solve(
         r_new, J_new = fun(x_new, live)
         ssq_new = _sum_squares(r_new)
         better = np.isfinite(ssq_new) & (ssq_new < ssq[live])
+        # each row's products are its own, so selecting after the product
+        # equals forming them from the selected rows, without copying J
+        JtJ_new, g_new = _normal_equations(r_new, J_new)
+        del r_new, J_new
 
         moved = live[better]
         reduction = ssq[moved] - ssq_new[better]
         x[moved], ssq[moved] = x_new[better], ssq_new[better]
-        JtJ[moved], g[moved] = _normal_equations(r_new[better], J_new[better])
+        JtJ[moved], g[moved] = JtJ_new[better], g_new[better]
         lam[moved] = np.maximum(lam[moved] / 3.0, 1e-14)
         small_step = np.linalg.norm(step[better], axis=1) <= STEP_TOLERANCE * (
             np.linalg.norm(x[moved], axis=1) + STEP_TOLERANCE
@@ -238,12 +246,17 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
     time tau is experiment-controlled and therefore not fitted.
     """
     t = np.asarray(t, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    # C order with segments as column ranges: a row sum then runs over one row's
+    # samples in one order (a boolean column selection is Fortran-ordered, and
+    # numpy would sum it down the columns, in an order set by the block size)
+    Y = np.ascontiguousarray(Y, dtype=float)
     if Y.ndim != 2 or Y.shape[1:] != t.shape:
         raise ValueError("t and each sensorgram must have equal length")
-    in_tail = t >= tau_s
-    t_d, Y_d = t[in_tail], Y[:, in_tail]
-    t_a, Y_a = t[~in_tail], Y[:, ~in_tail]
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("t must be increasing")
+    i_tau = int(np.searchsorted(t, tau_s))
+    t_d, Y_d = t[i_tau:], Y[:, i_tau:]
+    t_a, Y_a = t[:i_tau], Y[:, :i_tau]
     if len(t_d) < 3 or len(t_a) < 2:
         raise ValueError("samples must span both kinetic phases")
 
@@ -256,8 +269,12 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         J = np.empty(decay.shape + (3,))
         J[..., 0] = 1.0
         J[..., 1] = decay
-        J[..., 2] = -a * kd * t_rel * decay
-        return b + a * decay - Y_d[rows], J
+        np.multiply(-a * kd, t_rel, out=J[..., 2])
+        J[..., 2] *= decay
+        R = np.multiply(a, decay, out=decay)  # b + a*decay - y, one buffer
+        R += b
+        R -= Y_d if len(rows) == len(Y_d) else Y_d[rows]
+        return R, J
 
     sol_d = lm_solve(resid_dissociation, _dissociation_warm_start(t_rel, Y_d))
     baseline = sol_d.x[:, 0]
@@ -267,11 +284,14 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         a_inf, ln_ks = X[:, 0:1], X[:, 1:2]
         ks = np.exp(np.clip(ln_ks, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
         decay = np.exp(-ks * t_a)
-        rise = 1.0 - decay
         J = np.empty(decay.shape + (2,))
-        J[..., 0] = rise
-        J[..., 1] = a_inf * ks * t_a * decay
-        return baseline[rows, None] + a_inf * rise - Y_a[rows], J
+        rise = np.subtract(1.0, decay, out=J[..., 0])
+        np.multiply(a_inf * ks, t_a, out=J[..., 1])
+        J[..., 1] *= decay
+        R = np.multiply(a_inf, rise, out=decay)  # baseline + a_inf*rise - y, one buffer
+        R += baseline[rows, None]
+        R -= Y_a if len(rows) == len(Y_a) else Y_a[rows]
+        return R, J
 
     sol_a = lm_solve(resid_association, _association_warm_start(t_a, Y_a, baseline))
     k_s, ks_pinned = _rate_from_log(sol_a.x[:, 1])

@@ -26,6 +26,10 @@ from .probes import ProbeKind, ProbeState, delta_M, mean_M
 
 # largest probability mass a truncated state may leave outside its cutoff
 TAIL_TOLERANCE = 1e-10
+# largest cutoff a verify pass accepts: the TMSD sector cache holds about
+# cutoff^3/3 floats for cutoff and cutoff + 8, some 50 MB at this bound, far
+# past the few tens the oracle's small states need
+MAX_CUTOFF = 200
 
 
 class TruncationError(RuntimeError):
@@ -207,6 +211,8 @@ def verify_closed_forms(tuples: int = 50, cutoff: int = 40, seed: int = 2024) ->
     """
     if tuples < 1:
         raise ValueError("tuples must be >= 1")
+    if not 1 <= cutoff <= MAX_CUTOFF:
+        raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff}")
     rng = np.random.default_rng(seed)
     reports = []
     for kind in ProbeKind:

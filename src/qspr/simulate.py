@@ -16,9 +16,11 @@ normals across states, nu and m (common random numbers).
 
 The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
 once. Each chunk of SETS_PER_CHUNK sets draws its substreams once, for the
-largest m; each plan reads the first m sensorgrams of every set and fits them
-as one block solve (``qspr.fit.fit_sensorgrams``), whose rows do not depend on
-each other. So a plan's result is the same whatever other plans share its run.
+largest m; each plan reads the first m sensorgrams of every set. Consecutive
+plans, in the order given, share one block solve (``qspr.fit.fit_sensorgrams``)
+of up to ROWS_PER_BLOCK rows, and a larger plan gets a block of its own. A row
+of that solve is bitwise independent of the other rows, so a plan's result is
+the same whatever other plans share its run or its block.
 """
 from __future__ import annotations
 
@@ -33,9 +35,13 @@ from .fit import fit_sensorgrams
 from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
 UNRELIABLE_FAILURE_FRACTION = 0.2
-# sets per block solve: the unit of work of serial and pooled runs alike, keyed
-# by set index and never by worker count; bounds the block's memory for large p
+# sets per chunk: the unit of work of serial and pooled runs alike, keyed by
+# set index and never by worker count; bounds a chunk's memory for large p
 SETS_PER_CHUNK = 64
+# rows per block solve that a chunk's plans share: fewer, larger solves cost
+# fewer LM loops, and the bound keeps the solve's temporaries (about 5 KB per
+# row) small next to the process
+ROWS_PER_BLOCK = 256
 
 
 class LowSignalError(RuntimeError):
@@ -135,6 +141,21 @@ def synthesize_noisy_sensorgrams(transmittance, plan: SimulationPlan, sets) -> n
     return mean + sigma * Z.reshape(-1, T.size)
 
 
+def _blocks(sizes: list[int]) -> list[list[tuple[int, slice]]]:
+    """Consecutive runs of whole plans as (plan index, block rows) pairs.
+
+    A block holds at most ROWS_PER_BLOCK rows, unless one plan alone has more.
+    """
+    blocks, end = [], 0
+    for i, size in enumerate(sizes):
+        if not blocks or end + size > ROWS_PER_BLOCK:
+            blocks.append([])
+            end = 0
+        blocks[-1].append((i, slice(end, end + size)))
+        end += size
+    return blocks
+
+
 def _fit_chunk(
     first_set: int,
     *,
@@ -145,17 +166,26 @@ def _fit_chunk(
     """Per plan, fitted (k_a, k_s, k_d) (sets, m, 3) and converged flags (sets, m) of a chunk.
 
     The chunk's normals are drawn once, for the largest m; a plan with m
-    sensorgrams per set reads the first m of each set, which is exactly its own draw.
+    sensorgrams per set reads the first m of each set, which is exactly its own
+    draw. Consecutive plans share one block solve of up to ROWS_PER_BLOCK rows.
     """
     head = plans[0]
     sets = range(first_set, min(first_set + SETS_PER_CHUNK, head.p))
     Z = _substream_normals(head.seed, sets, max(plan.m for plan in plans), t.size)
+    blocks = _blocks([len(sets) * plan.m for plan in plans])
+    buffer = np.empty((max(block[-1][1].stop for block in blocks), t.size))
     out = []
-    for plan, (mean, sigma) in zip(plans, laws):
-        Y = mean + sigma * Z[:, : plan.m].reshape(-1, t.size)
-        fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
+    for block in blocks:
+        for i, rows in block:
+            Y = buffer[rows].reshape(len(sets), plans[i].m, t.size)
+            mean, sigma = laws[i]
+            np.multiply(sigma, Z[:, : plans[i].m], out=Y)
+            Y += mean
+        fits = fit_sensorgrams(t, buffer[: block[-1][1].stop], head.tau_s, head.L0)
         rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
-        out.append((rates.reshape(len(sets), plan.m, 3), fits.converged.reshape(len(sets), plan.m)))
+        for i, rows in block:
+            shape = (len(sets), plans[i].m)
+            out.append((rates[rows].reshape(*shape, 3), fits.converged[rows].reshape(shape)))
     return out
 
 

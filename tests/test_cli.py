@@ -399,6 +399,19 @@ class TestCommandLine:
     def test_verify_rejects_zero_tuples(self):
         assert main(["verify", "--tuples", "0"]) == 2
 
+    def test_verify_rejects_cutoff_above_bound(self, monkeypatch, capsys):
+        # refused before any state is built: the TMSD sector cache grows as cutoff^3
+        import qspr.oracle
+
+        def unreachable(*args):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(qspr.oracle, "build_state", unreachable)
+        assert main(["verify", "--cutoff", str(qspr.oracle.MAX_CUTOFF + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cutoff") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("tol", ["nan", "-1"])
     def test_verify_rejects_invalid_tol(self, monkeypatch, capsys, tol):
         import qspr.oracle

@@ -1,5 +1,6 @@
 """Monte Carlo ensemble engine: determinism, noise law, aggregation policy."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,61 @@ class TestRunEnsembles:
             run_ensembles([two, three], t, T_L)
         with pytest.raises(LowSignalError, match="all 3 fits failed"):
             run_ensembles([three, two], t, T_L)
+
+
+# the 24 points of the README sweep at p=5: 1,200 fits, TMSV at nu=100 among them
+README_PLANS = [
+    make_plan(kind=kind, nu=nu, m=10, p=5, seed=42, n_mean=n_mean)
+    for kind in ProbeKind
+    for n_mean in (10.0, 100.0, 1000.0)
+    for nu in (100, 1000)
+]
+# tracemalloc peak of one block fit, per row; the block solve needs about 5 KB
+FIT_BYTES_PER_ROW = 7_000
+
+
+class TestSharedBlocks:
+    def test_one_block_equals_per_plan_blocks(self, kausaite_ideal):
+        # each plan's block is C-ordered like the whole stack, so every row sum
+        # runs in one order; Fortran-ordered segments moved two TMSV rows by 1e-13
+        t, T_L = kausaite_ideal
+        blocks = [synthesize_noisy_sensorgrams(T_L, plan, range(plan.p)) for plan in README_PLANS]
+        head = README_PLANS[0]
+        whole = fit_sensorgrams(t, np.concatenate(blocks), head.tau_s, head.L0)
+        per_plan = [fit_sensorgrams(t, Y, head.tau_s, head.L0) for Y in blocks]
+        assert len(whole.k_d) == 1200
+        for field in dataclasses.fields(whole):
+            stacked = np.concatenate([getattr(fits, field.name) for fits in per_plan])
+            assert np.array_equal(getattr(whole, field.name), stacked), field.name
+
+    @pytest.mark.parametrize("rows_per_block", [1, 10**6], ids=["plan-per-block", "one-block"])
+    def test_run_independent_of_rows_per_block(self, kausaite_ideal, monkeypatch, rows_per_block):
+        # at the default budget the README plans share blocks five at a time
+        t, T_L = kausaite_ideal
+        shared = run_ensembles(README_PLANS, t, T_L)
+        monkeypatch.setattr(simulate, "ROWS_PER_BLOCK", rows_per_block)
+        assert run_ensembles(README_PLANS, t, T_L) == shared
+
+    def test_fit_memory_per_row_is_bounded(self, kausaite_ideal):
+        # a deterministic allocation count, not a timing: the shared-block
+        # budget relies on the block solve's temporaries staying this small
+        t, T_L = kausaite_ideal
+        plan = make_plan(kind=ProbeKind.TMSV, nu=100, m=8, p=32, seed=42)
+        Y = synthesize_noisy_sensorgrams(T_L, plan, sets=range(32))  # 256 rows, a full block
+        fit_sensorgrams(t, Y, plan.tau_s, plan.L0)  # first call: lazy set-up
+        tracemalloc.start()
+        try:
+            fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= FIT_BYTES_PER_ROW * len(Y)
+
+    def test_segments_need_increasing_t(self, kausaite_ideal):
+        t, T_L = kausaite_ideal
+        plan = make_plan()
+        with pytest.raises(ValueError, match="increasing"):
+            fit_sensorgrams(t[::-1], T_L[None], plan.tau_s, plan.L0)
 
 
 class TestEnhancementRatios:
