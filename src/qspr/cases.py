@@ -31,7 +31,10 @@ PBS_BUFFER_INDEX = 1.3385  # phosphate-buffered saline at the probe wavelengths
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type that a field annotation names; numbers must be finite."""
+    """Whether a JSON value has the type that a field annotation names.
+
+    Numbers must be finite, and integers must fit an int64 (numpy's integer).
+    """
     if typing.get_origin(hint) in (typing.Union, types.UnionType):
         return any(_fits(value, option) for option in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -47,6 +50,8 @@ def _fits(value, hint) -> bool:
         # false for NaN, for +/-inf (json.loads reads Infinity and 1e999 so) and
         # for integers beyond the float range
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if hint is int:
+        return isinstance(value, int) and -(2**63) <= value < 2**63
     return isinstance(value, hint)
 
 

@@ -153,12 +153,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+def _write_tables(out_dir: Path, tables: list[tuple[str, tuple[str, ...], list]]) -> list[Path]:
+    """Create ``out_dir`` and write each (file name, header, rows) table into it as a CSV."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, header, rows in tables:
+        with (out_dir / name).open("w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+    return [out_dir / name for name, _, _ in tables]
 
 
 def _prepare(config: ExperimentConfig):
@@ -175,46 +178,34 @@ def _prepare(config: ExperimentConfig):
     return case, trace, T_L, t_mid, scenario, nu_values
 
 
-def _write_sensorgram_csvs(
-    config: ExperimentConfig, case, trace, T_L, scenario, nu: int, out_dir: Path
-) -> list[Path]:
-    """sensorgram_ideal.csv and one seeded noisy realization per state."""
+def _sensorgram_tables(config: ExperimentConfig, case, trace, T_L, scenario, nu: int) -> list:
+    """sensorgram_ideal.csv and one seeded noisy realization per state, as tables to write."""
     states = [_make_state(s, config.n_values[0], config.tmsd_gain) for s in config.states]
-    mean_traces = {s.kind.value: mean_M(s, T_L, scenario.eta_a, scenario.eta_b) for s in states}
-    ideal_path = out_dir / "sensorgram_ideal.csv"
-    _write_csv(
-        ideal_path,
-        ("t", "theta_deg", "n_a", "T", "T_L", *(f"M_mean_{s.kind.value}" for s in states)),
-        [
-            (
-                trace.t[i],
-                trace.theta_deg[i],
-                trace.n_a[i],
-                trace.transmittance[i],
-                T_L[i],
-                *(mean_traces[s.kind.value][i] for s in states),
-            )
-            for i in range(trace.t.size)
-        ],
-    )
-
-    sample_traces = {}
-    for s in states:
-        plan = SimulationPlan(
+    mean_traces = [mean_M(s, T_L, scenario.eta_a, scenario.eta_b) for s in states]
+    plans = [
+        SimulationPlan(
             nu=nu, m=1, p=1, seed=config.seed, state=s, scenario=scenario,
             tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
         )
-        sample_traces[s.kind.value] = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[0]
-    sample_path = out_dir / "sensorgram_sample.csv"
-    _write_csv(
-        sample_path,
-        ("t", *(f"M_sample_{s.kind.value}" for s in states)),
+        for s in states
+    ]
+    sample_traces = [synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[0] for plan in plans]
+    names = [s.kind.value for s in states]
+    ideal = (
+        "sensorgram_ideal.csv",
+        ("t", "theta_deg", "n_a", "T", "T_L", *(f"M_mean_{name}" for name in names)),
         [
-            (trace.t[i], *(sample_traces[s.kind.value][i] for s in states))
+            (trace.t[i], trace.theta_deg[i], trace.n_a[i], trace.transmittance[i], T_L[i],
+             *(mean[i] for mean in mean_traces))
             for i in range(trace.t.size)
         ],
     )
-    return [ideal_path, sample_path]
+    sample = (
+        "sensorgram_sample.csv",
+        ("t", *(f"M_sample_{name}" for name in names)),
+        [(trace.t[i], *(draw[i] for draw in sample_traces)) for i in range(trace.t.size)],
+    )
+    return [ideal, sample]
 
 
 def run_experiment(
@@ -224,9 +215,9 @@ def run_experiment(
 ) -> dict:
     """Execute the sweep, write all artifacts into ``config.output_dir`` and return the manifest.
 
-    Every ensemble and midpoint map is computed before the first file is
-    written, so a run that fails (for example with LowSignalError) leaves no
-    partial output behind.
+    Every ensemble, midpoint map and sensorgram is computed before the first
+    file is written, so a run that fails (for example with LowSignalError)
+    leaves no partial output behind.
     """
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
@@ -265,8 +256,7 @@ def run_experiment(
         else:
             r_k = enhancement_Rk(ensembles[twin], res)
             r_m = float(enhancement_RM(plan.state, t_mid, scenario))
-        for parameter in PARAMETER_NAMES:
-            ps = res.summary(parameter)
+        for parameter, estimate, precision in zip(PARAMETER_NAMES, res.estimate, res.precision):
             result_rows.append(
                 (
                     case.name,
@@ -276,8 +266,8 @@ def run_experiment(
                     plan.nu,
                     plan.m,
                     parameter,
-                    ps.estimate,
-                    ps.precision,
+                    estimate,
+                    precision,
                     r_k[parameter],
                     r_m,
                     res.failed_fit_count,
@@ -285,8 +275,9 @@ def run_experiment(
                 )
             )
 
+    tables = _sensorgram_tables(config, case, trace, T_L, scenario, int(nu_values[0]))
+    tables.append(("results.csv", RESULT_COLUMNS, result_rows))
     map_T = np.linspace(float(T_L.min()), float(T_L.max()), 41)
-    maps = {}  # midpoint-map rows per state
     for state_name in config.states:
         if state_name == ProbeKind.TMC.value:
             continue
@@ -296,17 +287,11 @@ def run_experiment(
         grid = midpoint_enhancement_map(
             ProbeKind(state_name), scenario, map_T, map_N, g=config.tmsd_gain
         )
-        maps[state_name] = [(n, T, r) for n, row in zip(map_N, grid) for T, r in zip(map_T, row)]
+        rows = [(n, T, r) for n, row in zip(map_N, grid) for T, r in zip(map_T, row)]
+        tables.append((f"midpoint_map_{state_name}.csv", ("N", "T", "R_M"), rows))
 
     out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = _write_sensorgram_csvs(config, case, trace, T_L, scenario, int(nu_values[0]), out_dir)
-    written.append(out_dir / "results.csv")
-    _write_csv(written[-1], RESULT_COLUMNS, result_rows)
-    for state_name, rows in maps.items():
-        written.append(out_dir / f"midpoint_map_{state_name}.csv")
-        _write_csv(written[-1], ("N", "T", "R_M"), rows)
-
+    written = _write_tables(out_dir, tables)
     manifest = {
         "schema_version": 1,
         "config": {**config.to_dict(), "p": p},
@@ -375,10 +360,8 @@ def _cmd_sensorgram(args: argparse.Namespace) -> int:
     """Ideal + one seeded noisy sensorgram per state, no ensembles (fast)."""
     config = _load_config(args)
     case, trace, T_L, _, scenario, nu_values = _prepare(config)
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    nu = int(nu_values[0])
-    for path in _write_sensorgram_csvs(config, case, trace, T_L, scenario, nu, out_dir):
+    tables = _sensorgram_tables(config, case, trace, T_L, scenario, int(nu_values[0]))
+    for path in _write_tables(Path(config.output_dir), tables):
         print(f"wrote {path}")
     return 0
 

@@ -6,7 +6,9 @@ by the central limit theorem whatever the per-shot statistics. A set consists
 of m such noisy sensorgrams, each fitted independently; the set average kbar of
 the fitted rate constants is one sample. Repeating over p sets gives the
 estimate (mean of kbar) and the estimation precision (standard deviation of
-kbar).
+kbar). A result keeps exactly that sample: ``kbars``, the p set averages of
+(k_a, k_s, k_d), and ``usable``, each set's count of usable fits; every
+summary is derived from those two arrays.
 
 Randomness is counter-based: every (seed, set, sensorgram) triple owns a Philox
 substream, and normals are drawn by inverse transform (ndtri of the stream's
@@ -34,6 +36,7 @@ from scipy.special import ndtri
 from .fit import fit_sensorgrams
 from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
+PARAMETER_NAMES = ("k_a", "k_s", "k_d")
 UNRELIABLE_FAILURE_FRACTION = 0.2
 # sets per chunk: the unit of work of serial and pooled runs alike, keyed by
 # set index and never by worker count; bounds a chunk's memory for large p
@@ -75,28 +78,38 @@ class SimulationPlan:
             raise ValueError("tau_s and L0 must be positive")
 
 
-@dataclass(frozen=True)
-class ParameterSummary:
-    estimate: float
-    precision: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialEnsembleResult:
-    """Distribution summary of the set-averaged rate constants over p sets."""
+    """The set averages of one plan's fitted rate constants over its p sets.
 
-    k_a: ParameterSummary
-    k_s: ParameterSummary
-    k_d: ParameterSummary
-    failed_fit_count: int
-    total_fits: int
-    unreliable: bool
+    kbars: (p, 3), row i the mean (k_a, k_s, k_d) of set i's usable fits, in
+    PARAMETER_NAMES order; usable: (p,), the number of those fits per set.
+    Compare two results with ``np.array_equal`` on both arrays.
+    """
+
+    kbars: np.ndarray
+    usable: np.ndarray
     plan: SimulationPlan
 
-    def summary(self, parameter: str) -> ParameterSummary:
-        if parameter not in ("k_a", "k_s", "k_d"):
-            raise KeyError(parameter)
-        return getattr(self, parameter)
+    @property
+    def estimate(self) -> np.ndarray:
+        return self.kbars.mean(axis=0)
+
+    @property
+    def precision(self) -> np.ndarray:
+        return self.kbars.std(axis=0, ddof=1)
+
+    @property
+    def total_fits(self) -> int:
+        return self.plan.m * self.plan.p
+
+    @property
+    def failed_fit_count(self) -> int:
+        return self.total_fits - int(self.usable.sum())
+
+    @property
+    def unreliable(self) -> bool:
+        return self.failed_fit_count > UNRELIABLE_FAILURE_FRACTION * self.total_fits
 
 
 def sensorgram_substream(seed: int, set_index: int, sensorgram_index: int) -> np.random.Generator:
@@ -190,34 +203,22 @@ def _fit_chunk(
 
 
 def _summarize(plan: SimulationPlan, rates: np.ndarray, converged: np.ndarray) -> TrialEnsembleResult:
-    """The kbar distribution over the plan's sets; LowSignalError for a set without a usable fit."""
-    good = converged.sum(axis=1)
-    if not good.all():
+    """The kbar of each of the plan's sets; LowSignalError for a set without a usable fit."""
+    usable = converged.sum(axis=1)
+    if not usable.all():
         raise LowSignalError(
-            f"set {np.argmin(good)}: all {plan.m} fits failed; "
+            f"set {np.argmin(usable)}: all {plan.m} fits failed; "
             "signal-to-noise too low for this plan (raise nu, m or N)"
         )
-    # each set's mean over its converged fits
-    kbars = np.where(converged[:, :, None], rates, 0.0).sum(axis=1) / good[:, None]
-    estimates = kbars.mean(axis=0)
-    precisions = kbars.std(axis=0, ddof=1) if plan.p > 1 else np.zeros(3)
-    total = plan.m * plan.p
-    failed = total - int(good.sum())
-    return TrialEnsembleResult(
-        k_a=ParameterSummary(float(estimates[0]), float(precisions[0])),
-        k_s=ParameterSummary(float(estimates[1]), float(precisions[1])),
-        k_d=ParameterSummary(float(estimates[2]), float(precisions[2])),
-        failed_fit_count=failed,
-        total_fits=total,
-        unreliable=failed > UNRELIABLE_FAILURE_FRACTION * total,
-        plan=plan,
-    )
+    # each set's mean over its usable fits
+    kbars = np.where(converged[:, :, None], rates, 0.0).sum(axis=1) / usable[:, None]
+    return TrialEnsembleResult(kbars=kbars, usable=usable, plan=plan)
 
 
 def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsembleResult]:
     """Simulate p sets of m noisy sensorgrams per plan and summarize each kbar distribution.
 
-    The plans must share seed, p, tau_s and L0. Sets are processed in chunks
+    The plans must share seed, p >= 2, tau_s and L0. Sets are processed in chunks
     of SETS_PER_CHUNK, serially or spread over ``workers`` processes (one pool
     for all plans); each chunk draws every (seed, set, sensorgram) substream
     once for all plans and runs one block solve per plan. Non-converged fits
@@ -229,6 +230,8 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     plans = list(plans)
     if len({(plan.seed, plan.p, plan.tau_s, plan.L0) for plan in plans}) != 1:
         raise ValueError("run_ensembles needs one or more plans sharing seed, p, tau_s and L0")
+    if plans[0].p < 2:  # precision is a standard deviation over sets
+        raise ValueError("p must be >= 2")
     t = np.asarray(t, dtype=float)
     T = np.asarray(transmittance, dtype=float)
     if t.shape != T.shape:
@@ -251,14 +254,6 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     return results
 
 
-def run_ensemble(plan: SimulationPlan, t, transmittance, workers: int = 1) -> TrialEnsembleResult:
-    """One plan's ensemble: ``run_ensembles([plan], ...)[0]``."""
-    return run_ensembles([plan], t, transmittance, workers=workers)[0]
-
-
-PARAMETER_NAMES = ("k_a", "k_s", "k_d")
-
-
 def _require_matching(a: SimulationPlan, b: SimulationPlan, ignore: tuple[str, ...]) -> None:
     normalized_a = replace(a, **{f: getattr(b, f) for f in ignore})
     if normalized_a != b:
@@ -274,10 +269,7 @@ def enhancement_Rk(classical: TrialEnsembleResult, quantum: TrialEnsembleResult)
     _require_matching(classical.plan, quantum.plan, ignore=("state",))
     if classical.plan.state.n_mean != quantum.plan.state.n_mean:
         raise ValueError("states must carry matching signal-mode photon numbers")
-    return {
-        name: classical.summary(name).precision / quantum.summary(name).precision
-        for name in PARAMETER_NAMES
-    }
+    return dict(zip(PARAMETER_NAMES, (classical.precision / quantum.precision).tolist()))
 
 
 def m_enhancement(
@@ -289,7 +281,4 @@ def m_enhancement(
     value is sqrt(m/m') for every probe state, classical included.
     """
     _require_matching(larger_m.plan, smaller_m.plan, ignore=("m",))
-    return {
-        name: smaller_m.summary(name).precision / larger_m.summary(name).precision
-        for name in PARAMETER_NAMES
-    }
+    return dict(zip(PARAMETER_NAMES, (smaller_m.precision / larger_m.precision).tolist()))

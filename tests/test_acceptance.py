@@ -20,7 +20,7 @@ from qspr.probes import (
     delta_M,
     enhancement_RM,
 )
-from qspr.simulate import SimulationPlan, enhancement_Rk, m_enhancement, run_ensemble
+from qspr.simulate import SimulationPlan, enhancement_Rk, m_enhancement, run_ensembles
 from qspr.spr_optics import reflection_from_permittivities
 
 NO_LOSS = SensingScenario(mode=ScenarioMode.STANDARD, eta_a=1.0)
@@ -65,7 +65,7 @@ class EnsembleBank:
             L0=KAUSAITE2007.kinetics.L0,
         )
         if plan not in self._cache:
-            self._cache[plan] = run_ensemble(plan, self.t, self.T_L)
+            self._cache[plan] = run_ensembles([plan], self.t, self.T_L)[0]
         return self._cache[plan]
 
 
@@ -202,10 +202,7 @@ def test_criterion_07_m_enhancement(bank):
 def test_criterion_08_nu_scaling(bank):
     res_100 = bank.get(ProbeKind.TMC, nu=100)
     res_400 = bank.get(ProbeKind.TMC, nu=400)
-    ratios = {
-        name: res_100.summary(name).precision / res_400.summary(name).precision
-        for name in ("k_a", "k_s", "k_d")
-    }
+    ratios = dict(zip(("k_a", "k_s", "k_d"), (res_100.precision / res_400.precision).tolist()))
     devs = {name: abs(v / 2.0 - 1.0) for name, v in ratios.items()}
     ok = all(d < 0.15 for d in devs.values())
     report(
@@ -230,8 +227,7 @@ def test_criterion_09_tmsv_degrades_with_photon_number(kausaite_pipeline):
         )
 
     ratios = enhancement_Rk(
-        run_ensemble(bright_plan(ProbeKind.TMC), trace.t, T_L),
-        run_ensemble(bright_plan(ProbeKind.TMSV), trace.t, T_L),
+        *run_ensembles([bright_plan(ProbeKind.TMC), bright_plan(ProbeKind.TMSV)], trace.t, T_L)
     )
     ok = high < 1.0 and high < low and all(v < 1.0 for v in ratios.values())
     report(

@@ -238,6 +238,9 @@ class TestConfigDocuments:
             {"overrides": {"kinetics": {**KAUSAITE2007.to_dict()["kinetics"], "L0": 5e-324}}},
             # N >= G - 1 holds, but the TMSD midpoint map (N <= 1e4) would have no rows
             {"states": ["tmsd"], "tmsd_gain": 2e4, "n_values": [2e4]},
+            # integers beyond int64, which numpy cannot hold
+            {"states": ["tmc"], "nu_values": [2**64], "m_values": [1], "p": 2},
+            {"overrides": {"nu_default": 2**64}},
         ],
     )
     def test_invalid_document_exits_2(self, tmp_path, capsys, doc):
@@ -250,6 +253,11 @@ class TestConfigDocuments:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, command
             assert not out.exists(), command
+
+    def test_integers_load_up_to_int64_max(self):
+        assert ExperimentConfig.from_dict({"nu_values": [2**63 - 1]}).nu_values == (2**63 - 1,)
+        with pytest.raises(ValueError, match="nu_values"):
+            ExperimentConfig.from_dict({"nu_values": [2**63]})
 
     def test_cli_import_leaves_scipy_stats_out(self):
         # neither scipy.stats nor the oracle (and its scipy.linalg) is imported
@@ -456,10 +464,9 @@ class TestCommandLine:
         real = cli.run_ensembles
 
         def degraded(plans, *args, **kwargs):
+            # no usable fit anywhere: every fit counts as failed
             return [
-                dataclasses.replace(
-                    result, failed_fit_count=result.plan.m * result.plan.p, unreliable=True
-                )
+                dataclasses.replace(result, usable=0 * result.usable)
                 for result in real(plans, *args, **kwargs)
             ]
 
@@ -492,6 +499,18 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_failed_sensorgram_draw_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        import qspr.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("draw failed")
+
+        monkeypatch.setattr(cli, "synthesize_noisy_sensorgrams", broken)
+        out = tmp_path / "s"
+        assert main(["sensorgram", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: draw failed\n"
+        assert not out.exists()
 
     def test_sensorgram_rejects_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "s"

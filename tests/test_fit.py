@@ -236,7 +236,7 @@ class TestFitSensorgram:
 
 
 def noisy_block(case, kind, n_mean, nu, rows, seed=7):
-    """``rows`` seeded noisy sensorgrams of one probe state, as run_ensemble draws them."""
+    """``rows`` seeded noisy sensorgrams of one probe state, as run_ensembles draws them."""
     trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
     T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
     plan = SimulationPlan(

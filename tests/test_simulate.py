@@ -15,7 +15,6 @@ from qspr.simulate import (
     SimulationPlan,
     enhancement_Rk,
     m_enhancement,
-    run_ensemble,
     run_ensembles,
     sensorgram_substream,
     standard_normals,
@@ -49,6 +48,15 @@ def make_plan(kind=ProbeKind.TMC, nu=1000, m=3, p=5, seed=99, n_mean=10.0, scena
 def zero_normals(rng, n):
     """Stand-in for ``standard_normals`` that draws no noise at all."""
     return np.zeros(n)
+
+
+def same(a, b) -> bool:
+    """Whether two ensemble results hold the same plan and the same bits."""
+    return (
+        a.plan == b.plan
+        and np.array_equal(a.kbars, b.kbars)
+        and np.array_equal(a.usable, b.usable)
+    )
 
 
 class TestSubstreams:
@@ -118,37 +126,37 @@ class TestRunEnsemble:
         t, T_L = kausaite_ideal
         plan = make_plan(p=4, m=2)
         monkeypatch.setattr(simulate, "standard_normals", zero_normals)
-        res = run_ensemble(plan, t, T_L)  # serial: the patch reaches every draw
+        res = run_ensembles([plan], t, T_L)[0]  # serial: the patch reaches every draw
         ideal = fit_sensorgrams(
             t, mean_M(plan.state, T_L, 1.0, 1.0)[None], plan.tau_s, plan.L0
         )
-        assert res.k_d.precision == 0.0
-        assert res.k_s.precision == 0.0
-        assert res.k_d.estimate == pytest.approx(ideal.k_d[0], rel=1e-12)
-        assert res.k_s.estimate == pytest.approx(ideal.k_s[0], rel=1e-12)
+        _, k_s, k_d = res.estimate
+        assert np.array_equal(res.precision[1:], [0.0, 0.0])  # k_s, k_d
+        assert k_d == pytest.approx(ideal.k_d[0], rel=1e-12)
+        assert k_s == pytest.approx(ideal.k_s[0], rel=1e-12)
         assert res.failed_fit_count == 0
 
     def test_unbiased_at_reference_snr(self, kausaite_ideal):
         # classical probe at the reference operating point: the estimate stays
         # within three precisions of the noise-free pipeline value
         t, T_L = kausaite_ideal
-        res = run_ensemble(make_plan(nu=1000, m=10, p=300, seed=42), t, T_L)
+        res = run_ensembles([make_plan(nu=1000, m=10, p=300, seed=42)], t, T_L)[0]
         assert res.failed_fit_count == 0
-        assert abs(res.k_d.estimate - 7.771e-3) < 3.0 * res.k_d.precision
+        assert abs(res.estimate[2] - 7.771e-3) < 3.0 * res.precision[2]  # k_d
 
     def test_parallel_execution_identical(self, kausaite_ideal):
         # three chunks of sets, so every worker count splits the work differently
         t, T_L = kausaite_ideal
         plan = make_plan(nu=200, m=2, p=2 * simulate.SETS_PER_CHUNK + 6, seed=5)
-        serial = run_ensemble(plan, t, T_L, workers=1)
+        serial = run_ensembles([plan], t, T_L, workers=1)[0]
         for workers in (2, 3):
-            parallel = run_ensemble(plan, t, T_L, workers=workers)
-            assert serial == parallel  # bit-identical aggregation
+            parallel = run_ensembles([plan], t, T_L, workers=workers)[0]
+            assert same(serial, parallel)  # bit-identical aggregation
 
     def test_rerun_bit_identical(self, kausaite_ideal):
         t, T_L = kausaite_ideal
         plan = make_plan(nu=500, m=2, p=4)
-        assert run_ensemble(plan, t, T_L) == run_ensemble(plan, t, T_L)
+        assert same(run_ensembles([plan], t, T_L)[0], run_ensembles([plan], t, T_L)[0])
 
     def test_all_failed_set_aborts(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
@@ -162,7 +170,7 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(simulate, "fit_sensorgrams", hopeless)
         with pytest.raises(LowSignalError, match="all 3 fits failed"):
-            run_ensemble(make_plan(m=3, p=2), t, T_L)
+            run_ensembles([make_plan(m=3, p=2)], t, T_L)
 
     def test_failure_fraction_flags_unreliable(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
@@ -179,21 +187,52 @@ class TestRunEnsemble:
             return dataclasses.replace(result, converged=converged)
 
         monkeypatch.setattr(simulate, "fit_sensorgrams", flaky)
-        res = run_ensemble(make_plan(m=4, p=5), t, T_L)
+        res = run_ensembles([make_plan(m=4, p=5)], t, T_L)[0]
         assert res.failed_fit_count == 5
         assert res.total_fits == 20
         assert res.failed_fit_count / res.total_fits == 0.25
         assert res.unreliable
 
+    def test_kbars_average_each_set_over_its_usable_fits(self, kausaite_ideal, monkeypatch):
+        # an independent recomputation of the set averages: each set is drawn and
+        # fitted on its own, and a fit fails by a rule that reads only its own rates
+        t, T_L = kausaite_ideal
+        plan = make_plan(nu=300, m=4, p=6)
+
+        def usable(fits):
+            return fits.converged & (fits.k_d <= 7.771e-3)  # the noise-free k_d
+
+        def failing(*args, **kwargs):
+            fits = fit_sensorgrams(*args, **kwargs)
+            return dataclasses.replace(fits, converged=usable(fits))
+
+        monkeypatch.setattr(simulate, "fit_sensorgrams", failing)
+        res = run_ensembles([plan], t, T_L)[0]
+        for i in range(plan.p):
+            Y = synthesize_noisy_sensorgrams(T_L, plan, [i])
+            fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
+            ok = usable(fits)
+            assert res.usable[i] == ok.sum()
+            rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])[ok]
+            assert np.array_equal(res.kbars[i], rates.mean(axis=0)), i
+        assert res.kbars.shape == (plan.p, 3)
+        assert 0 < res.failed_fit_count == plan.m * plan.p - res.usable.sum()
+
+    def test_needs_two_sets(self, kausaite_ideal):
+        # the precision is a standard deviation over sets: one set would report
+        # 0.0 for every rate, and R_k would divide by it
+        t, T_L = kausaite_ideal
+        plans = [make_plan(m=2, p=1), make_plan(kind=ProbeKind.TMF, m=2, p=1)]
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            run_ensembles(plans, t, T_L)
+
     def test_precision_stable_in_p(self, kausaite_ideal):
         # the kbar distribution summary has settled by p=1500: doubling the
         # number of sets moves the reported precision by less than 5%
         t, T_L = kausaite_ideal
-        small = run_ensemble(make_plan(nu=100, m=4, p=1500, seed=42), t, T_L, workers=2)
-        large = run_ensemble(make_plan(nu=100, m=4, p=3000, seed=42), t, T_L, workers=2)
-        for name in ("k_a", "k_s", "k_d"):
-            a = small.summary(name).precision
-            b = large.summary(name).precision
+        small = run_ensembles([make_plan(nu=100, m=4, p=1500, seed=42)], t, T_L, workers=2)[0]
+        large = run_ensembles([make_plan(nu=100, m=4, p=3000, seed=42)], t, T_L, workers=2)[0]
+        for name, a, b in zip(simulate.PARAMETER_NAMES, small.precision, large.precision):
             assert abs(b / a - 1.0) < 0.05, name
 
     def test_space_equivalence(self, kausaite_ideal):
@@ -214,7 +253,7 @@ class TestRunEnsemble:
 class TestRunEnsembles:
     def test_equals_per_plan_runs(self, kausaite_ideal):
         # mixed states, nu and m over two chunks of sets: each plan's result is
-        # exactly its own run_ensemble result, for any worker count
+        # exactly its result when run alone, for any worker count
         t, T_L = kausaite_ideal
         p = simulate.SETS_PER_CHUNK + 3
         plans = [
@@ -223,9 +262,10 @@ class TestRunEnsembles:
             make_plan(kind=ProbeKind.TMSV, nu=300, m=3, p=p, n_mean=100.0),
             make_plan(kind=ProbeKind.TMC, nu=300, m=2, p=p),
         ]
-        alone = [run_ensemble(plan, t, T_L) for plan in plans]
+        alone = [run_ensembles([plan], t, T_L)[0] for plan in plans]
         for workers in (1, 2):
-            assert run_ensembles(plans, t, T_L, workers=workers) == alone
+            together = run_ensembles(plans, t, T_L, workers=workers)
+            assert all(map(same, together, alone))
 
     @pytest.mark.parametrize(
         "change",
@@ -286,7 +326,7 @@ class TestSharedBlocks:
         t, T_L = kausaite_ideal
         shared = run_ensembles(README_PLANS, t, T_L)
         monkeypatch.setattr(simulate, "ROWS_PER_BLOCK", rows_per_block)
-        assert run_ensembles(README_PLANS, t, T_L) == shared
+        assert all(map(same, run_ensembles(README_PLANS, t, T_L), shared))
 
     def test_fit_memory_per_row_is_bounded(self, kausaite_ideal):
         # a deterministic allocation count, not a timing: the shared-block
@@ -313,42 +353,45 @@ class TestSharedBlocks:
 class TestEnhancementRatios:
     def test_identical_ensembles_give_unity(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        res = run_ensemble(make_plan(nu=300, m=2, p=4), t, T_L)
+        res = run_ensembles([make_plan(nu=300, m=2, p=4)], t, T_L)[0]
         ratios = enhancement_Rk(res, res)
         assert ratios == {"k_a": 1.0, "k_s": 1.0, "k_d": 1.0}
 
     def test_mismatched_plans_rejected(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        a = run_ensemble(make_plan(nu=300, m=2, p=4), t, T_L)
-        b = run_ensemble(make_plan(nu=600, m=2, p=4, kind=ProbeKind.TMF), t, T_L)
+        plans = [make_plan(nu=300, m=2, p=4), make_plan(nu=600, m=2, p=4, kind=ProbeKind.TMF)]
+        a, b = run_ensembles(plans, t, T_L)
         with pytest.raises(ValueError, match="plans differ"):
             enhancement_Rk(a, b)
 
     def test_mismatched_photon_number_rejected(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        a = run_ensemble(make_plan(nu=300, m=2, p=4, n_mean=10.0), t, T_L)
-        b = run_ensemble(
-            make_plan(nu=300, m=2, p=4, kind=ProbeKind.TMF, n_mean=12.0), t, T_L
+        a, b = run_ensembles(
+            [
+                make_plan(nu=300, m=2, p=4, n_mean=10.0),
+                make_plan(nu=300, m=2, p=4, kind=ProbeKind.TMF, n_mean=12.0),
+            ],
+            t,
+            T_L,
         )
         with pytest.raises(ValueError, match="photon"):
             enhancement_Rk(a, b)
 
     def test_m_enhancement_identity(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        res = run_ensemble(make_plan(nu=300, m=2, p=4), t, T_L)
+        res = run_ensembles([make_plan(nu=300, m=2, p=4)], t, T_L)[0]
         assert m_enhancement(res, res) == {"k_a": 1.0, "k_s": 1.0, "k_d": 1.0}
 
     def test_m_enhancement_requires_matched_plans(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        a = run_ensemble(make_plan(nu=300, m=2, p=4), t, T_L)
-        b = run_ensemble(make_plan(nu=600, m=4, p=4), t, T_L)
+        a, b = run_ensembles([make_plan(nu=300, m=2, p=4), make_plan(nu=600, m=4, p=4)], t, T_L)
         with pytest.raises(ValueError, match="plans differ"):
             m_enhancement(b, a)
 
     def test_quadrupling_m_doubles_precision(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        r10 = run_ensemble(make_plan(nu=100, m=10, p=150, seed=42), t, T_L, workers=2)
-        r40 = run_ensemble(make_plan(nu=100, m=40, p=150, seed=42), t, T_L, workers=2)
+        plans = [make_plan(nu=100, m=m, p=150, seed=42) for m in (10, 40)]
+        r10, r40 = run_ensembles(plans, t, T_L, workers=2)
         gains = m_enhancement(r40, r10)
         for name, gain in gains.items():
             assert abs(gain / 2.0 - 1.0) < 0.15, (name, gain)
