@@ -84,6 +84,9 @@ def dataclass_from_json(cls, doc, where: str):
             value = dataclass_from_json(hints[key], value, key)
         elif not _fits(value, hints[key]):
             hint = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
+            numbers = value if isinstance(value, list) else [value]
+            if any(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
+                hint = f"{hint} (integers must fit int64, numbers must be finite)"
             raise ValueError(f"{where} key {key!r} must be {hint}, got {value!r}")
         elif hints[key] is complex:
             value = complex(*value) if isinstance(value, list) else complex(value)

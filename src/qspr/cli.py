@@ -12,7 +12,6 @@ including the seed; rerunning a manifest reproduces the CSVs byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import sys
@@ -154,14 +153,23 @@ def _fmt(value) -> str:
 
 
 def _write_tables(out_dir: Path, tables: list[tuple[str, tuple[str, ...], list]]) -> list[Path]:
-    """Create ``out_dir`` and write each (file name, header, rows) table into it as a CSV."""
+    """Create ``out_dir`` and write each (file name, header, rows) table into it as a CSV.
+
+    Cells are joined without quoting, which gives the bytes of ``csv.writer``
+    only because no cell holds a comma, a quote or a line break: numbers never
+    do, and config load admits text cells (case, state and scenario names)
+    from fixed vocabularies only.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:
-        with (out_dir / name).open("w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+        lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+        (out_dir / name).write_text("\n".join(lines) + "\n", newline="")
     return [out_dir / name for name, _, _ in tables]
+
+
+def _columns_as_rows(*columns: np.ndarray) -> list[tuple]:
+    # Python floats: _fmt formats them without a numpy scalar round trip
+    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _prepare(config: ExperimentConfig):
@@ -194,16 +202,14 @@ def _sensorgram_tables(config: ExperimentConfig, case, trace, T_L, scenario, nu:
     ideal = (
         "sensorgram_ideal.csv",
         ("t", "theta_deg", "n_a", "T", "T_L", *(f"M_mean_{name}" for name in names)),
-        [
-            (trace.t[i], trace.theta_deg[i], trace.n_a[i], trace.transmittance[i], T_L[i],
-             *(mean[i] for mean in mean_traces))
-            for i in range(trace.t.size)
-        ],
+        _columns_as_rows(
+            trace.t, trace.theta_deg, trace.n_a, trace.transmittance, T_L, *mean_traces
+        ),
     )
     sample = (
         "sensorgram_sample.csv",
         ("t", *(f"M_sample_{name}" for name in names)),
-        [(trace.t[i], *(draw[i] for draw in sample_traces)) for i in range(trace.t.size)],
+        _columns_as_rows(trace.t, *sample_traces),
     )
     return [ideal, sample]
 
@@ -287,7 +293,10 @@ def run_experiment(
         grid = midpoint_enhancement_map(
             ProbeKind(state_name), scenario, map_T, map_N, g=config.tmsd_gain
         )
-        rows = [(n, T, r) for n, row in zip(map_N, grid) for T, r in zip(map_T, row)]
+        rows = [
+            (n, T, r) for n, row in zip(map_N.tolist(), grid.tolist())
+            for T, r in zip(map_T.tolist(), row)
+        ]
         tables.append((f"midpoint_map_{state_name}.csv", ("N", "T", "R_M"), rows))
 
     out_dir = Path(config.output_dir)

@@ -1,24 +1,30 @@
 """Nonlinear least-squares extraction of kinetic rate constants, a block at a time.
 
 One Levenberg-Marquardt solver (damped Gauss-Newton, analytic Jacobians) runs
-on a (B, P) block of parameter rows at once. Every row keeps its own damping,
-iteration count and convergence tests and leaves the block when it finishes,
-so a row's result depends only on its own data, never on the rest of the block,
-and bitwise so: the block is C-ordered and each segment is a column range of
-it, so every row sum runs over one row's contiguous samples in one order, and
-the batched products and solves are evaluated one row at a time.
+one loop for a (B, P) block of parameter rows. Every row keeps its own damping,
+iteration count and convergence tests and leaves the block when it finishes.
+Residuals and Jacobians are evaluated ROWS_PER_SLICE live rows at a time, and
+each row keeps only its squared norm and normal equations, so the loop's
+temporaries are bounded by the slice while its per-row state is a few hundred
+bytes. A row's result depends only on its own data, never on the rest of the
+block or on the slicing, and bitwise so: each segment is a C-ordered column
+range, so every row sum runs over one row's contiguous samples in one order,
+and the batched products and solves are evaluated one row at a time.
 
 The solver drives a two-segment fit of a (B, n) block of sensorgrams sharing
 one time grid: the dissociation tail is fitted first for (baseline, amplitude,
 k_d), then the association segment for (amplitude, k_s) with the baseline held
 fixed. The phases decouple in the piecewise-exponential model, so the
-sequential fit is better conditioned than a joint one. Rates are parameterized
-as exp(u) to keep them positive on noisy data. ``FitResult.converged`` is the
-one rule for whether a fit is usable.
+sequential fit is better conditioned than a joint one. The fit holds one
+segment's columns of the block at a time, and computes its warm starts in the
+same slices as its residuals. Rates are parameterized as exp(u) to keep them
+positive on noisy data. ``FitResult.converged`` is the one rule for whether a
+fit is usable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -32,6 +38,9 @@ STEP_TOLERANCE = 1e-10  # relative step size
 DAMPING_INIT = 1e-3
 GRAD_TOLERANCE = 1e-8  # cosine of residual against Jacobian columns
 COST_TOLERANCE = 1e-12  # relative decrease of the squared norm
+# live rows per residual evaluation: bounds the (rows, n, P) temporaries of a
+# solve whatever the number of rows that share its loop
+ROWS_PER_SLICE = 128
 
 
 @dataclass(frozen=True)
@@ -48,15 +57,27 @@ class LMSolution:
     residual_norm: np.ndarray
 
 
-def _sum_squares(r: np.ndarray) -> np.ndarray:
-    # one dot product per row, the same one ``r @ r`` takes for a single row
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
-
-
-def _normal_equations(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row J^T J (k, P, P) and J^T r (k, P) of residuals (k, n) and Jacobians (k, n, P)."""
+def _row_products(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row squared norm, J^T J and J^T r of residuals (k, n) and Jacobians (k, n, P)."""
+    if r.shape[1] < J.shape[2]:
+        raise ValueError("need at least as many data points as parameters")
     Jt = J.transpose(0, 2, 1)
-    return Jt @ J, (Jt @ r[:, :, None])[:, :, 0]
+    # one dot product per row, the same one ``r @ r`` takes for a single row
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0], Jt @ J, (Jt @ r[:, :, None])[:, :, 0]
+
+
+def _products(fun, X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row squared norm (k,), J^T J (k, P, P) and J^T r (k, P) of ``fun`` at X (k, P).
+
+    ``fun`` sees at most ROWS_PER_SLICE rows at a time, and a slice's residuals
+    and Jacobians are freed before the next slice is evaluated.
+    """
+    k, n_params = X.shape
+    ssq, JtJ, g = np.empty(k), np.empty((k, n_params, n_params)), np.empty((k, n_params))
+    for start in range(0, k, ROWS_PER_SLICE):
+        part = slice(start, start + ROWS_PER_SLICE)
+        ssq[part], JtJ[part], g[part] = _row_products(*fun(X[part], rows[part]))
+    return ssq, JtJ, g
 
 
 def _solve_rows(A: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -81,23 +102,20 @@ def lm_solve(
     """Minimize ||r_b(x_b)||^2 for every row b of a (B, P) parameter block.
 
     ``fun(X, rows) -> (R, J)`` evaluates the residuals (k, n) and Jacobians
-    (k, n, P) of the block rows ``rows`` at their parameters ``X`` (k, P).
-    Levenberg-Marquardt with multiplicative damping on the scaled normal
-    equations; a step is accepted only if it strictly decreases the row's
-    residual norm. A row that runs out of iterations or damping keeps its last
-    iterate, flagged non-converged. Each row keeps only its normal equations
-    (J^T J and J^T r), from the start and from each accepted step; a rejected
-    step reuses them.
+    (k, n, P) of the block rows ``rows`` at their parameters ``X`` (k, P); it
+    sees at most ROWS_PER_SLICE rows per call. Levenberg-Marquardt with
+    multiplicative damping on the scaled normal equations; a step is accepted
+    only if it strictly decreases the row's residual norm. A row that runs out
+    of iterations or damping keeps its last iterate, flagged non-converged.
+    Each row keeps only its squared norm and normal equations (J^T J and
+    J^T r), from the start and from each accepted step; a rejected step reuses
+    them.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial parameters must be finite")
     n_rows, n_params = x.shape
-    r, J = fun(x, np.arange(n_rows))
-    if r.shape[1] < n_params:
-        raise ValueError("need at least as many data points as parameters")
-    ssq, JtJ, g = _sum_squares(r), *_normal_equations(r, J)
-    del r, J
+    ssq, JtJ, g = _products(fun, x, np.arange(n_rows))
     lam = np.full(n_rows, DAMPING_INIT)
     iterations = np.zeros(n_rows, dtype=int)
     converged = np.zeros(n_rows, dtype=bool)
@@ -125,6 +143,8 @@ def lm_solve(
         damped = JtJ[live]
         damped[:, on_diag, on_diag] += lam[live, None] * diag
         step, solved = _solve_rows(damped, -g_live)
+        # the next evaluation is the loop's memory peak: hold only what it needs
+        del damped, g_live, diag
 
         singular = live[~solved]
         lam[singular] *= 10.0
@@ -132,18 +152,16 @@ def lm_solve(
 
         live, step, cosine = live[solved], step[solved], cosine[solved]
         x_new = x[live] + step
-        r_new, J_new = fun(x_new, live)
-        ssq_new = _sum_squares(r_new)
-        better = np.isfinite(ssq_new) & (ssq_new < ssq[live])
         # each row's products are its own, so selecting after the product
-        # equals forming them from the selected rows, without copying J
-        JtJ_new, g_new = _normal_equations(r_new, J_new)
-        del r_new, J_new
+        # equals forming them from the selected rows
+        ssq_new, JtJ_new, g_new = _products(fun, x_new, live)
+        better = np.isfinite(ssq_new) & (ssq_new < ssq[live])
 
         moved = live[better]
         reduction = ssq[moved] - ssq_new[better]
         x[moved], ssq[moved] = x_new[better], ssq_new[better]
         JtJ[moved], g[moved] = JtJ_new[better], g_new[better]
+        del x_new, ssq_new, JtJ_new, g_new
         lam[moved] = np.maximum(lam[moved] / 3.0, 1e-14)
         small_step = np.linalg.norm(step[better], axis=1) <= STEP_TOLERANCE * (
             np.linalg.norm(x[moved], axis=1) + STEP_TOLERANCE
@@ -238,31 +256,18 @@ def _association_warm_start(t: np.ndarray, Y: np.ndarray, baseline: np.ndarray) 
     return np.column_stack([a0, np.log(k0)])
 
 
-def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
-    """Fit each row of a (B, n) block of (possibly noisy) sensorgrams on the grid ``t``.
+def _sliced(start: Callable[..., np.ndarray], *blocks: np.ndarray) -> np.ndarray:
+    """``start`` of ROWS_PER_SLICE rows of every block at a time, its rows stacked."""
+    return np.concatenate([
+        start(*(block[i : i + ROWS_PER_SLICE] for block in blocks))
+        for i in range(0, len(blocks[0]), ROWS_PER_SLICE)
+    ])
 
-    Rows may live in transmittance space or measurement space; the rate
-    constants are invariant under affine rescaling of the signal. The switch
-    time tau is experiment-controlled and therefore not fitted.
-    """
-    t = np.asarray(t, dtype=float)
-    # C order with segments as column ranges: a row sum then runs over one row's
-    # samples in one order (a boolean column selection is Fortran-ordered, and
-    # numpy would sum it down the columns, in an order set by the block size)
-    Y = np.ascontiguousarray(Y, dtype=float)
-    if Y.ndim != 2 or Y.shape[1:] != t.shape:
-        raise ValueError("t and each sensorgram must have equal length")
-    if not np.all(np.diff(t) > 0):
-        raise ValueError("t must be increasing")
-    i_tau = int(np.searchsorted(t, tau_s))
-    t_d, Y_d = t[i_tau:], Y[:, i_tau:]
-    t_a, Y_a = t[:i_tau], Y[:, :i_tau]
-    if len(t_d) < 3 or len(t_a) < 2:
-        raise ValueError("samples must span both kinetic phases")
 
-    t_rel = t_d - tau_s
+def _fit_dissociation(t_rel: np.ndarray, Y_d: np.ndarray) -> LMSolution:
+    """(baseline, amplitude, ln k_d) rows of b + A*exp(-k_d*t_rel) fitted to Y_d."""
 
-    def resid_dissociation(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def resid(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         b, a, ln_kd = X[:, 0:1], X[:, 1:2], X[:, 2:3]
         kd = np.exp(np.clip(ln_kd, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
         decay = np.exp(-kd * t_rel)
@@ -276,24 +281,61 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         R -= Y_d if len(rows) == len(Y_d) else Y_d[rows]
         return R, J
 
-    sol_d = lm_solve(resid_dissociation, _dissociation_warm_start(t_rel, Y_d))
-    baseline = sol_d.x[:, 0]
-    k_d, kd_pinned = _rate_from_log(sol_d.x[:, 2])
+    return lm_solve(resid, _sliced(partial(_dissociation_warm_start, t_rel), Y_d))
 
-    def resid_association(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+
+def _fit_association(t: np.ndarray, Y_a: np.ndarray, baseline: np.ndarray) -> LMSolution:
+    """(amplitude, ln k_s) rows of baseline + A*(1 - exp(-k_s*t)) fitted to Y_a."""
+
+    def resid(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a_inf, ln_ks = X[:, 0:1], X[:, 1:2]
         ks = np.exp(np.clip(ln_ks, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
-        decay = np.exp(-ks * t_a)
+        decay = np.exp(-ks * t)
         J = np.empty(decay.shape + (2,))
         rise = np.subtract(1.0, decay, out=J[..., 0])
-        np.multiply(a_inf * ks, t_a, out=J[..., 1])
+        np.multiply(a_inf * ks, t, out=J[..., 1])
         J[..., 1] *= decay
         R = np.multiply(a_inf, rise, out=decay)  # baseline + a_inf*rise - y, one buffer
         R += baseline[rows, None]
         R -= Y_a if len(rows) == len(Y_a) else Y_a[rows]
         return R, J
 
-    sol_a = lm_solve(resid_association, _association_warm_start(t_a, Y_a, baseline))
+    return lm_solve(resid, _sliced(partial(_association_warm_start, t), Y_a, baseline))
+
+
+def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
+    """Fit each row of a (B, n) block of (possibly noisy) sensorgrams on the grid ``t``.
+
+    ``Y`` is a (B, n) array, or a block that builds its rows a column range at
+    a time: an object with ``shape`` (B, n) and ``columns(start, stop)``, which
+    returns samples start:stop of every row as a new C-ordered array. Only one
+    segment's columns are held at a time. Rows may live in transmittance space
+    or measurement space; the rate constants are invariant under affine
+    rescaling of the signal. The switch time tau is experiment-controlled and
+    therefore not fitted.
+    """
+    t = np.asarray(t, dtype=float)
+    if hasattr(Y, "columns"):
+        shape, columns = Y.shape, Y.columns
+    else:
+        # C order makes each segment a column range: a row sum then runs over
+        # one row's samples in one order (a boolean column selection is
+        # Fortran-ordered, and numpy would sum it down the columns, in an order
+        # set by the block size)
+        Y = np.ascontiguousarray(Y, dtype=float)
+        shape, columns = Y.shape, lambda start, stop: Y[:, start:stop]
+    if len(shape) != 2 or shape[1:] != t.shape:
+        raise ValueError("t and each sensorgram must have equal length")
+    if not np.all(np.diff(t) > 0):
+        raise ValueError("t must be increasing")
+    i_tau = int(np.searchsorted(t, tau_s))
+    if t.size - i_tau < 3 or i_tau < 2:
+        raise ValueError("samples must span both kinetic phases")
+
+    sol_d = _fit_dissociation(t[i_tau:] - tau_s, columns(i_tau, t.size))
+    baseline = sol_d.x[:, 0]
+    k_d, kd_pinned = _rate_from_log(sol_d.x[:, 2])
+    sol_a = _fit_association(t[:i_tau], columns(0, i_tau), baseline)
     k_s, ks_pinned = _rate_from_log(sol_a.x[:, 1])
     k_a = close_ka(k_s, k_d, L0)
     usable = np.array(sol_d.converged) & np.array(sol_a.converged) & ~(kd_pinned | ks_pinned)
@@ -308,4 +350,3 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         iterations=np.add(sol_d.iterations, sol_a.iterations),
         residual_norm=np.hypot(sol_d.residual_norm, sol_a.residual_norm),
     )
-

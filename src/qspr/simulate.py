@@ -19,10 +19,12 @@ normals across states, nu and m (common random numbers).
 The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
 once. Each chunk of SETS_PER_CHUNK sets draws its substreams once, for the
 largest m; each plan reads the first m sensorgrams of every set. Consecutive
-plans, in the order given, share one block solve (``qspr.fit.fit_sensorgrams``)
-of up to ROWS_PER_BLOCK rows, and a larger plan gets a block of its own. A row
-of that solve is bitwise independent of the other rows, so a plan's result is
-the same whatever other plans share its run or its block.
+plans, in the order given, share one block fit (``qspr.fit.fit_sensorgrams``,
+one LM loop per segment) of up to ROWS_PER_BLOCK rows, and a larger plan gets
+a block of its own. The block is handed over as the chunk's normals and each
+plan's noise law, and the fit builds one segment's columns of its rows at a
+time. A row of that fit is bitwise independent of the other rows, so a plan's
+result is the same whatever other plans share its run or its block.
 """
 from __future__ import annotations
 
@@ -41,10 +43,11 @@ UNRELIABLE_FAILURE_FRACTION = 0.2
 # sets per chunk: the unit of work of serial and pooled runs alike, keyed by
 # set index and never by worker count; bounds a chunk's memory for large p
 SETS_PER_CHUNK = 64
-# rows per block solve that a chunk's plans share: fewer, larger solves cost
-# fewer LM loops, and the bound keeps the solve's temporaries (about 5 KB per
-# row) small next to the process
-ROWS_PER_BLOCK = 256
+# rows per block fit that a chunk's plans share, one LM loop per segment:
+# fewer, larger blocks cost fewer loops; the fit's temporaries are bounded by
+# its slices (qspr.fit.ROWS_PER_SLICE), and each row adds about 1.3 KB of segment
+# data and LM state. A README sweep chunk at p=5 (1,500 rows) is one block.
+ROWS_PER_BLOCK = 2048
 
 
 class LowSignalError(RuntimeError):
@@ -142,16 +145,48 @@ def _noise_law(plan: SimulationPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mean, delta_M(plan.state, T, eta_a, eta_b) / np.sqrt(plan.nu)
 
 
+@dataclass(frozen=True, eq=False)
+class _NoisyRows:
+    """Rows mean + sigma*Z of plans sharing a chunk's normals, built a column range at a time.
+
+    Z: (sets, m_max, n) standard normals; laws: one (m, mean, sigma) per plan,
+    whose rows are its first m sensorgrams of every set, set-major, after the
+    rows of the plans before it. ``columns`` is the block interface of
+    ``qspr.fit.fit_sensorgrams``.
+    """
+
+    Z: np.ndarray
+    laws: list[tuple[int, np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(self.Z) * sum(m for m, _, _ in self.laws)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), self.Z.shape[2]
+
+    def columns(self, start: int, stop: int) -> np.ndarray:
+        sets, cols = len(self.Z), slice(start, stop)
+        out = np.empty((len(self), stop - start))
+        end = 0
+        for m, mean, sigma in self.laws:
+            rows = out[end : end + sets * m].reshape(sets, m, stop - start)
+            np.multiply(sigma[cols], self.Z[:, :m, cols], out=rows)
+            rows += mean[cols]
+            end += sets * m
+        return out
+
+
 def synthesize_noisy_sensorgrams(transmittance, plan: SimulationPlan, sets) -> np.ndarray:
     """Noisy measurement-space sensorgrams Mbar(t) of the given sets, one per row.
 
     Row i*m + j is sensorgram j of set ``sets[i]``, drawn from its own
     (seed, set, sensorgram) substream; the sample-mean noise is dM/sqrt(nu).
+    These are the rows that ``run_ensembles`` fits, bit for bit.
     """
     T = np.asarray(transmittance, dtype=float)
-    mean, sigma = _noise_law(plan, T)
     Z = _substream_normals(plan.seed, sets, plan.m, T.size)
-    return mean + sigma * Z.reshape(-1, T.size)
+    return _NoisyRows(Z, [(plan.m, *_noise_law(plan, T))]).columns(0, T.size)
 
 
 def _blocks(sizes: list[int]) -> list[list[tuple[int, slice]]]:
@@ -180,21 +215,16 @@ def _fit_chunk(
 
     The chunk's normals are drawn once, for the largest m; a plan with m
     sensorgrams per set reads the first m of each set, which is exactly its own
-    draw. Consecutive plans share one block solve of up to ROWS_PER_BLOCK rows.
+    draw. Consecutive plans share one block fit of up to ROWS_PER_BLOCK rows,
+    which builds its rows from the normals one segment at a time.
     """
     head = plans[0]
     sets = range(first_set, min(first_set + SETS_PER_CHUNK, head.p))
     Z = _substream_normals(head.seed, sets, max(plan.m for plan in plans), t.size)
-    blocks = _blocks([len(sets) * plan.m for plan in plans])
-    buffer = np.empty((max(block[-1][1].stop for block in blocks), t.size))
     out = []
-    for block in blocks:
-        for i, rows in block:
-            Y = buffer[rows].reshape(len(sets), plans[i].m, t.size)
-            mean, sigma = laws[i]
-            np.multiply(sigma, Z[:, : plans[i].m], out=Y)
-            Y += mean
-        fits = fit_sensorgrams(t, buffer[: block[-1][1].stop], head.tau_s, head.L0)
+    for block in _blocks([len(sets) * plan.m for plan in plans]):
+        noisy = _NoisyRows(Z, [(plans[i].m, *laws[i]) for i, _ in block])
+        fits = fit_sensorgrams(t, noisy, head.tau_s, head.L0)
         rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
         for i, rows in block:
             shape = (len(sets), plans[i].m)
@@ -221,11 +251,12 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     The plans must share seed, p >= 2, tau_s and L0. Sets are processed in chunks
     of SETS_PER_CHUNK, serially or spread over ``workers`` processes (one pool
     for all plans); each chunk draws every (seed, set, sensorgram) substream
-    once for all plans and runs one block solve per plan. Non-converged fits
-    are excluded from their set's average and counted; a set with no converged
-    fits at all aborts with LowSignalError, raised for the first such plan in
-    the order given. A result is flagged unreliable when more than 20% of its
-    fits failed. Output is independent of ``workers`` and of the other plans.
+    once for all plans and fits consecutive plans together in blocks of up to
+    ROWS_PER_BLOCK rows. Non-converged fits are excluded from their set's
+    average and counted; a set with no converged fits at all aborts with
+    LowSignalError, raised for the first such plan in the order given. A
+    result is flagged unreliable when more than 20% of its fits failed. Output
+    is independent of ``workers`` and of the other plans.
     """
     plans = list(plans)
     if len({(plan.seed, plan.p, plan.tau_s, plan.L0) for plan in plans}) != 1:

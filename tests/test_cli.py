@@ -259,6 +259,15 @@ class TestConfigDocuments:
         with pytest.raises(ValueError, match="nu_values"):
             ExperimentConfig.from_dict({"nu_values": [2**63]})
 
+    def test_out_of_range_integer_names_the_int64_rule(self, tmp_path, capsys):
+        # 2**64 is a JSON integer, so naming only the type would not say what is wrong
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"nu_values": [18446744073709551616]}')
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'nu_values'") and err.count("\n") == 1
+        assert "integers must fit int64" in err
+
     def test_cli_import_leaves_scipy_stats_out(self):
         # neither scipy.stats nor the oracle (and its scipy.linalg) is imported
         # before ``qspr verify`` needs it
@@ -356,6 +365,26 @@ class TestRunExperiment:
         assert (tmp_path / "a" / "results.csv").read_bytes() == (
             tmp_path / "b" / "results.csv"
         ).read_bytes()
+
+    def test_table_writer_matches_csv_writer(self, tmp_path):
+        # the writer joins cells without quoting; on cells without commas,
+        # quotes or line breaks that is byte for byte what csv.writer writes
+        import io
+
+        import numpy as np
+        from qspr.cli import _fmt, _write_tables
+
+        header = ("case", "N", "estimate", "failed_fits", "R_k")
+        rows = [
+            ("kausaite2007", 10.0, np.float64(1 / 3), 7, np.float64(-2.5e-300)),
+            ("tmsv", np.float64(1e22), 0.1 + 0.2, np.int64(-2**62), float(2**53 + 1)),
+        ]
+        _write_tables(tmp_path, [("table.csv", header, rows)])
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        assert (tmp_path / "table.csv").read_bytes() == expected.getvalue().encode()
 
     def test_midpoint_map_grid(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", states=("tmf", "tmsv"))

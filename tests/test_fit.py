@@ -131,6 +131,30 @@ class TestLMSolve:
             assert np.array_equal(alone.x[0], sol.x[i])
             assert alone.iterations[0] == sol.iterations[i]
 
+    @pytest.mark.parametrize("rows_per_slice", [1, 7, 10**6])
+    def test_block_result_independent_of_slicing(self, monkeypatch, rows_per_slice):
+        # 333 noisy exponentials from one start: rows converge after different
+        # numbers of iterations, so the live rows of later evaluations are
+        # scattered over the block and cut differently by every slice size
+        t = np.arange(0.0, 505.0, 5.0)
+        rng = np.random.default_rng(11)
+        a, k = rng.uniform(0.5, 5.0, 333), np.exp(rng.uniform(np.log(1e-3), np.log(0.3), 333))
+        Y = a[:, None] * np.exp(-k[:, None] * t) + 0.05 * rng.standard_normal((333, t.size))
+
+        def fun(X, rows):
+            a, k = X[:, :1], np.exp(np.clip(X[:, 1:], -50.0, 50.0))
+            decay = np.exp(-k * t)
+            return a * decay - Y[rows], np.stack([decay, -a * k * t * decay], axis=-1)
+
+        x0 = np.tile([1.0, np.log(0.02)], (333, 1))
+        default = lm_solve(fun, x0)
+        assert len(set(default.iterations)) > 5 and fit_module.ROWS_PER_SLICE < 333
+        monkeypatch.setattr(fit_module, "ROWS_PER_SLICE", rows_per_slice)
+        sliced = lm_solve(fun, x0)
+        for field in dataclasses.fields(default):
+            expected = getattr(default, field.name)
+            assert np.array_equal(getattr(sliced, field.name), expected), field.name
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_unsolvable_row_leaves_the_others_alone(self):
         # an infinite Jacobian entry makes row 1's damped normal equations

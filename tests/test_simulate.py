@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qspr.fit as fit_module
 import qspr.simulate as simulate
 from qspr.cases import KAUSAITE2007
 from qspr.fit import fit_sensorgrams
@@ -302,8 +303,10 @@ README_PLANS = [
     for n_mean in (10.0, 100.0, 1000.0)
     for nu in (100, 1000)
 ]
-# tracemalloc peak of one block fit, per row; the block solve needs about 5 KB
-FIT_BYTES_PER_ROW = 7_000
+# growth of a block fit's tracemalloc peak per row beyond 256 rows: about 1.3 KB,
+# the row's segment data (at most 111 samples, 888 B) and its LM state; the
+# evaluation temporaries are bounded by fit.ROWS_PER_SLICE and do not grow
+FIT_BYTES_PER_EXTRA_ROW = 2_000
 
 
 class TestSharedBlocks:
@@ -320,28 +323,48 @@ class TestSharedBlocks:
             stacked = np.concatenate([getattr(fits, field.name) for fits in per_plan])
             assert np.array_equal(getattr(whole, field.name), stacked), field.name
 
-    @pytest.mark.parametrize("rows_per_block", [1, 10**6], ids=["plan-per-block", "one-block"])
-    def test_run_independent_of_rows_per_block(self, kausaite_ideal, monkeypatch, rows_per_block):
-        # at the default budget the README plans share blocks five at a time
+    @pytest.mark.parametrize(
+        "rows_per_block,rows_per_slice",
+        [
+            pytest.param(block, size, id=name + (f"-slice-{size}" if size else ""))
+            for size in (None, 1, 7, 10**6)
+            for block, name in ((1, "plan-per-block"), (10**6, "one-block"))
+        ],
+    )
+    def test_run_independent_of_rows_per_block(
+        self, kausaite_ideal, monkeypatch, rows_per_block, rows_per_slice
+    ):
+        # at the default budget the README plans' 1,200 rows are one block,
+        # evaluated fit.ROWS_PER_SLICE rows at a time (None keeps that default)
         t, T_L = kausaite_ideal
         shared = run_ensembles(README_PLANS, t, T_L)
         monkeypatch.setattr(simulate, "ROWS_PER_BLOCK", rows_per_block)
+        if rows_per_slice:
+            monkeypatch.setattr(fit_module, "ROWS_PER_SLICE", rows_per_slice)
         assert all(map(same, run_ensembles(README_PLANS, t, T_L), shared))
 
     def test_fit_memory_per_row_is_bounded(self, kausaite_ideal):
-        # a deterministic allocation count, not a timing: the shared-block
-        # budget relies on the block solve's temporaries staying this small
+        # a deterministic allocation count, not a timing: a block fit's memory
+        # grows only by each row's segment data and LM state, so blocks of
+        # ROWS_PER_BLOCK rows cost little more than blocks of 256
         t, T_L = kausaite_ideal
-        plan = make_plan(kind=ProbeKind.TMSV, nu=100, m=8, p=32, seed=42)
-        Y = synthesize_noisy_sensorgrams(T_L, plan, sets=range(32))  # 256 rows, a full block
-        fit_sensorgrams(t, Y, plan.tau_s, plan.L0)  # first call: lazy set-up
-        tracemalloc.start()
-        try:
-            fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= FIT_BYTES_PER_ROW * len(Y)
+        plan = make_plan(kind=ProbeKind.TMSV, nu=100, m=8, p=256, seed=42)
+        law = simulate._noise_law(plan, T_L)
+
+        def peak(sets: int) -> int:
+            # the block as _fit_chunk hands it over: normals plus the noise law
+            Z = simulate._substream_normals(plan.seed, range(sets), plan.m, t.size)
+            rows = simulate._NoisyRows(Z, [(plan.m, *law)])
+            tracemalloc.start()
+            try:
+                fit_sensorgrams(t, rows, plan.tau_s, plan.L0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fit_sensorgrams(t, T_L[None], plan.tau_s, plan.L0)  # first call: lazy set-up
+        small, large = peak(32), peak(256)  # 256 and 2,048 rows
+        assert (large - small) / (2048 - 256) <= FIT_BYTES_PER_EXTRA_ROW
 
     def test_segments_need_increasing_t(self, kausaite_ideal):
         t, T_L = kausaite_ideal
