@@ -437,6 +437,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, LowSignalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # e.g. a time grid too fine to allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -326,6 +326,8 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         shape, columns = Y.shape, lambda start, stop: Y[:, start:stop]
     if len(shape) != 2 or shape[1:] != t.shape:
         raise ValueError("t and each sensorgram must have equal length")
+    if shape[0] < 1:
+        raise ValueError("need at least one sensorgram to fit")
     if not np.all(np.diff(t) > 0):
         raise ValueError("t must be increasing")
     i_tau = int(np.searchsorted(t, tau_s))

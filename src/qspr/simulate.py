@@ -17,14 +17,15 @@ worker count, and plans that share a seed share the same underlying standard
 normals across states, nu and m (common random numbers).
 
 The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
-once. Each chunk of SETS_PER_CHUNK sets draws its substreams once, for the
-largest m; each plan reads the first m sensorgrams of every set. Consecutive
-plans, in the order given, share one block fit (``qspr.fit.fit_sensorgrams``,
-one LM loop per segment) of up to ROWS_PER_BLOCK rows, and a larger plan gets
-a block of its own. The block is handed over as the chunk's normals and each
-plan's noise law, and the fit builds one segment's columns of its rows at a
-time. A row of that fit is bitwise independent of the other rows, so a plan's
-result is the same whatever other plans share its run or its block.
+once and cuts the p sets into chunks of whole sets, sized by rows: a chunk
+holds at most ROWS_PER_CHUNK rows of all plans together (at least one set,
+at most SETS_PER_CHUNK). A chunk is one block fit (``qspr.fit.fit_sensorgrams``,
+one LM loop per segment): it draws its substreams once, for the largest m,
+and each plan reads the first m sensorgrams of every set. The block is handed
+over as the chunk's normals and each plan's noise law, and the fit builds one
+segment's columns of its rows at a time. A row of that fit is bitwise
+independent of the other rows, so a plan's result is the same whatever other
+plans share its run or its chunk.
 """
 from __future__ import annotations
 
@@ -40,14 +41,15 @@ from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
 PARAMETER_NAMES = ("k_a", "k_s", "k_d")
 UNRELIABLE_FAILURE_FRACTION = 0.2
-# sets per chunk: the unit of work of serial and pooled runs alike, keyed by
-# set index and never by worker count; bounds a chunk's memory for large p
+# most sets per chunk: the task size of a pooled run, so that runs of few
+# rows per set still spread over many tasks
 SETS_PER_CHUNK = 64
-# rows per block fit that a chunk's plans share, one LM loop per segment:
-# fewer, larger blocks cost fewer loops; the fit's temporaries are bounded by
+# rows per chunk, whose plans share one block fit and one LM loop per segment:
+# fewer, larger chunks cost fewer loops; the fit's temporaries are bounded by
 # its slices (qspr.fit.ROWS_PER_SLICE), and each row adds about 1.3 KB of segment
-# data and LM state. A README sweep chunk at p=5 (1,500 rows) is one block.
-ROWS_PER_BLOCK = 2048
+# data and LM state. The README sweep at p=5 (1,500 rows) is one chunk. Chunk
+# sizes depend on the plans only, never on the worker count.
+ROWS_PER_CHUNK = 2048
 
 
 class LowSignalError(RuntimeError):
@@ -189,59 +191,45 @@ def synthesize_noisy_sensorgrams(transmittance, plan: SimulationPlan, sets) -> n
     return _NoisyRows(Z, [(plan.m, *_noise_law(plan, T))]).columns(0, T.size)
 
 
-def _blocks(sizes: list[int]) -> list[list[tuple[int, slice]]]:
-    """Consecutive runs of whole plans as (plan index, block rows) pairs.
-
-    A block holds at most ROWS_PER_BLOCK rows, unless one plan alone has more.
-    """
-    blocks, end = [], 0
-    for i, size in enumerate(sizes):
-        if not blocks or end + size > ROWS_PER_BLOCK:
-            blocks.append([])
-            end = 0
-        blocks[-1].append((i, slice(end, end + size)))
-        end += size
-    return blocks
-
-
 def _fit_chunk(
-    first_set: int,
+    sets: range,
     *,
     plans: list[SimulationPlan],
     laws: list[tuple[np.ndarray, np.ndarray]],
     t: np.ndarray,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per plan, fitted (k_a, k_s, k_d) (sets, m, 3) and converged flags (sets, m) of a chunk.
+    """Per plan, the set averages kbar (sets, 3) and usable-fit counts (sets,) of a chunk.
 
     The chunk's normals are drawn once, for the largest m; a plan with m
     sensorgrams per set reads the first m of each set, which is exactly its own
-    draw. Consecutive plans share one block fit of up to ROWS_PER_BLOCK rows,
-    which builds its rows from the normals one segment at a time.
+    draw. All plans share one block fit, which builds its rows from the normals
+    one segment at a time. A set without a usable fit gets kbar 0 and count 0.
     """
     head = plans[0]
-    sets = range(first_set, min(first_set + SETS_PER_CHUNK, head.p))
     Z = _substream_normals(head.seed, sets, max(plan.m for plan in plans), t.size)
-    out = []
-    for block in _blocks([len(sets) * plan.m for plan in plans]):
-        noisy = _NoisyRows(Z, [(plans[i].m, *laws[i]) for i, _ in block])
-        fits = fit_sensorgrams(t, noisy, head.tau_s, head.L0)
-        rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
-        for i, rows in block:
-            shape = (len(sets), plans[i].m)
-            out.append((rates[rows].reshape(*shape, 3), fits.converged[rows].reshape(shape)))
+    noisy = _NoisyRows(Z, [(plan.m, *law) for plan, law in zip(plans, laws)])
+    fits = fit_sensorgrams(t, noisy, head.tau_s, head.L0)
+    rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
+    out, end = [], 0
+    for plan in plans:
+        shape = (len(sets), plan.m)
+        rows = slice(end, end + len(sets) * plan.m)
+        end = rows.stop
+        converged = fits.converged[rows].reshape(shape)
+        usable = converged.sum(axis=1)
+        # each set's mean over its usable fits
+        total = np.where(converged[:, :, None], rates[rows].reshape(*shape, 3), 0.0).sum(axis=1)
+        out.append((total / np.maximum(usable, 1)[:, None], usable))
     return out
 
 
-def _summarize(plan: SimulationPlan, rates: np.ndarray, converged: np.ndarray) -> TrialEnsembleResult:
-    """The kbar of each of the plan's sets; LowSignalError for a set without a usable fit."""
-    usable = converged.sum(axis=1)
+def _summarize(plan: SimulationPlan, kbars: np.ndarray, usable: np.ndarray) -> TrialEnsembleResult:
+    """The plan's result; LowSignalError for a set without a usable fit."""
     if not usable.all():
         raise LowSignalError(
             f"set {np.argmin(usable)}: all {plan.m} fits failed; "
             "signal-to-noise too low for this plan (raise nu, m or N)"
         )
-    # each set's mean over its usable fits
-    kbars = np.where(converged[:, :, None], rates, 0.0).sum(axis=1) / usable[:, None]
     return TrialEnsembleResult(kbars=kbars, usable=usable, plan=plan)
 
 
@@ -249,10 +237,11 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     """Simulate p sets of m noisy sensorgrams per plan and summarize each kbar distribution.
 
     The plans must share seed, p >= 2, tau_s and L0. Sets are processed in chunks
-    of SETS_PER_CHUNK, serially or spread over ``workers`` processes (one pool
-    for all plans); each chunk draws every (seed, set, sensorgram) substream
-    once for all plans and fits consecutive plans together in blocks of up to
-    ROWS_PER_BLOCK rows. Non-converged fits are excluded from their set's
+    of whole sets, at most ROWS_PER_CHUNK rows of all plans together (at least
+    one set, at most SETS_PER_CHUNK), serially or spread over ``workers``
+    processes (one pool for all plans); each chunk draws every (seed, set,
+    sensorgram) substream once for all plans and is one block fit. Chunk sizes
+    depend on the plans only. Non-converged fits are excluded from their set's
     average and counted; a set with no converged fits at all aborts with
     LowSignalError, raised for the first such plan in the order given. A
     result is flagged unreliable when more than 20% of its fits failed. Output
@@ -271,18 +260,19 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
         raise ValueError("workers must be >= 1")
     laws = [_noise_law(plan, T) for plan in plans]
     worker = partial(_fit_chunk, plans=plans, laws=laws, t=t)
-    chunks = range(0, plans[0].p, SETS_PER_CHUNK)
+    p = plans[0].p
+    size = max(1, min(SETS_PER_CHUNK, ROWS_PER_CHUNK // sum(plan.m for plan in plans)))
+    chunks = [range(first, min(first + size, p)) for first in range(0, p, size)]
     workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_chunk = list(pool.map(worker, chunks))
     else:
         per_chunk = map(worker, chunks)
-    results = []
-    for plan, parts in zip(plans, zip(*per_chunk)):
-        rates, converged = (np.concatenate(column) for column in zip(*parts))
-        results.append(_summarize(plan, rates, converged))
-    return results
+    return [
+        _summarize(plan, *(np.concatenate(column) for column in zip(*parts)))
+        for plan, parts in zip(plans, zip(*per_chunk))
+    ]
 
 
 def _require_matching(a: SimulationPlan, b: SimulationPlan, ignore: tuple[str, ...]) -> None:

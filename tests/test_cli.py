@@ -541,6 +541,30 @@ class TestCommandLine:
         assert capsys.readouterr().err == "error: draw failed\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "exc,message",
+        [
+            (MemoryError("Unable to allocate 7.28 TiB for an array"),
+             "error: out of memory: Unable to allocate 7.28 TiB for an array\n"),
+            (MemoryError(), "error: out of memory\n"),
+        ],
+        ids=["numpy-message", "bare"],
+    )
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys, exc, message):
+        # a time grid too fine to allocate fails in the reconstruction of both
+        # commands; the failure is simulated, no large array is requested
+        import qspr.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "reconstruct_transmittance_sensorgram", exhausted)
+        out = tmp_path / "out"
+        for command in ("run", "sensorgram"):
+            assert main([command, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == message, command
+            assert not out.exists(), command
+
     def test_sensorgram_rejects_negative_seed(self, tmp_path, capsys):
         out = tmp_path / "s"
         assert main(["sensorgram", "--out", str(out), "--seed", "-1"]) == 2

@@ -253,6 +253,11 @@ class TestFitSensorgram:
         assert np.isinf(res.k_a[0]) and np.isfinite([res.k_s[0], res.k_d[0]]).all()
         assert not res.converged[0]
 
+    def test_rejects_empty_block(self):
+        t = np.linspace(0.0, 2200.0, 221)
+        with pytest.raises(ValueError, match="at least one sensorgram"):
+            fit_sensorgrams(t, np.empty((0, t.size)), tau_s=1100.0, L0=1.0)
+
     def test_requires_both_phases(self):
         t = np.linspace(0.0, 900.0, 90)
         with pytest.raises(ValueError, match="phases"):

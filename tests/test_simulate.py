@@ -280,6 +280,28 @@ class TestRunEnsembles:
         with pytest.raises(ValueError, match="sharing seed, p, tau_s and L0"):
             run_ensembles(plans, t, T_L)
 
+    @pytest.mark.parametrize("rows_per_chunk", [None, 100, 30], ids=["default", "100", "30"])
+    def test_each_chunk_is_one_fit_of_whole_sets(self, kausaite_ideal, monkeypatch, rows_per_chunk):
+        # 40 rows per set: 64 sets would be 2,560 rows, so at the default budget
+        # a chunk holds 51 sets; a budget below m still fits one whole set
+        t, T_L = kausaite_ideal
+        plan = make_plan(m=40, p=70, seed=42)
+        if rows_per_chunk:
+            monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", rows_per_chunk)
+        # sensorgram 0 of each set, as the fit receives it
+        firsts = synthesize_noisy_sensorgrams(T_L, dataclasses.replace(plan, m=1), range(plan.p))
+        set_of = {row.tobytes(): s for s, row in enumerate(firsts)}
+        calls = []
+
+        def spy(t, Y, *args, **kwargs):
+            calls.append((len(Y), [set_of[row.tobytes()] for row in Y.columns(0, t.size)[:: plan.m]]))
+            return fit_sensorgrams(t, Y, *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "fit_sensorgrams", spy)
+        run_ensembles([plan], t, T_L)
+        assert max(rows for rows, _ in calls) <= max(simulate.ROWS_PER_CHUNK, plan.m)
+        assert [s for _, sets in calls for s in sets] == list(range(plan.p))
+
     def test_first_failing_plan_in_given_order_raises(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
 
@@ -324,29 +346,31 @@ class TestSharedBlocks:
             assert np.array_equal(getattr(whole, field.name), stacked), field.name
 
     @pytest.mark.parametrize(
-        "rows_per_block,rows_per_slice",
+        "rows_per_chunk,rows_per_slice",
         [
-            pytest.param(block, size, id=name + (f"-slice-{size}" if size else ""))
+            pytest.param(chunk, size, id=name + (f"-slice-{size}" if size else ""))
             for size in (None, 1, 7, 10**6)
-            for block, name in ((1, "plan-per-block"), (10**6, "one-block"))
+            for chunk, name in ((1, "plan-per-block"), (10**6, "one-block"))
         ],
     )
     def test_run_independent_of_rows_per_block(
-        self, kausaite_ideal, monkeypatch, rows_per_block, rows_per_slice
+        self, kausaite_ideal, monkeypatch, rows_per_chunk, rows_per_slice
     ):
-        # at the default budget the README plans' 1,200 rows are one block,
-        # evaluated fit.ROWS_PER_SLICE rows at a time (None keeps that default)
+        # at the default budget the README plans' 1,200 rows are one chunk,
+        # evaluated fit.ROWS_PER_SLICE rows at a time (None keeps that default);
+        # ROWS_PER_CHUNK = 1 fits one set of all 24 plans per chunk, and 10**6
+        # all five sets in one chunk
         t, T_L = kausaite_ideal
         shared = run_ensembles(README_PLANS, t, T_L)
-        monkeypatch.setattr(simulate, "ROWS_PER_BLOCK", rows_per_block)
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", rows_per_chunk)
         if rows_per_slice:
             monkeypatch.setattr(fit_module, "ROWS_PER_SLICE", rows_per_slice)
         assert all(map(same, run_ensembles(README_PLANS, t, T_L), shared))
 
     def test_fit_memory_per_row_is_bounded(self, kausaite_ideal):
         # a deterministic allocation count, not a timing: a block fit's memory
-        # grows only by each row's segment data and LM state, so blocks of
-        # ROWS_PER_BLOCK rows cost little more than blocks of 256
+        # grows only by each row's segment data and LM state, so chunks of
+        # ROWS_PER_CHUNK rows cost little more than chunks of 256
         t, T_L = kausaite_ideal
         plan = make_plan(kind=ProbeKind.TMSV, nu=100, m=8, p=256, seed=42)
         law = simulate._noise_law(plan, T_L)
