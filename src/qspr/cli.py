@@ -345,6 +345,8 @@ def _cmd_case(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not (np.isfinite(args.tol) and args.tol > 0):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    if not 0 <= args.seed < 2**63:
+        raise ValueError(f"--seed must lie in [0, 2**63), got {args.seed}")
     # imported here: no other command needs the oracle or scipy.linalg
     from .oracle import TruncationError, verify_closed_forms
 

@@ -11,11 +11,15 @@ first site of sector D, so each sector is exponentiated on its own, exactly:
 on |D+j, j>, G = S (i A_D) S^-1 with S = diag(i^j) and A_D real symmetric
 tridiagonal (zero diagonal, off-diagonal sqrt((D+j+1)(j+1))). With
 A_D = V_D diag(w_D) V_D^T, amps[D+j, j] = coh[D] i^j (V_D (e^(i r w_D) * V_D[0]))_j.
+The eigenpairs of every sector are cached per cutoff, zero-padded to one
+(d, d, d) array, so one state is one batched real product over all sectors:
+a padded term has V_D[0, k] = 0 and adds exactly 0.0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -26,9 +30,10 @@ from .probes import ProbeKind, ProbeState, delta_M, mean_M
 
 # largest probability mass a truncated state may leave outside its cutoff
 TAIL_TOLERANCE = 1e-10
-# largest cutoff a verify pass accepts: the TMSD sector cache holds about
-# cutoff^3/3 floats for cutoff and cutoff + 8, some 50 MB at this bound, far
-# past the few tens the oracle's small states need
+# largest cutoff a verify pass accepts: the TMSD sector cache holds (cutoff+1)^3
+# floats for cutoff and cutoff + 8, some 138 MB at this bound (a verify pass at
+# it peaks at about 200 MiB RSS), far past the few tens the oracle's small
+# states need
 MAX_CUTOFF = 200
 
 
@@ -53,26 +58,51 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
+class _SqueezeSectors(NamedTuple):
+    """Every sector's eigenpairs on one zero-padded grid, read-only; d = cutoff + 1.
+
+    V[D, :d-D, :d-D] = V_D and W[D, :d-D] = w_D, zero elsewhere; source and
+    target are the flat indices of sector site (D, j) in a (d, d) sector grid
+    and of its box cell amps[D + j, j]; phases[j] = i^j, exact.
+    """
+
+    V: np.ndarray
+    W: np.ndarray
+    source: np.ndarray
+    target: np.ndarray
+    phases: np.ndarray
+
+
 @lru_cache(maxsize=2)  # one verify pass builds at cutoff and cutoff + 8
-def _squeeze_sectors(cutoff: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """Eigenpairs (w_D, V_D) of A_D for each sector D = 0..cutoff, read-only."""
-    sectors = []
-    for D in range(cutoff + 1):
+def _squeeze_sectors(cutoff: int) -> _SqueezeSectors:
+    """Eigenpairs (w_D, V_D) of A_D for each sector D = 0..cutoff, padded to d sites."""
+    d = cutoff + 1
+    V, W = np.zeros((d, d, d)), np.zeros((d, d))
+    for D in range(d):
         j = np.arange(cutoff - D, dtype=float)
-        w, V = eigh_tridiagonal(np.zeros(cutoff + 1 - D), np.sqrt((D + j + 1.0) * (j + 1.0)))
-        w.flags.writeable = V.flags.writeable = False
-        sectors.append((w, V))
-    return tuple(sectors)
+        W[D, : d - D], V[D, : d - D, : d - D] = eigh_tridiagonal(
+            np.zeros(d - D), np.sqrt((D + j + 1.0) * (j + 1.0))
+        )
+    D, j = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) < d)  # sites D + j <= cutoff
+    sectors = _SqueezeSectors(
+        V, W, D * d + j, (D + j) * d + j, np.array((1, 1j, -1, -1j))[np.arange(d) % 4]
+    )
+    for a in sectors:
+        a.flags.writeable = False
+    return sectors
 
 
 def _tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
-    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, sector by sector."""
+    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, all sectors in one product."""
     d = cutoff + 1
-    coh = _coherent_amplitudes(alpha, cutoff)
+    s = _squeeze_sectors(cutoff)
+    # c[D] = e^(i r w_D) * coh[D] V_D[0]; a padded k has V[D, 0, k] = 0, so c[D, k] = 0
+    c = np.exp(1j * r * s.W) * _coherent_amplitudes(alpha, cutoff)[:, None] * s.V[:, 0, :]
+    # V is real: one real stacked product gives both parts of V_D c[D] for every D
+    sectors = (s.V @ np.stack([c.real, c.imag], axis=-1)).view(complex)
     amps = np.zeros((d, d), dtype=complex)
-    for D, (w, V) in enumerate(_squeeze_sectors(cutoff)):  # sector D is amps[D + j, j]
-        np.fill_diagonal(amps[D:], V @ (np.exp(1j * r * w) * (coh[D] * V[0])))
-    return amps * 1j ** np.arange(d)  # S = diag(i^j), j = n_b
+    amps.ravel()[s.target] = sectors.ravel()[s.source]  # sector D is amps[D + j, j]
+    return amps * s.phases  # S = diag(i^j), j = n_b
 
 
 def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
@@ -142,7 +172,8 @@ def _thinning_matrix(cutoff: int, transmissivity: float) -> np.ndarray:
     """
     lost, log_binom = _thinning_logs(cutoff)
     k = np.arange(cutoff + 1)
-    return np.exp(log_binom + (xlogy(k, transmissivity) + xlog1py(lost, -transmissivity)))
+    # lost takes only the values of k: evaluate xlog1py on k and gather it
+    return np.exp(log_binom + (xlogy(k, transmissivity) + xlog1py(k, -transmissivity)[lost]))
 
 
 def apply_channels(

@@ -462,6 +462,19 @@ class TestCommandLine:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_verify_rejects_out_of_range_seed(self, monkeypatch, capsys, seed):
+        import qspr.oracle
+
+        def unreachable(**kwargs):
+            raise AssertionError("oracle ran")
+
+        monkeypatch.setattr(qspr.oracle, "verify_closed_forms", unreachable)
+        assert main(["verify", "--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --seed must lie in [0, 2**63), got {seed}\n"
+        assert captured.out == ""
+
     def test_case_subcommand(self, capsys):
         assert main(["case", "lahiri1999"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -8,11 +8,16 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
+from scipy.special import xlog1py, xlogy
 
 import qspr
+import qspr.oracle
 from qspr.oracle import (
     TruncationError,
     _coherent_amplitudes,
+    _squeeze_sectors,
+    _thinning_logs,
+    _thinning_matrix,
     _tmsd_amplitudes,
     apply_channels,
     build_state,
@@ -54,7 +59,8 @@ def sparse_tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
 
 
 class TestSectorExponential:
-    @pytest.mark.parametrize("cutoff", [6, 40, 48])
+    # at cutoffs 1 and 2 every sector has one or two sites: the padding is the whole edge
+    @pytest.mark.parametrize("cutoff", [1, 2, 6, 40, 48])
     def test_matches_full_sparse_exponential(self, cutoff):
         for alpha_sq in (0.0, 0.1, 4.0):
             for r in (0.1, 0.5):
@@ -64,6 +70,28 @@ class TestSectorExponential:
                 assert np.max(np.abs(amps - ref)) <= 1e-12, (alpha_sq, r)
         if cutoff == 6:  # the one-site sector D = cutoff, |6, 0>, carries real weight
             assert abs(ref[6, 0]) > 0.3
+
+    # numpy's 1j ** arange(d) is exact only below j = 100 (3.9e-14 off by j = 199)
+    @pytest.mark.parametrize("cutoff", [1, 2, 120])
+    def test_fock_phases_are_exact(self, cutoff):
+        cycle = [(1, 1j, -1, -1j)[j % 4] for j in range(cutoff + 1)]
+        assert np.array_equal(_squeeze_sectors(cutoff).phases, np.array(cycle))
+
+    def test_sector_cache_is_built_once_per_cutoff(self, monkeypatch):
+        # one eigh_tridiagonal per sector at cutoff 40 and its cutoff + 8 check, then none
+        calls, original = [], qspr.oracle.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(qspr.oracle, "eigh_tridiagonal", counting)
+        _squeeze_sectors.cache_clear()
+        verify_closed_forms(tuples=20, cutoff=40)
+        assert len(calls) == 41 + 49
+        calls.clear()
+        verify_closed_forms(tuples=20, cutoff=40)
+        assert calls == []
 
     def test_import_leaves_scipy_sparse_out(self):
         code = "import sys, qspr.oracle; print([m for m in sys.modules if m.startswith('scipy.sparse')])"
@@ -170,6 +198,21 @@ class TestApplyChannels:
             P = apply_channels(state, T=0.37, eta_a=0.81, eta_b=0.64)
             assert np.all(P >= 0.0)
             assert P.sum() + state.tail_mass == pytest.approx(1.0, abs=1e-12)
+
+
+class TestThinningMatrix:
+    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
+    def test_matches_grid_formula_bitwise(self, p):
+        lost, log_binom = _thinning_logs(40)
+        k = np.arange(41)
+        grid = np.exp(log_binom + (xlogy(k, p) + xlog1py(lost, -p)))
+        assert np.array_equal(_thinning_matrix(40, p), grid)
+
+    def test_exact_endpoints(self):
+        assert np.array_equal(_thinning_matrix(40, 1.0), np.eye(41))
+        lose_all = np.zeros((41, 41))
+        lose_all[:, 0] = 1.0
+        assert np.array_equal(_thinning_matrix(40, 0.0), lose_all)
 
 
 class TestOracleMoments:
