@@ -37,6 +37,7 @@ from .probes import (
     midpoint_enhancement_map,
 )
 from .simulate import (
+    MAX_COUNT,
     PARAMETER_NAMES,
     LowSignalError,
     SimulationPlan,
@@ -98,6 +99,8 @@ class ExperimentConfig:
         for name in ("m_values", "nu_values"):
             if not all(v >= 1 for v in getattr(self, name) or ()):
                 raise ValueError(f"every entry of {name} must be >= 1")
+        if not all(m <= MAX_COUNT for m in self.m_values):
+            raise ValueError("every entry of m_values must be <= 2**32")
         for state in self.states:  # ProbeState checks N > 0, and N >= G - 1 for TMSD
             for n_mean in self.n_values:
                 _make_state(state, n_mean, self.tmsd_gain)
@@ -105,6 +108,8 @@ class ExperimentConfig:
             raise ValueError(f"tmsd_gain - 1 > {MAP_N_MAX:g} leaves the TMSD midpoint map empty")
         if self.p < 2:  # precision is a standard deviation over sets
             raise ValueError("p must be >= 2")
+        if self.p > MAX_COUNT:
+            raise ValueError("p must be <= 2**32")
         if not 0 <= self.seed < 2**63:
             raise ValueError("seed must lie in [0, 2**63)")
         if self.scenario not in {m.value for m in ScenarioMode}:
@@ -197,7 +202,8 @@ def _sensorgram_tables(config: ExperimentConfig, case, trace, T_L, scenario, nu:
         )
         for s in states
     ]
-    sample_traces = [synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[0] for plan in plans]
+    # sensorgram 0 of set 0 of every state, from one draw of its substream
+    sample_traces = synthesize_noisy_sensorgrams(T_L, plans, sets=[0])
     names = [s.kind.value for s in states]
     ideal = (
         "sensorgram_ideal.csv",

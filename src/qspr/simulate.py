@@ -11,21 +11,24 @@ kbar). A result keeps exactly that sample: ``kbars``, the p set averages of
 summary is derived from those two arrays.
 
 Randomness is counter-based: every (seed, set, sensorgram) triple owns a Philox
-substream, and normals are drawn by inverse transform (ndtri of the stream's
-uniforms). Results are therefore bit-identical for any execution order or
+substream, keyed as Philox(SeedSequence(entropy=seed, spawn_key=(set, j)))
+would be, and normals are drawn by inverse transform (ndtri of the stream's
+uniforms). The keys of a whole chunk come from one vectorised pass of
+SeedSequence's hash, and one re-keyed generator fills every row with its
+uniforms. Results are therefore bit-identical for any execution order or
 worker count, and plans that share a seed share the same underlying standard
 normals across states, nu and m (common random numbers).
 
 The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
-once and cuts the p sets into chunks of whole sets, sized by rows: a chunk
-holds at most ROWS_PER_CHUNK rows of all plans together (at least one set,
-at most SETS_PER_CHUNK). A chunk is one block fit (``qspr.fit.fit_sensorgrams``,
-one LM loop per segment): it draws its substreams once, for the largest m,
-and each plan reads the first m sensorgrams of every set. The block is handed
-over as the chunk's normals and each plan's noise law, and the fit builds one
-segment's columns of its rows at a time. A row of that fit is bitwise
-independent of the other rows, so a plan's result is the same whatever other
-plans share its run or its chunk.
+once and cuts the p sets into the fewest chunks of whole sets that hold at
+most ROWS_PER_CHUNK rows of all plans together (at least one set), with sizes
+that differ by at most one set. A chunk is one block fit
+(``qspr.fit.fit_sensorgrams``, one LM loop per segment): it draws its
+substreams once, for the largest m, and each plan reads the first m
+sensorgrams of every set. The block is handed over as the chunk's normals and
+each plan's noise law, and the fit builds one segment's columns of its rows at
+a time. A row of that fit is bitwise independent of the other rows, so a
+plan's result is the same whatever other plans share its run or its chunk.
 """
 from __future__ import annotations
 
@@ -41,15 +44,20 @@ from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
 PARAMETER_NAMES = ("k_a", "k_s", "k_d")
 UNRELIABLE_FAILURE_FRACTION = 0.2
-# most sets per chunk: the task size of a pooled run, so that runs of few
-# rows per set still spread over many tasks
-SETS_PER_CHUNK = 64
 # rows per chunk, whose plans share one block fit and one LM loop per segment:
 # fewer, larger chunks cost fewer loops; the fit's temporaries are bounded by
 # its slices (qspr.fit.ROWS_PER_SLICE), and each row adds about 1.3 KB of segment
 # data and LM state. The README sweep at p=5 (1,500 rows) is one chunk. Chunk
 # sizes depend on the plans only, never on the worker count.
 ROWS_PER_CHUNK = 2048
+# most sets per plan and sensorgrams per set: the substream keys hash each set
+# and sensorgram index as one uint32 word
+MAX_COUNT = 2**32
+# numpy.random.SeedSequence's hash constants (pool of 4 uint32 words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
 class LowSignalError(RuntimeError):
@@ -77,6 +85,9 @@ class SimulationPlan:
         for name in ("nu", "m", "p"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("m", "p"):
+            if getattr(self, name) > MAX_COUNT:
+                raise ValueError(f"{name} must be <= 2**32")
         if not 0 <= self.seed < 2**63:
             raise ValueError("seed must lie in [0, 2**63)")
         if not (self.tau_s > 0 and self.L0 > 0):
@@ -117,25 +128,69 @@ class TrialEnsembleResult:
         return self.failed_fit_count > UNRELIABLE_FAILURE_FRACTION * self.total_fits
 
 
-def sensorgram_substream(seed: int, set_index: int, sensorgram_index: int) -> np.random.Generator:
-    """Philox generator owned by one (seed, set, sensorgram) triple."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(set_index, sensorgram_index))
-    return np.random.Generator(np.random.Philox(ss))
+def _hashmix(init: int, mult: int):
+    """SeedSequence's hashmix: each call folds one word with the next constant of the sequence."""
+    const = init
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
 
 
-def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals by inverse transform (stable, documented algorithm)."""
-    u = np.maximum(rng.random(n), 2.0**-53)  # keep ndtri off the -inf endpoint
-    return ndtri(u)
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ result >> 16
+
+
+def _philox_keys(seed: int, sets, m: int) -> np.ndarray:
+    """(len(sets), m, 2) uint64 Philox keys of the (seed, set, sensorgram) substreams.
+
+    One vectorised pass of SeedSequence's hash over the entropy words
+    [seed_lo, seed_hi, 0, 0, set, j]: [i, j] equals the key of
+    Philox(SeedSequence(entropy=seed, spawn_key=(sets[i], j))) bit for bit.
+    """
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    # the seed fills the pool (padded with zeros), the same for every substream
+    pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    # then the spawn key, one word per index, is mixed into every pool word
+    pool = [np.full((len(sets), m), word, dtype=np.uint32) for word in pool]
+    for word in (np.asarray(sets, dtype=np.uint32)[:, None], np.arange(m, dtype=np.uint32)):
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(2, uint64): four output words, paired little-endian
+    output = _hashmix(_INIT_B, _MULT_B)
+    words = np.stack([output(word) for word in pool], axis=-1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
 def _substream_normals(seed: int, sets, m: int, n: int) -> np.ndarray:
-    """(sets, m, n) standard normals; [i, j] comes from the substream of set ``sets[i]``, sensorgram j."""
+    """(sets, m, n) standard normals; [i, j] comes from the substream of set ``sets[i]``, sensorgram j.
+
+    One Philox generator is re-keyed for every substream and restarted at
+    counter 0 with an empty buffer, as a new Philox with that key starts; the
+    normals are ndtri of its uniforms.
+    """
     Z = np.empty((len(sets), m, n))
-    for i, s in enumerate(sets):
-        for j in range(m):
-            Z[i, j] = standard_normals(sensorgram_substream(seed, s, j), n)
-    return Z
+    bit_generator = np.random.Philox(0)
+    uniforms = np.random.Generator(bit_generator)
+    fresh = bit_generator.state  # a copy: counter 0, empty buffer
+    for rows, keys in zip(Z, _philox_keys(seed, sets, m).tolist()):
+        for row, key in zip(rows, keys):
+            fresh["state"]["key"] = key
+            bit_generator.state = fresh
+            uniforms.random(out=row)
+    np.maximum(Z, 2.0**-53, out=Z)  # keep ndtri off the -inf endpoint
+    return ndtri(Z, out=Z)
 
 
 def _noise_law(plan: SimulationPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,16 +234,21 @@ class _NoisyRows:
         return out
 
 
-def synthesize_noisy_sensorgrams(transmittance, plan: SimulationPlan, sets) -> np.ndarray:
+def synthesize_noisy_sensorgrams(transmittance, plans, sets) -> np.ndarray:
     """Noisy measurement-space sensorgrams Mbar(t) of the given sets, one per row.
 
-    Row i*m + j is sensorgram j of set ``sets[i]``, drawn from its own
+    ``plans`` is one plan or several sharing a seed, whose rows follow plan
+    after plan; the sets' substreams are drawn once for all of them. Row
+    i*m + j of a plan is sensorgram j of set ``sets[i]``, drawn from its own
     (seed, set, sensorgram) substream; the sample-mean noise is dM/sqrt(nu).
     These are the rows that ``run_ensembles`` fits, bit for bit.
     """
+    plans = [plans] if isinstance(plans, SimulationPlan) else list(plans)
+    if len({plan.seed for plan in plans}) != 1:
+        raise ValueError("synthesize_noisy_sensorgrams needs one or more plans sharing a seed")
     T = np.asarray(transmittance, dtype=float)
-    Z = _substream_normals(plan.seed, sets, plan.m, T.size)
-    return _NoisyRows(Z, [(plan.m, *_noise_law(plan, T))]).columns(0, T.size)
+    Z = _substream_normals(plans[0].seed, sets, max(plan.m for plan in plans), T.size)
+    return _NoisyRows(Z, [(plan.m, *_noise_law(plan, T)) for plan in plans]).columns(0, T.size)
 
 
 def _fit_chunk(
@@ -233,19 +293,31 @@ def _summarize(plan: SimulationPlan, kbars: np.ndarray, usable: np.ndarray) -> T
     return TrialEnsembleResult(kbars=kbars, usable=usable, plan=plan)
 
 
+def _chunks(p: int, rows_per_set: int) -> list[range]:
+    """[0, p) as the fewest runs of whole sets of at most ROWS_PER_CHUNK rows (at least one set).
+
+    Chunk sizes differ by at most one set, so a pooled run splits evenly.
+    """
+    count = -(-p // max(1, ROWS_PER_CHUNK // rows_per_set))
+    bounds = [p * k // count for k in range(count + 1)]
+    return [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
+
+
 def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsembleResult]:
     """Simulate p sets of m noisy sensorgrams per plan and summarize each kbar distribution.
 
-    The plans must share seed, p >= 2, tau_s and L0. Sets are processed in chunks
-    of whole sets, at most ROWS_PER_CHUNK rows of all plans together (at least
-    one set, at most SETS_PER_CHUNK), serially or spread over ``workers``
-    processes (one pool for all plans); each chunk draws every (seed, set,
-    sensorgram) substream once for all plans and is one block fit. Chunk sizes
-    depend on the plans only. Non-converged fits are excluded from their set's
-    average and counted; a set with no converged fits at all aborts with
-    LowSignalError, raised for the first such plan in the order given. A
-    result is flagged unreliable when more than 20% of its fits failed. Output
-    is independent of ``workers`` and of the other plans.
+    The plans must share seed, p >= 2, tau_s and L0. Sets are processed in the
+    fewest chunks of whole sets that hold at most ROWS_PER_CHUNK rows of all
+    plans together (at least one set), with sizes that differ by at most one
+    set, serially or spread over ``workers`` processes (one pool for all
+    plans). Each chunk derives the keys of all its (seed, set, sensorgram)
+    substreams in one batched hash, draws each substream once for all plans
+    and is one block fit. Chunk sizes depend on the plans only.
+    Non-converged fits are excluded from their set's average and counted; a
+    set with no converged fits at all aborts with LowSignalError, raised for
+    the first such plan in the order given. A result is flagged unreliable
+    when more than 20% of its fits failed. Output is independent of
+    ``workers`` and of the other plans.
     """
     plans = list(plans)
     if len({(plan.seed, plan.p, plan.tau_s, plan.L0) for plan in plans}) != 1:
@@ -260,9 +332,7 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
         raise ValueError("workers must be >= 1")
     laws = [_noise_law(plan, T) for plan in plans]
     worker = partial(_fit_chunk, plans=plans, laws=laws, t=t)
-    p = plans[0].p
-    size = max(1, min(SETS_PER_CHUNK, ROWS_PER_CHUNK // sum(plan.m for plan in plans)))
-    chunks = [range(first, min(first + size, p)) for first in range(0, p, size)]
+    chunks = _chunks(plans[0].p, sum(plan.m for plan in plans))
     workers = min(workers, len(chunks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

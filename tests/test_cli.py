@@ -268,6 +268,25 @@ class TestConfigDocuments:
         assert err.startswith("error: config key 'nu_values'") and err.count("\n") == 1
         assert "integers must fit int64" in err
 
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"p": 2**32 + 1}, "p must be <= 2**32"),
+            ({"m_values": [2, 2**32 + 1]}, "every entry of m_values must be <= 2**32"),
+        ],
+        ids=["p", "m_values"],
+    )
+    def test_counts_above_one_key_word_exit_2(self, tmp_path, capsys, doc, message):
+        # set and sensorgram indices are one uint32 word each in the substream keys
+        assert ExperimentConfig(p=2**32, m_values=(2**32,)).p == 2**32
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in ("run", "sensorgram"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not out.exists(), command
+
     def test_cli_import_leaves_scipy_stats_out(self):
         # neither scipy.stats nor the oracle (and its scipy.linalg) is imported
         # before ``qspr verify`` needs it
@@ -336,24 +355,28 @@ class TestRunExperiment:
 
     def test_run_builds_each_substream_once(self, tmp_path, monkeypatch):
         # every plan of the run, twins included, reads one draw of each
-        # (seed, set, sensorgram) substream across two chunks of sets
+        # (seed, set, sensorgram) substream across several chunks of sets
         import qspr.simulate as simulate
 
-        real = simulate.sensorgram_substream
-        built = Counter()
+        real = simulate._philox_keys
+        built, calls = Counter(), []
 
-        def counting(seed, set_index, sensorgram_index):
-            built[seed, set_index, sensorgram_index] += 1
-            return real(seed, set_index, sensorgram_index)
+        def counting(seed, sets, m):
+            calls.append(len(sets))
+            built.update((seed, s, j) for s in sets for j in range(m))
+            return real(seed, sets, m)
 
-        monkeypatch.setattr(simulate, "sensorgram_substream", counting)
-        p = simulate.SETS_PER_CHUNK + 3
+        monkeypatch.setattr(simulate, "_philox_keys", counting)
+        # 15 rows per set (both twins are the TMC plans): chunks of at most 2 sets
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 40)
+        p = 7
         cfg = tiny_config(tmp_path / "out", states=("tmc", "tmf", "tmsv"), m_values=(2, 3), p=p)
         run_experiment(cfg)
         expected = Counter({(cfg.seed, s, j): 1 for s in range(p) for j in range(3)})
-        # plus one draw per state for the single noisy realization of sensorgram_sample.csv
-        expected[cfg.seed, 0, 0] += len(cfg.states)
+        # plus one draw for the noisy realization of every state in sensorgram_sample.csv
+        expected[cfg.seed, 0, 0] += 1
         assert built == expected
+        assert calls == [1, 2, 2, 2, 1]  # four chunks, then the sample draw
 
     def test_manifest_round_trip(self, tmp_path):
         cfg = tiny_config(tmp_path / "a")

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from substream_reference import sensorgram_substream, standard_normals
 
 import qspr.fit as fit_module
 import qspr.simulate as simulate
@@ -17,8 +18,6 @@ from qspr.simulate import (
     enhancement_Rk,
     m_enhancement,
     run_ensembles,
-    sensorgram_substream,
-    standard_normals,
     synthesize_noisy_sensorgrams,
 )
 
@@ -46,9 +45,9 @@ def make_plan(kind=ProbeKind.TMC, nu=1000, m=3, p=5, seed=99, n_mean=10.0, scena
     )
 
 
-def zero_normals(rng, n):
-    """Stand-in for ``standard_normals`` that draws no noise at all."""
-    return np.zeros(n)
+def zero_normals(seed, sets, m, n):
+    """Stand-in for ``_substream_normals`` that draws no noise at all."""
+    return np.zeros((len(sets), m, n))
 
 
 def same(a, b) -> bool:
@@ -62,23 +61,43 @@ def same(a, b) -> bool:
 
 class TestSubstreams:
     def test_repeatable_and_disjoint(self):
-        a1 = standard_normals(sensorgram_substream(7, 2, 3), 100)
-        a2 = standard_normals(sensorgram_substream(7, 2, 3), 100)
-        b = standard_normals(sensorgram_substream(7, 3, 2), 100)
+        a1 = simulate._substream_normals(7, [2], 4, 100)[0, 3]
+        a2 = simulate._substream_normals(7, [2, 3], 4, 100)[0, 3]
+        b = simulate._substream_normals(7, [3], 4, 100)[0, 2]
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
     def test_normals_are_standard(self):
-        z = standard_normals(sensorgram_substream(1, 0, 0), 200_000)
+        z = simulate._substream_normals(1, [0], 1, 200_000)[0, 0]
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_batched_keys_equal_seed_sequence_keys(self, seed):
+        # the seed takes one or two entropy words, each index one: the widest
+        # values of every word against numpy's own SeedSequence and Philox
+        sets = [0, 1, 2**32 - 1]
+        keys = simulate._philox_keys(seed, sets, 2)
+        assert keys.shape == (3, 2, 2) and keys.dtype == np.uint64
+        for i, set_index in enumerate(sets):
+            for j in range(2):
+                ss = np.random.SeedSequence(entropy=seed, spawn_key=(set_index, j))
+                assert np.array_equal(keys[i, j], np.random.Philox(ss).state["state"]["key"])
+
+    @pytest.mark.parametrize("m", [1, 2, 10])
+    def test_normals_equal_per_substream_draws(self, m):
+        Z = simulate._substream_normals(99, [4, 1], m, 221)
+        for i, set_index in enumerate([4, 1]):
+            for j in range(m):
+                ref = standard_normals(sensorgram_substream(99, set_index, j), 221)
+                assert np.array_equal(Z[i, j], ref), (set_index, j)
 
 
 class TestSynthesize:
     def test_zero_noise_returns_mean(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
         plan = make_plan()
-        monkeypatch.setattr(simulate, "standard_normals", zero_normals)
+        monkeypatch.setattr(simulate, "_substream_normals", zero_normals)
         got = synthesize_noisy_sensorgrams(T_L, plan, sets=[0, 1])
         assert got.shape == (2 * plan.m, t.size)
         for row in got:
@@ -105,6 +124,17 @@ class TestSynthesize:
                 assert np.array_equal(block[i * plan.m + j], mean + sigma * z)
         assert np.array_equal(synthesize_noisy_sensorgrams(T_L, plan, sets=[1]), block[plan.m :])
 
+    def test_plans_share_one_draw(self, kausaite_ideal):
+        # several plans sharing a seed read one draw: their rows, plan after
+        # plan, are each plan's own rows bit for bit
+        t, T_L = kausaite_ideal
+        plans = [make_plan(m=3), make_plan(kind=ProbeKind.TMSV, nu=300, m=1), make_plan(m=2)]
+        together = synthesize_noisy_sensorgrams(T_L, plans, sets=[4, 1])
+        alone = [synthesize_noisy_sensorgrams(T_L, plan, sets=[4, 1]) for plan in plans]
+        assert np.array_equal(together, np.concatenate(alone))
+        with pytest.raises(ValueError, match="sharing a seed"):
+            synthesize_noisy_sensorgrams(T_L, [plans[0], make_plan(seed=100)], sets=[0])
+
     def test_sample_mean_matches_specified_law(self, kausaite_ideal):
         t, T_L = kausaite_ideal
         plan = make_plan(nu=100, m=10_000, p=1)
@@ -126,7 +156,7 @@ class TestRunEnsemble:
     def test_zero_noise_collapses_to_ideal_fit(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
         plan = make_plan(p=4, m=2)
-        monkeypatch.setattr(simulate, "standard_normals", zero_normals)
+        monkeypatch.setattr(simulate, "_substream_normals", zero_normals)
         res = run_ensembles([plan], t, T_L)[0]  # serial: the patch reaches every draw
         ideal = fit_sensorgrams(
             t, mean_M(plan.state, T_L, 1.0, 1.0)[None], plan.tau_s, plan.L0
@@ -145,10 +175,12 @@ class TestRunEnsemble:
         assert res.failed_fit_count == 0
         assert abs(res.estimate[2] - 7.771e-3) < 3.0 * res.precision[2]  # k_d
 
-    def test_parallel_execution_identical(self, kausaite_ideal):
+    def test_parallel_execution_identical(self, kausaite_ideal, monkeypatch):
         # three chunks of sets, so every worker count splits the work differently
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=200, m=2, p=2 * simulate.SETS_PER_CHUNK + 6, seed=5)
+        plan = make_plan(nu=200, m=2, p=134, seed=5)
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 100)  # 45, 45 and 44 sets
+        assert len(simulate._chunks(plan.p, plan.m)) == 3
         serial = run_ensembles([plan], t, T_L, workers=1)[0]
         for workers in (2, 3):
             parallel = run_ensembles([plan], t, T_L, workers=workers)[0]
@@ -252,11 +284,12 @@ class TestRunEnsemble:
 
 
 class TestRunEnsembles:
-    def test_equals_per_plan_runs(self, kausaite_ideal):
+    def test_equals_per_plan_runs(self, kausaite_ideal, monkeypatch):
         # mixed states, nu and m over two chunks of sets: each plan's result is
         # exactly its result when run alone, for any worker count
         t, T_L = kausaite_ideal
-        p = simulate.SETS_PER_CHUNK + 3
+        p = 67
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 340)  # 34 sets of 10 rows
         plans = [
             make_plan(kind=ProbeKind.TMF, nu=300, m=2, p=p),
             make_plan(kind=ProbeKind.TMC, nu=1000, m=3, p=p),
@@ -282,8 +315,9 @@ class TestRunEnsembles:
 
     @pytest.mark.parametrize("rows_per_chunk", [None, 100, 30], ids=["default", "100", "30"])
     def test_each_chunk_is_one_fit_of_whole_sets(self, kausaite_ideal, monkeypatch, rows_per_chunk):
-        # 40 rows per set: 64 sets would be 2,560 rows, so at the default budget
-        # a chunk holds 51 sets; a budget below m still fits one whole set
+        # 40 rows per set: at the default budget a chunk holds at most 51 sets,
+        # so the 70 sets are two chunks of 35; a budget below m still fits one
+        # whole set
         t, T_L = kausaite_ideal
         plan = make_plan(m=40, p=70, seed=42)
         if rows_per_chunk:
@@ -301,6 +335,27 @@ class TestRunEnsembles:
         run_ensembles([plan], t, T_L)
         assert max(rows for rows, _ in calls) <= max(simulate.ROWS_PER_CHUNK, plan.m)
         assert [s for _, sets in calls for s in sets] == list(range(plan.p))
+
+    @pytest.mark.parametrize(
+        "p,rows_per_set,budget,sizes",
+        [
+            (1500, 2, None, [750, 750]),  # --paper-fidelity, one plan with m=2
+            (5, 300, None, [5]),  # the README sweep at p=5 is one chunk
+            (70, 40, 100, [2] * 35),
+            (71, 40, 100, [2] * 35 + [1]),
+            (7, 40, 30, [1] * 7),
+            (200, 300, None, [6] * 30 + [5] * 4),  # the README sweep at p=200
+        ],
+    )
+    def test_chunks_are_equal_runs_of_whole_sets(self, monkeypatch, p, rows_per_set, budget, sizes):
+        # the fewest chunks within the row budget (at least one set each), whose
+        # sizes differ by at most one set
+        if budget:
+            monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", budget)
+        chunks = simulate._chunks(p, rows_per_set)
+        assert sorted(len(chunk) for chunk in chunks) == sorted(sizes)
+        assert [s for chunk in chunks for s in chunk] == list(range(p))
+        assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
 
     def test_first_failing_plan_in_given_order_raises(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
@@ -445,6 +500,13 @@ class TestEnhancementRatios:
 
 
 class TestPlanValidation:
+    def test_counts_bounded_by_one_key_word(self):
+        # set and sensorgram indices are one uint32 word each in the substream keys
+        assert make_plan(m=2**32, p=2**32).p == 2**32
+        for name in ("m", "p"):
+            with pytest.raises(ValueError, match=f"{name} must be <= 2\\*\\*32"):
+                make_plan(**{name: 2**32 + 1})
+
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
             make_plan(p=0)
