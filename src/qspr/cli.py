@@ -47,6 +47,7 @@ from .simulate import (
 )
 
 PAPER_FIDELITY_SETS = 1500
+VERIFY_TOLERANCE = 1e-6  # largest deviation from the oracle that ``qspr verify`` passes
 MAP_N_MAX = 1e4  # midpoint maps span N in [10, MAP_N_MAX]; a TMSD map keeps N >= G - 1
 RESULT_COLUMNS = (
     "case",
@@ -149,31 +150,26 @@ def _make_state(name: str, n_mean: float, tmsd_gain: float) -> ProbeState:
     return ProbeState(kind=kind, n_mean=n_mean)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))  # shortest round-trip decimal
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
 def _write_tables(out_dir: Path, tables: list[tuple[str, tuple[str, ...], list]]) -> list[Path]:
     """Create ``out_dir`` and write each (file name, header, rows) table into it as a CSV.
 
-    Cells are joined without quoting, which gives the bytes of ``csv.writer``
-    only because no cell holds a comma, a quote or a line break: numbers never
-    do, and config load admits text cells (case, state and scenario names)
-    from fixed vocabularies only.
+    A cell (``str``, ``int``, ``float`` or numpy ``float64``/``int64``) is
+    written as ``str(cell)``: an integer's digits, a float's shortest decimal
+    that reads back as the same double (numpy's ``str`` of a float64 is the
+    ``repr`` of the equal Python float). Cells are joined without quoting,
+    which gives the bytes of ``csv.writer`` only because no cell holds a
+    comma, a quote or a line break: numbers never do, and config load admits
+    text cells (case, state and scenario names) from fixed vocabularies only.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, header, rows in tables:
-        lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+        lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
         (out_dir / name).write_text("\n".join(lines) + "\n", newline="")
     return [out_dir / name for name, _, _ in tables]
 
 
 def _columns_as_rows(*columns: np.ndarray) -> list[tuple]:
-    # Python floats: _fmt formats them without a numpy scalar round trip
+    # Python floats: str formats them without a numpy scalar round trip
     return list(zip(*(column.tolist() for column in columns)))
 
 
@@ -220,20 +216,17 @@ def _sensorgram_tables(config: ExperimentConfig, case, trace, T_L, scenario, nu:
     return [ideal, sample]
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    threads: int = 1,
-    paper_fidelity: bool = False,
-) -> dict:
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     """Execute the sweep, write all artifacts into ``config.output_dir`` and return the manifest.
 
-    Every ensemble, midpoint map and sensorgram is computed before the first
-    file is written, so a run that fails (for example with LowSignalError)
-    leaves no partial output behind.
+    The run is exactly ``config`` (p sets per ensemble) and the manifest
+    records ``config.to_dict()``, so the manifest as a config reproduces every
+    CSV; ``threads`` changes no output. Every ensemble, midpoint map and
+    sensorgram is computed before the first file is written, so a run that
+    fails (for example with LowSignalError) leaves no partial output behind.
     """
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
-    p = max(config.p, PAPER_FIDELITY_SETS) if paper_fidelity else config.p
     points = []  # (state name, N, plan, its classical twin or None)
     for state_name in config.states:
         for n_mean in config.n_values:
@@ -241,7 +234,7 @@ def run_experiment(
             for nu in nu_values:
                 for m in config.m_values:
                     plan = SimulationPlan(
-                        nu=int(nu), m=int(m), p=int(p), seed=config.seed, state=state,
+                        nu=int(nu), m=int(m), p=int(config.p), seed=config.seed, state=state,
                         scenario=scenario, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
                     )
                     twin = None
@@ -309,7 +302,7 @@ def run_experiment(
     written = _write_tables(out_dir, tables)
     manifest = {
         "schema_version": 1,
-        "config": {**config.to_dict(), "p": p},
+        "config": config.to_dict(),
         "versions": {
             "qspr": __version__,
             "numpy": np.__version__,
@@ -327,7 +320,9 @@ def run_experiment(
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    manifest = run_experiment(config, threads=args.threads, paper_fidelity=args.paper_fidelity)
+    if args.paper_fidelity:
+        config = replace(config, p=max(config.p, PAPER_FIDELITY_SETS))
+    manifest = run_experiment(config, threads=args.threads)
     for name in (*manifest["outputs"], "manifest.json"):
         print(f"wrote {Path(config.output_dir) / name}")
     print(f"done in {manifest['runtime_seconds']:.1f}s")
@@ -349,8 +344,6 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     if not 0 <= args.seed < 2**63:
         raise ValueError(f"--seed must lie in [0, 2**63), got {args.seed}")
     # imported here: no other command needs the oracle or scipy.linalg
@@ -363,7 +356,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
     failed = False
     for report in reports:
-        status = "ok" if report.max_dev <= args.tol else "FAIL"
+        status = "ok" if report.max_dev <= VERIFY_TOLERANCE else "FAIL"
         failed |= status == "FAIL"
         print(
             f"{report.kind.value:5s} tuples={report.tuples} cutoff={report.cutoff} "
@@ -427,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="oracle check of the closed forms")
     verify_p.add_argument("--cutoff", type=int, default=40)
     verify_p.add_argument("--tuples", type=int, default=50)
-    verify_p.add_argument("--tol", type=float, default=1e-6)
     verify_p.add_argument("--seed", type=int, default=2024)
     verify_p.set_defaults(func=_cmd_verify)
 

@@ -278,7 +278,7 @@ def _fit_dissociation(t_rel: np.ndarray, Y_d: np.ndarray) -> LMSolution:
         J[..., 2] *= decay
         R = np.multiply(a, decay, out=decay)  # b + a*decay - y, one buffer
         R += b
-        R -= Y_d if len(rows) == len(Y_d) else Y_d[rows]
+        R -= Y_d[rows]
         return R, J
 
     return lm_solve(resid, _sliced(partial(_dissociation_warm_start, t_rel), Y_d))
@@ -297,7 +297,7 @@ def _fit_association(t: np.ndarray, Y_a: np.ndarray, baseline: np.ndarray) -> LM
         J[..., 1] *= decay
         R = np.multiply(a_inf, rise, out=decay)  # baseline + a_inf*rise - y, one buffer
         R += baseline[rows, None]
-        R -= Y_a if len(rows) == len(Y_a) else Y_a[rows]
+        R -= Y_a[rows]
         return R, J
 
     return lm_solve(resid, _sliced(partial(_association_warm_start, t), Y_a, baseline))

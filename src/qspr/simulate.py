@@ -32,6 +32,8 @@ plan's result is the same whatever other plans share its run or its chunk.
 """
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -241,11 +243,14 @@ def synthesize_noisy_sensorgrams(transmittance, plans, sets) -> np.ndarray:
     after plan; the sets' substreams are drawn once for all of them. Row
     i*m + j of a plan is sensorgram j of set ``sets[i]``, drawn from its own
     (seed, set, sensorgram) substream; the sample-mean noise is dM/sqrt(nu).
-    These are the rows that ``run_ensembles`` fits, bit for bit.
+    These are the rows that ``run_ensembles`` fits, bit for bit. Every set
+    index must be an integer in [0, MAX_COUNT), one word of the substream key.
     """
     plans = [plans] if isinstance(plans, SimulationPlan) else list(plans)
     if len({plan.seed for plan in plans}) != 1:
         raise ValueError("synthesize_noisy_sensorgrams needs one or more plans sharing a seed")
+    if not all(isinstance(s, (int, np.integer)) and 0 <= s < MAX_COUNT for s in sets):
+        raise ValueError("sets must be integer set indices in [0, 2**32)")
     T = np.asarray(transmittance, dtype=float)
     Z = _substream_normals(plans[0].seed, sets, max(plan.m for plan in plans), T.size)
     return _NoisyRows(Z, [(plan.m, *_noise_law(plan, T)) for plan in plans]).columns(0, T.size)
@@ -293,14 +298,14 @@ def _summarize(plan: SimulationPlan, kbars: np.ndarray, usable: np.ndarray) -> T
     return TrialEnsembleResult(kbars=kbars, usable=usable, plan=plan)
 
 
-def _chunks(p: int, rows_per_set: int) -> list[range]:
-    """[0, p) as the fewest runs of whole sets of at most ROWS_PER_CHUNK rows (at least one set).
+def _chunk_count(p: int, rows_per_set: int) -> int:
+    """How many runs of whole sets of at most ROWS_PER_CHUNK rows (at least one set) cover p sets."""
+    return -(-p // max(1, ROWS_PER_CHUNK // rows_per_set))
 
-    Chunk sizes differ by at most one set, so a pooled run splits evenly.
-    """
-    count = -(-p // max(1, ROWS_PER_CHUNK // rows_per_set))
-    bounds = [p * k // count for k in range(count + 1)]
-    return [range(first, stop) for first, stop in zip(bounds, bounds[1:])]
+
+def _chunks(p: int, count: int) -> Iterator[range]:
+    """[0, p) as ``count`` runs of whole sets, one at a time; sizes differ by at most one set."""
+    return (range(p * k // count, p * (k + 1) // count) for k in range(count))
 
 
 def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsembleResult]:
@@ -310,7 +315,8 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     fewest chunks of whole sets that hold at most ROWS_PER_CHUNK rows of all
     plans together (at least one set), with sizes that differ by at most one
     set, serially or spread over ``workers`` processes (one pool for all
-    plans). Each chunk derives the keys of all its (seed, set, sensorgram)
+    plans, at most two chunks per worker in flight, results collected in set
+    order). Each chunk derives the keys of all its (seed, set, sensorgram)
     substreams in one batched hash, draws each substream once for all plans
     and is one block fit. Chunk sizes depend on the plans only.
     Non-converged fits are excluded from their set's average and counted; a
@@ -332,11 +338,17 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
         raise ValueError("workers must be >= 1")
     laws = [_noise_law(plan, T) for plan in plans]
     worker = partial(_fit_chunk, plans=plans, laws=laws, t=t)
-    chunks = _chunks(plans[0].p, sum(plan.m for plan in plans))
-    workers = min(workers, len(chunks))
+    count = _chunk_count(plans[0].p, sum(plan.m for plan in plans))
+    chunks = _chunks(plans[0].p, count)
+    workers = min(workers, count)
     if workers > 1:
+        per_chunk, pending = [], deque()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_chunk = list(pool.map(worker, chunks))
+            for chunk in chunks:  # submitted as results are collected, in set order
+                pending.append(pool.submit(worker, chunk))
+                if len(pending) == 2 * workers:
+                    per_chunk.append(pending.popleft().result())
+            per_chunk += [future.result() for future in pending]
     else:
         per_chunk = map(worker, chunks)
     return [
@@ -345,31 +357,14 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     ]
 
 
-def _require_matching(a: SimulationPlan, b: SimulationPlan, ignore: tuple[str, ...]) -> None:
-    normalized_a = replace(a, **{f: getattr(b, f) for f in ignore})
-    if normalized_a != b:
-        raise ValueError(f"plans differ beyond {ignore}; enhancement ratios are not comparable")
-
-
 def enhancement_Rk(classical: TrialEnsembleResult, quantum: TrialEnsembleResult) -> dict[str, float]:
     """Kinetic enhancement R_k = precision(classical)/precision(quantum) per parameter.
 
     The two plans must agree in everything except the probe state, and the
     states must carry the same signal-mode photon number.
     """
-    _require_matching(classical.plan, quantum.plan, ignore=("state",))
+    if replace(classical.plan, state=quantum.plan.state) != quantum.plan:
+        raise ValueError("plans differ beyond the probe state; enhancement ratios are not comparable")
     if classical.plan.state.n_mean != quantum.plan.state.n_mean:
         raise ValueError("states must carry matching signal-mode photon numbers")
     return dict(zip(PARAMETER_NAMES, (classical.precision / quantum.precision).tolist()))
-
-
-def m_enhancement(
-    larger_m: TrialEnsembleResult, smaller_m: TrialEnsembleResult
-) -> dict[str, float]:
-    """Precision gain from a larger set size: precision(m')/precision(m) per parameter.
-
-    Plans must be identical apart from m. By the 1/sqrt(m) law the expected
-    value is sqrt(m/m') for every probe state, classical included.
-    """
-    _require_matching(larger_m.plan, smaller_m.plan, ignore=("m",))
-    return dict(zip(PARAMETER_NAMES, (smaller_m.precision / larger_m.precision).tolist()))

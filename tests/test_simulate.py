@@ -1,6 +1,7 @@
 """Monte Carlo ensemble engine: determinism, noise law, aggregation policy."""
 import dataclasses
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from qspr.simulate import (
     LowSignalError,
     SimulationPlan,
     enhancement_Rk,
-    m_enhancement,
     run_ensembles,
     synthesize_noisy_sensorgrams,
 )
@@ -145,6 +145,15 @@ class TestSynthesize:
         assert abs(draws.mean() - mu) < 4.0 * sigma / np.sqrt(draws.size)
         assert draws.std() == pytest.approx(sigma, rel=0.05)
 
+    @pytest.mark.parametrize("bad", [2**32, -1, 1.5], ids=["2**32", "negative", "fraction"])
+    def test_rejects_set_indices_outside_one_key_word(self, kausaite_ideal, bad):
+        # a set index is one uint32 word of its substreams' keys
+        _, T_L = kausaite_ideal
+        plan = make_plan()
+        assert synthesize_noisy_sensorgrams(T_L, plan, sets=[2**32 - 1]).shape == (plan.m, T_L.size)
+        with pytest.raises(ValueError, match="^sets must"):
+            synthesize_noisy_sensorgrams(T_L, plan, sets=[0, bad])
+
     def test_rejects_unphysical_transmittance(self, kausaite_ideal):
         t, _ = kausaite_ideal
         plan = make_plan()
@@ -180,7 +189,7 @@ class TestRunEnsemble:
         t, T_L = kausaite_ideal
         plan = make_plan(nu=200, m=2, p=134, seed=5)
         monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 100)  # 45, 45 and 44 sets
-        assert len(simulate._chunks(plan.p, plan.m)) == 3
+        assert simulate._chunk_count(plan.p, plan.m) == 3
         serial = run_ensembles([plan], t, T_L, workers=1)[0]
         for workers in (2, 3):
             parallel = run_ensembles([plan], t, T_L, workers=workers)[0]
@@ -352,10 +361,39 @@ class TestRunEnsembles:
         # sizes differ by at most one set
         if budget:
             monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", budget)
-        chunks = simulate._chunks(p, rows_per_set)
+        chunks = list(simulate._chunks(p, simulate._chunk_count(p, rows_per_set)))
         assert sorted(len(chunk) for chunk in chunks) == sorted(sizes)
         assert [s for chunk in chunks for s in chunk] == list(range(p))
         assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+
+    def test_pool_bounds_chunks_in_flight(self, kausaite_ideal, monkeypatch):
+        # 20 chunks of one set on 2 workers: a chunk is submitted only while
+        # fewer than 4 submitted chunks are uncollected, and results are
+        # collected in set order, so they equal the serial run bit for bit
+        t, T_L = kausaite_ideal
+        plan = make_plan(nu=300, m=2, p=20, seed=5)
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", plan.m)
+        outstanding, in_flight = set(), []
+
+        class CountingPool(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                collect = future.result
+
+                def result(timeout=None):
+                    outstanding.discard(future)
+                    return collect(timeout)
+
+                future.result = result
+                outstanding.add(future)
+                in_flight.append(len(outstanding))
+                return future
+
+        serial = run_ensembles([plan], t, T_L)[0]
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        pooled = run_ensembles([plan], t, T_L, workers=2)[0]
+        assert len(in_flight) == 20 and max(in_flight) == 4
+        assert same(serial, pooled)
 
     def test_first_failing_plan_in_given_order_raises(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
@@ -479,23 +517,12 @@ class TestEnhancementRatios:
         with pytest.raises(ValueError, match="photon"):
             enhancement_Rk(a, b)
 
-    def test_m_enhancement_identity(self, kausaite_ideal):
-        t, T_L = kausaite_ideal
-        res = run_ensembles([make_plan(nu=300, m=2, p=4)], t, T_L)[0]
-        assert m_enhancement(res, res) == {"k_a": 1.0, "k_s": 1.0, "k_d": 1.0}
-
-    def test_m_enhancement_requires_matched_plans(self, kausaite_ideal):
-        t, T_L = kausaite_ideal
-        a, b = run_ensembles([make_plan(nu=300, m=2, p=4), make_plan(nu=600, m=4, p=4)], t, T_L)
-        with pytest.raises(ValueError, match="plans differ"):
-            m_enhancement(b, a)
-
     def test_quadrupling_m_doubles_precision(self, kausaite_ideal):
         t, T_L = kausaite_ideal
         plans = [make_plan(nu=100, m=m, p=150, seed=42) for m in (10, 40)]
         r10, r40 = run_ensembles(plans, t, T_L, workers=2)
-        gains = m_enhancement(r40, r10)
-        for name, gain in gains.items():
+        gains = r10.precision / r40.precision
+        for name, gain in zip(simulate.PARAMETER_NAMES, gains):
             assert abs(gain / 2.0 - 1.0) < 0.15, (name, gain)
 
 
