@@ -283,6 +283,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     tables = _sensorgram_tables(config, case, trace, T_L, scenario, int(nu_values[0]))
     tables.append(("results.csv", RESULT_COLUMNS, result_rows))
     map_T = np.linspace(float(T_L.min()), float(T_L.max()), 41)
+    # each axis value formatted once, by position, for every row that repeats
+    # it (a cache keyed by value would merge 0.0 with -0.0)
+    T_cells = [str(T) for T in map_T.tolist()]
     for state_name in config.states:
         if state_name == ProbeKind.TMC.value:
             continue
@@ -293,8 +296,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
             ProbeKind(state_name), scenario, map_T, map_N, g=config.tmsd_gain
         )
         rows = [
-            (n, T, r) for n, row in zip(map_N.tolist(), grid.tolist())
-            for T, r in zip(map_T.tolist(), row)
+            (n, T, r) for n, row in zip(map(str, map_N.tolist()), grid.tolist())
+            for T, r in zip(T_cells, row)
         ]
         tables.append((f"midpoint_map_{state_name}.csv", ("N", "T", "R_M"), rows))
 

@@ -8,8 +8,10 @@ each row keeps only its squared norm and normal equations, so the loop's
 temporaries are bounded by the slice while its per-row state is a few hundred
 bytes. A row's result depends only on its own data, never on the rest of the
 block or on the slicing, and bitwise so: each segment is a C-ordered column
-range, so every row sum runs over one row's contiguous samples in one order,
-and the batched products and solves are evaluated one row at a time.
+range, so every row sum runs over one row's contiguous samples in one order;
+Jacobians are column-major, so every entry of a row's normal equations is one
+dot product of two contiguous vectors; and the batched solves are evaluated
+one row at a time.
 
 The solver drives a two-segment fit of a (B, n) block of sensorgrams sharing
 one time grid: the dissociation tail is fitted first for (baseline, amplitude,
@@ -58,12 +60,14 @@ class LMSolution:
 
 
 def _row_products(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row squared norm, J^T J and J^T r of residuals (k, n) and Jacobians (k, n, P)."""
-    if r.shape[1] < J.shape[2]:
+    """Per-row squared norm, J^T J and J^T r of residuals (k, n) and Jacobians (k, P, n).
+
+    Every entry is one dot product of two contiguous n-vectors of one row, the
+    one ``np.dot`` takes for that pair, whatever the number of rows k.
+    """
+    if r.shape[1] < J.shape[1]:
         raise ValueError("need at least as many data points as parameters")
-    Jt = J.transpose(0, 2, 1)
-    # one dot product per row, the same one ``r @ r`` takes for a single row
-    return (r[:, None, :] @ r[:, :, None])[:, 0, 0], Jt @ J, (Jt @ r[:, :, None])[:, :, 0]
+    return np.vecdot(r, r), np.vecdot(J[:, :, None, :], J[:, None, :, :]), np.vecdot(J, r[:, None, :])
 
 
 def _products(fun, X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -101,9 +105,10 @@ def lm_solve(
 ) -> LMSolution:
     """Minimize ||r_b(x_b)||^2 for every row b of a (B, P) parameter block.
 
-    ``fun(X, rows) -> (R, J)`` evaluates the residuals (k, n) and Jacobians
-    (k, n, P) of the block rows ``rows`` at their parameters ``X`` (k, P); it
-    sees at most ROWS_PER_SLICE rows per call. Levenberg-Marquardt with
+    ``fun(X, rows) -> (R, J)`` evaluates the residuals (k, n) and the
+    column-major Jacobians (k, P, n), one contiguous n-vector per parameter,
+    of the block rows ``rows`` at their parameters ``X`` (k, P); it sees at
+    most ROWS_PER_SLICE rows per call. Levenberg-Marquardt with
     multiplicative damping on the scaled normal equations; a step is accepted
     only if it strictly decreases the row's residual norm. A row that runs out
     of iterations or damping keeps its last iterate, flagged non-converged.
@@ -271,11 +276,11 @@ def _fit_dissociation(t_rel: np.ndarray, Y_d: np.ndarray) -> LMSolution:
         b, a, ln_kd = X[:, 0:1], X[:, 1:2], X[:, 2:3]
         kd = np.exp(np.clip(ln_kd, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
         decay = np.exp(-kd * t_rel)
-        J = np.empty(decay.shape + (3,))
-        J[..., 0] = 1.0
-        J[..., 1] = decay
-        np.multiply(-a * kd, t_rel, out=J[..., 2])
-        J[..., 2] *= decay
+        J = np.empty((len(X), 3, t_rel.size))
+        J[:, 0] = 1.0
+        J[:, 1] = decay
+        np.multiply(-a * kd, t_rel, out=J[:, 2])
+        J[:, 2] *= decay
         R = np.multiply(a, decay, out=decay)  # b + a*decay - y, one buffer
         R += b
         R -= Y_d[rows]
@@ -291,10 +296,10 @@ def _fit_association(t: np.ndarray, Y_a: np.ndarray, baseline: np.ndarray) -> LM
         a_inf, ln_ks = X[:, 0:1], X[:, 1:2]
         ks = np.exp(np.clip(ln_ks, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
         decay = np.exp(-ks * t)
-        J = np.empty(decay.shape + (2,))
-        rise = np.subtract(1.0, decay, out=J[..., 0])
-        np.multiply(a_inf * ks, t, out=J[..., 1])
-        J[..., 1] *= decay
+        J = np.empty((len(X), 2, t.size))
+        rise = np.subtract(1.0, decay, out=J[:, 0])
+        np.multiply(a_inf * ks, t, out=J[:, 1])
+        J[:, 1] *= decay
         R = np.multiply(a_inf, rise, out=decay)  # baseline + a_inf*rise - y, one buffer
         R += baseline[rows, None]
         R -= Y_a[rows]

@@ -49,8 +49,9 @@ UNRELIABLE_FAILURE_FRACTION = 0.2
 # rows per chunk, whose plans share one block fit and one LM loop per segment:
 # fewer, larger chunks cost fewer loops; the fit's temporaries are bounded by
 # its slices (qspr.fit.ROWS_PER_SLICE), and each row adds about 1.3 KB of segment
-# data and LM state. The README sweep at p=5 (1,500 rows) is one chunk. Chunk
-# sizes depend on the plans only, never on the worker count.
+# data and LM state (1,272 B in the fit-memory test). The README sweep at p=5
+# (1,500 rows) is one chunk. Chunk sizes depend on the plans only, never on the
+# worker count.
 ROWS_PER_CHUNK = 2048
 # most sets per plan and sensorgrams per set: the substream keys hash each set
 # and sensorgram index as one uint32 word

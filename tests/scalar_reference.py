@@ -30,6 +30,17 @@ class LMSolution:
     residual_norm: float
 
 
+def _normal_equations(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J^T r and J^T J of residuals (n,) and a Jacobian (n, P), one np.dot per entry.
+
+    Each entry is the dot product of two contiguous vectors, the sum the
+    batched engine forms for the same row.
+    """
+    columns = np.ascontiguousarray(J.T)
+    g = np.array([np.dot(col, r) for col in columns])
+    return g, np.array([[np.dot(a, b) for b in columns] for a in columns])
+
+
 def lm_solve(
     fun: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     x0,
@@ -47,14 +58,13 @@ def lm_solve(
     r, J = fun(x)
     if len(r) < len(x):
         raise ValueError("need at least as many data points as parameters")
-    ssq = float(r @ r)
+    ssq = float(np.dot(r, r))
     lam = DAMPING_INIT
     iterations = 0
     converged = False
 
     while iterations < MAX_ITERS:
-        g = J.T @ r
-        JtJ = J.T @ J
+        g, JtJ = _normal_equations(r, J)
         diag = np.diag(JtJ).copy()
         # scale-free first-order test: residual nearly orthogonal to every column
         col_norm = np.sqrt(np.maximum(diag, 0.0)) * max(np.sqrt(ssq), np.finfo(float).tiny)
@@ -74,7 +84,7 @@ def lm_solve(
             continue
         x_new = x + step
         r_new, J_new = fun(x_new)
-        ssq_new = float(r_new @ r_new)
+        ssq_new = float(np.dot(r_new, r_new))
         if np.isfinite(ssq_new) and ssq_new < ssq:
             reduction = ssq - ssq_new
             x, r, J, ssq = x_new, r_new, J_new, ssq_new

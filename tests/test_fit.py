@@ -26,7 +26,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             model = a * np.exp(-k * t)
-            J = np.stack([np.exp(-k * t), -a * t * np.exp(-k * t)], axis=-1)
+            J = np.stack([np.exp(-k * t), -a * t * np.exp(-k * t)], axis=1)
             return model - y, J
 
         sol = lm_solve(fun, [[2.0, 0.3]])
@@ -41,7 +41,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            return a * decay - y, np.stack([decay, -a * t * decay], axis=-1)
+            return a * decay - y, np.stack([decay, -a * t * decay], axis=1)
 
         sol = lm_solve(fun, [[1.0, 0.1]])
         assert sol.converged == (True,)
@@ -56,7 +56,7 @@ class TestLMSolve:
             a, b, k = X[:, :1], X[:, 1:2], X[:, 2:]
             decay = np.exp(-k * t)
             r = (a + b) * decay - y
-            J = np.stack([decay, decay, -(a + b) * t * decay], axis=-1)
+            J = np.stack([decay, decay, -(a + b) * t * decay], axis=1)
             return r, J
 
         sol = lm_solve(fun, [[1.0, 1.0, 0.1]])
@@ -74,7 +74,7 @@ class TestLMSolve:
             decay = np.exp(-k * t)
             r = a * decay + b - y
             costs.append(float(r[0] @ r[0]))
-            J = np.stack([decay, np.ones_like(decay), -a * t * decay], axis=-1)
+            J = np.stack([decay, np.ones_like(decay), -a * t * decay], axis=1)
             return r, J
 
         lm_solve(fun, [[1.0, 0.0, 0.5]])
@@ -95,7 +95,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            return a * decay - y, np.stack([decay, -a * t * decay], axis=-1)
+            return a * decay - y, np.stack([decay, -a * t * decay], axis=1)
 
         monkeypatch.setattr(fit_module, "MAX_ITERS", 3)
         sol = lm_solve(fun, [[1.0, 1.0]])
@@ -103,7 +103,7 @@ class TestLMSolve:
 
     def test_rejects_underdetermined_data(self):
         def fun(X, rows):
-            return X[:, :1] - 1.0, np.array([[[1.0, 0.0]]])
+            return X[:, :1] - 1.0, np.array([[[1.0], [0.0]]])
 
         with pytest.raises(ValueError):
             lm_solve(fun, [[0.0, 0.0]])
@@ -119,7 +119,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            return a * decay - Y[rows], np.stack([decay, -a * t * decay], axis=-1)
+            return a * decay - Y[rows], np.stack([decay, -a * t * decay], axis=1)
 
         x0 = np.array([[1.0, 0.1], [1.0, 0.01], [2.0, 0.3], [5.0, 0.04]])
         sol = lm_solve(fun, x0)
@@ -144,7 +144,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], np.exp(np.clip(X[:, 1:], -50.0, 50.0))
             decay = np.exp(-k * t)
-            return a * decay - Y[rows], np.stack([decay, -a * k * t * decay], axis=-1)
+            return a * decay - Y[rows], np.stack([decay, -a * k * t * decay], axis=1)
 
         x0 = np.tile([1.0, np.log(0.02)], (333, 1))
         default = lm_solve(fun, x0)
@@ -166,7 +166,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            J = np.stack([decay, -a * t * decay], axis=-1)
+            J = np.stack([decay, -a * t * decay], axis=1)
             J[rows == 1, 0, 0] = np.inf
             return a * decay - Y[rows], J
 
@@ -175,6 +175,27 @@ class TestLMSolve:
         assert np.array_equal(sol.x[1], [1.0, 0.01])
         alone = lm_solve(fun, [[1.0, 0.1]])
         assert np.array_equal(alone.x[0], sol.x[0]) and alone.iterations[0] == sol.iterations[0]
+
+
+class TestRowProducts:
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_entries_are_dots_of_contiguous_columns(self, rows):
+        # every entry of a row's normal equations is np.dot of two of that
+        # row's contiguous vectors, bit for bit, whatever the block size, and
+        # the row alone gives the same bits as the row inside the block
+        rng = np.random.default_rng(rows)
+        r = rng.standard_normal((rows, 111)) * np.exp(rng.uniform(-20.0, 20.0, (rows, 1)))
+        J = rng.standard_normal((rows, 3, 111)) * np.exp(rng.uniform(-20.0, 20.0, (rows, 3, 1)))
+        block = fit_module._row_products(r, J)
+        for i in range(rows):
+            expected = (
+                np.dot(r[i], r[i]),
+                [[np.dot(a, b) for b in J[i]] for a in J[i]],
+                [np.dot(a, r[i]) for a in J[i]],
+            )
+            alone = fit_module._row_products(r[i : i + 1], J[i : i + 1])
+            for whole, single, dots in zip(block, alone, expected):
+                assert np.array_equal(whole[i], dots) and np.array_equal(single[0], dots)
 
 
 @pytest.fixture(scope="module")
