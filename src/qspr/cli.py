@@ -49,6 +49,10 @@ from .simulate import (
 PAPER_FIDELITY_SETS = 1500
 VERIFY_TOLERANCE = 1e-6  # largest deviation from the oracle that ``qspr verify`` passes
 MAP_N_MAX = 1e4  # midpoint maps span N in [10, MAP_N_MAX]; a TMSD map keeps N >= G - 1
+# largest N: the fit squares signals of order N and sums them over the grid, and
+# its damping scales each term by up to 1e14; a term of at most 1e200 * 1e14
+# keeps a sum below the float max (1.8e308) for up to 1e94 samples
+MAX_N_MEAN = 1e100
 RESULT_COLUMNS = (
     "case",
     "state",
@@ -102,6 +106,8 @@ class ExperimentConfig:
                 raise ValueError(f"every entry of {name} must be >= 1")
         if not all(m <= MAX_COUNT for m in self.m_values):
             raise ValueError("every entry of m_values must be <= 2**32")
+        if not all(n <= MAX_N_MEAN for n in self.n_values):
+            raise ValueError(f"every entry of n_values must be <= {MAX_N_MEAN:g}")
         for state in self.states:  # ProbeState checks N > 0, and N >= G - 1 for TMSD
             for n_mean in self.n_values:
                 _make_state(state, n_mean, self.tmsd_gain)
@@ -227,7 +233,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     """
     started = time.perf_counter()
     case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
-    points = []  # (state name, N, plan, its classical twin or None)
+    points, twins = [], {}  # one plan per sweep point; a quantum plan's classical twin
     for state_name in config.states:
         for n_mean in config.n_values:
             state = _make_state(state_name, n_mean, config.tmsd_gain)
@@ -237,30 +243,30 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
                         nu=int(nu), m=int(m), p=int(config.p), seed=config.seed, state=state,
                         scenario=scenario, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
                     )
-                    twin = None
+                    points.append(plan)
                     if state.kind is not ProbeKind.TMC:
-                        twin = replace(plan, state=matched_classical_reference(state))
-                    points.append((state_name, n_mean, plan, twin))
+                        twins[plan] = replace(plan, state=matched_classical_reference(state))
     # every distinct plan once, in first-request order, in one set-major run
     plans = list(dict.fromkeys(
-        each for *_, plan, twin in points for each in (plan, twin) if each is not None
+        each for plan in points for each in (plan, twins.get(plan)) if each is not None
     ))
     ensembles = dict(zip(plans, run_ensembles(plans, trace.t, T_L, workers=threads)))
 
     result_rows, unreliable = [], []
-    for state_name, n_mean, plan, twin in points:
+    for plan in points:
         res = ensembles[plan]
+        state_name, n_mean = plan.state.kind.value, plan.state.n_mean
         if res.unreliable:
             unreliable.append(
                 f"{state_name} N={n_mean} nu={plan.nu} m={plan.m}: "
                 f"{res.failed_fit_count}/{res.total_fits} fits failed"
             )
-        if twin is None:
+        if plan in twins:
+            r_k = enhancement_Rk(ensembles[twins[plan]], res)
+            r_m = float(enhancement_RM(plan.state, t_mid, scenario))
+        else:
             r_k = {name: 1.0 for name in PARAMETER_NAMES}
             r_m = 1.0
-        else:
-            r_k = enhancement_Rk(ensembles[twin], res)
-            r_m = float(enhancement_RM(plan.state, t_mid, scenario))
         for parameter, estimate, precision in zip(PARAMETER_NAMES, res.estimate, res.precision):
             result_rows.append(
                 (
@@ -362,7 +368,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         status = "ok" if report.max_dev <= VERIFY_TOLERANCE else "FAIL"
         failed |= status == "FAIL"
         print(
-            f"{report.kind.value:5s} tuples={report.tuples} cutoff={report.cutoff} "
+            f"{report.kind.value:5s} tuples={args.tuples} cutoff={args.cutoff} "
             f"max_dev_delta_M={report.max_dev_delta_M:.3e} "
             f"max_dev_mean_M={report.max_dev_mean_M:.3e} [{status}]"
         )

@@ -47,7 +47,7 @@ ROWS_PER_SLICE = 128
 
 @dataclass(frozen=True)
 class LMSolution:
-    """Per-row outcome of one block solve: ``x`` is (B, P), ``residual_norm`` (B,).
+    """Per-row outcome of one block solve: the fitted parameters ``x`` (B, P).
 
     ``converged`` and ``iterations`` hold one plain Python value per row, so a
     solve's record serialises as JSON.
@@ -56,7 +56,6 @@ class LMSolution:
     x: np.ndarray
     converged: tuple[bool, ...]
     iterations: tuple[int, ...]
-    residual_norm: np.ndarray
 
 
 def _row_products(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,13 +186,12 @@ def lm_solve(
         x=x,
         converged=tuple(converged.tolist()),
         iterations=tuple(iterations.tolist()),
-        residual_norm=np.sqrt(ssq),
     )
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Kinetic parameters extracted from a block of sensorgrams, one (B,) array per field.
+    """Rate constants fitted to a block of sensorgrams, one (B,) array per field.
 
     ``converged`` marks the usable fits: both segment solves converged, no rate
     is pinned at the exp(+/-50) clip, and k_a, k_s and k_d are all finite.
@@ -204,11 +202,8 @@ class FitResult:
     k_s: np.ndarray
     k_d: np.ndarray
     k_a: np.ndarray
-    baseline: np.ndarray
-    amplitude: np.ndarray
     converged: np.ndarray
     iterations: np.ndarray
-    residual_norm: np.ndarray
 
 
 _LN_RATE_LIMIT = 50.0  # rates confined to exp(+/-50); a solution pinned here is garbage
@@ -340,9 +335,8 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         raise ValueError("samples must span both kinetic phases")
 
     sol_d = _fit_dissociation(t[i_tau:] - tau_s, columns(i_tau, t.size))
-    baseline = sol_d.x[:, 0]
     k_d, kd_pinned = _rate_from_log(sol_d.x[:, 2])
-    sol_a = _fit_association(t[:i_tau], columns(0, i_tau), baseline)
+    sol_a = _fit_association(t[:i_tau], columns(0, i_tau), sol_d.x[:, 0])
     k_s, ks_pinned = _rate_from_log(sol_a.x[:, 1])
     k_a = close_ka(k_s, k_d, L0)
     usable = np.array(sol_d.converged) & np.array(sol_a.converged) & ~(kd_pinned | ks_pinned)
@@ -351,9 +345,6 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         k_s=k_s,
         k_d=k_d,
         k_a=k_a,
-        baseline=baseline,
-        amplitude=sol_a.x[:, 0],
         converged=usable & np.isfinite(k_a) & np.isfinite(k_s) & np.isfinite(k_d),
         iterations=np.add(sol_d.iterations, sol_a.iterations),
-        residual_norm=np.hypot(sol_d.residual_norm, sol_a.residual_norm),
     )

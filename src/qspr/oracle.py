@@ -210,8 +210,6 @@ class OracleReport:
     """Worst-case deviation between oracle and closed forms for one probe family."""
 
     kind: ProbeKind
-    tuples: int
-    cutoff: int
     max_dev_delta_M: float
     max_dev_mean_M: float
 
@@ -234,7 +232,7 @@ def _random_small_state(kind: ProbeKind, rng: np.random.Generator) -> ProbeState
     return ProbeState(kind=kind, n_mean=g * alpha_sq + (g - 1.0), g=g)
 
 
-def verify_closed_forms(tuples: int = 50, cutoff: int = 40, seed: int = 2024) -> list[OracleReport]:
+def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleReport]:
     """Compare oracle moments against the closed forms on random channel tuples.
 
     Deviations are relative to the closed form; the mean is scaled by the
@@ -258,7 +256,5 @@ def verify_closed_forms(tuples: int = 50, cutoff: int = 40, seed: int = 2024) ->
             worst_dm = max(worst_dm, abs(dm_oracle - dm_closed) / dm_closed)
             scale = max(abs(mm_closed), dm_closed)
             worst_mm = max(worst_mm, abs(mm_oracle - mm_closed) / scale)
-        reports.append(OracleReport(
-            kind, tuples, cutoff, max_dev_delta_M=worst_dm, max_dev_mean_M=worst_mm
-        ))
+        reports.append(OracleReport(kind, max_dev_delta_M=worst_dm, max_dev_mean_M=worst_mm))
     return reports

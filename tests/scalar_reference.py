@@ -27,7 +27,6 @@ class LMSolution:
     x: np.ndarray
     converged: bool
     iterations: int
-    residual_norm: float
 
 
 def _normal_equations(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,7 +101,7 @@ def lm_solve(
                 # descent direction remains, otherwise flag non-convergence
                 converged = bool(np.max(cosine) < 1e-4)
                 break
-    return LMSolution(x=x, converged=converged, iterations=iterations, residual_norm=float(np.sqrt(ssq)))
+    return LMSolution(x=x, converged=converged, iterations=iterations)
 
 
 _LN_RATE_LIMIT = 50.0  # rates confined to exp(+/-50); a solution pinned here is garbage
@@ -187,16 +186,13 @@ def fit_sensorgram(t, y, tau_s: float, L0: float) -> FitResult:
 
     a_inf0, ks0 = _association_warm_start(t_a, y_a, baseline)
     sol_a = lm_solve(resid_association, np.array([a_inf0, np.log(ks0)]))
-    amplitude, ln_ks = sol_a.x
+    _, ln_ks = sol_a.x
     k_s, ks_pinned = _rate_from_log(ln_ks)
 
     return FitResult(
         k_s=k_s,
         k_d=k_d,
         k_a=close_ka(k_s, k_d, L0),
-        baseline=float(baseline),
-        amplitude=float(amplitude),
         converged=sol_d.converged and sol_a.converged and not (kd_pinned or ks_pinned),
         iterations=sol_d.iterations + sol_a.iterations,
-        residual_norm=float(np.hypot(sol_d.residual_norm, sol_a.residual_norm)),
     )

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import qspr
 from qspr.cases import KAUSAITE2007, LAHIRI1999, CaseStudy, resolve_case
 from qspr.cli import (
+    MAX_N_MEAN,
     ExperimentConfig,
     build_case,
     build_parser,
@@ -286,6 +287,43 @@ class TestConfigDocuments:
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
             assert capsys.readouterr().err == f"error: {message}\n", command
             assert not out.exists(), command
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"states": ["tmc"], "n_values": [1e155], "p": 2, "m_values": [2]},
+            {"states": ["tmsv"], "n_values": [1e155], "p": 2, "m_values": [2]},
+            {"states": ["tmsv"], "n_values": [1e160]},
+        ],
+        ids=["tmc-1e155", "tmsv-1e155", "tmsv-1e160"],
+    )
+    def test_photon_numbers_that_overflow_exit_2(self, tmp_path, capsys, doc):
+        # from about N = 1e155 the fit's sums of squares overflow, and from
+        # 1.3e154 so does a TMSV state's variance N(N + 1)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in ("run", "sensorgram"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
+            err = capsys.readouterr().err
+            assert err == "error: every entry of n_values must be <= 1e+100\n", command
+            assert not out.exists(), command
+
+    @pytest.mark.parametrize("state", ["tmc", "tmsv"])
+    def test_largest_photon_number_runs(self, tmp_path, state):
+        # at the bound every fit sum stays finite: no overflow warning, every cell finite
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"states": [state], "n_values": [MAX_N_MEAN], "p": 2, "m_values": [2]}
+        ))
+        for command in ("run", "sensorgram"):
+            out = str(tmp_path / command)
+            assert main([command, "--config", str(cfg_path), "--out", out]) == 0, command
+        samples = read_rows(tmp_path / "sensorgram" / "sensorgram_sample.csv")
+        assert all(math.isfinite(float(v)) for row in samples for v in row.values())
+        results = read_rows(tmp_path / "run" / "results.csv")
+        numbers = [row[key] for row in results for key in ("estimate", "precision", "R_k")]
+        assert all(math.isfinite(float(v)) for v in numbers)
 
     def test_cli_import_leaves_scipy_stats_out(self):
         # neither scipy.stats nor the oracle (and its scipy.linalg) is imported

@@ -61,8 +61,9 @@ class TestLMSolve:
 
         sol = lm_solve(fun, [[1.0, 1.0, 0.1]])
         assert np.all(np.isfinite(sol.x))
-        assert np.all(np.isfinite(sol.residual_norm))
-        assert sol.residual_norm[0] < 1e-6  # still reaches the optimum manifold
+        residual_norm = np.linalg.norm(fun(sol.x, np.arange(1))[0][0])
+        assert np.isfinite(residual_norm)
+        assert residual_norm < 1e-6  # still reaches the optimum manifold
 
     def test_accepted_steps_decrease_cost(self):
         t = np.linspace(0.0, 20.0, 60)
@@ -157,9 +158,10 @@ class TestLMSolve:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_unsolvable_row_leaves_the_others_alone(self):
-        # an infinite Jacobian entry makes row 1's damped normal equations
-        # unsolvable: that row keeps its start, flagged non-converged, and
-        # row 0 ends exactly where it ends when solved alone
+        # an infinite Jacobian entry gives row 1 NaN steps (its normal
+        # equations hold inf, which the solve passes on without raising), and
+        # none decreases its residual: that row keeps its start, flagged
+        # non-converged, and row 0 ends exactly where it ends when solved alone
         t = np.arange(0.0, 505.0, 5.0)
         Y = np.array([[3.0], [0.5]]) * np.exp(-np.array([[0.02], [0.001]]) * t)
 
@@ -174,6 +176,39 @@ class TestLMSolve:
         assert sol.converged == (True, False)
         assert np.array_equal(sol.x[1], [1.0, 0.01])
         alone = lm_solve(fun, [[1.0, 0.1]])
+        assert np.array_equal(alone.x[0], sol.x[0]) and alone.iterations[0] == sol.iterations[0]
+
+    def test_singular_row_is_solved_apart_from_the_others(self, monkeypatch):
+        # undamped, row 1's normal equations are exactly singular: it fits
+        # a + b to its data, so its two Jacobian columns are equal. The batched
+        # solve raises, every row is solved again on its own, and row 1, never
+        # solvable, ends at its start, flagged non-converged at MAX_ITERS,
+        # while row 0 ends exactly where it ends when solved alone
+        t = np.linspace(0.0, 5.0, 40)
+        T = np.stack([t, np.ones_like(t)])
+        Y = np.stack([1.5 + 0.25 * t, 2.0 + np.sin(t)])
+
+        def fun(X, rows):
+            a, b = X[:, :1], X[:, 1:]
+            J = np.stack([np.ones((len(X), t.size)), T[rows]], axis=1)
+            return a + b * T[rows] - Y[rows], J
+
+        raised, solve = [], np.linalg.solve
+
+        def spy(A, b):
+            try:
+                return solve(A, b)
+            except np.linalg.LinAlgError:
+                raised.append(len(A))
+                raise
+
+        monkeypatch.setattr(fit_module, "DAMPING_INIT", 0.0)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        sol = lm_solve(fun, [[0.0, 0.0], [0.0, 0.0]])
+        assert raised[0] == 2 and 1 in raised  # the block's solve, then row 1's alone
+        assert sol.converged == (True, False) and sol.iterations[1] == MAX_ITERS
+        assert np.array_equal(sol.x[1], [0.0, 0.0])
+        alone = lm_solve(fun, [[0.0, 0.0]])
         assert np.array_equal(alone.x[0], sol.x[0]) and alone.iterations[0] == sol.iterations[0]
 
 
@@ -257,14 +292,11 @@ class TestFitSensorgram:
         scaled = fit_sensorgrams(t, -40.0 + 25.0 * y[None], tau_s=1100.0, L0=274e-9)
         assert scaled.k_s[0] == pytest.approx(base.k_s[0], rel=1e-8)
         assert scaled.k_d[0] == pytest.approx(base.k_d[0], rel=1e-8)
-        assert scaled.baseline[0] == pytest.approx(-40.0 + 25.0 * base.baseline[0], rel=1e-6)
 
     def test_result_invariants(self, kausaite_linearized):
         t, y = kausaite_linearized
         res = fit_sensorgrams(t, y[None], tau_s=1100.0, L0=274e-9)
-        assert np.isfinite(res.residual_norm[0])
         assert res.iterations[0] <= 2 * MAX_ITERS
-        assert res.amplitude[0] > 0
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_overflowing_rate_is_not_converged(self, kausaite_linearized):
