@@ -24,6 +24,7 @@ import scipy
 
 from . import __version__
 from .cases import CaseStudy, available_cases, dataclass_from_json, resolve_case
+from .fit import COST_TOLERANCE, STEP_TOLERANCE
 from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from .probes import (
     DEFAULT_TMSD_GAIN,
@@ -49,10 +50,17 @@ from .simulate import (
 PAPER_FIDELITY_SETS = 1500
 VERIFY_TOLERANCE = 1e-6  # largest deviation from the oracle that ``qspr verify`` passes
 MAP_N_MAX = 1e4  # midpoint maps span N in [10, MAP_N_MAX]; a TMSD map keeps N >= G - 1
-# largest N: the fit squares signals of order N and sums them over the grid, and
-# its damping scales each term by up to 1e14; a term of at most 1e200 * 1e14
-# keeps a sum below the float max (1.8e308) for up to 1e94 samples
-MAX_N_MEAN = 1e100
+# largest N * nu. A point's relative shot noise, about 1/sqrt(N * nu), must stay
+# above two floors of the fit: STEP_TOLERANCE, the relative step at which it
+# stops, and the rounding of its cost test. A sample is stored to a relative eps,
+# which adds a share (eps / noise)^2 to each squared residual, and the test
+# stops on a relative decrease of COST_TOLERANCE; the larger floor,
+# eps / sqrt(COST_TOLERANCE) = 2.2e-10, gives N * nu <= 2.0e19
+MAX_N_NU = 1.0 / max(STEP_TOLERANCE, np.finfo(float).eps / np.sqrt(COST_TOLERANCE)) ** 2
+# a run holds 32 B per set and plan until it ends (kbars' three float64s and
+# usable's one int64); this budget bounds p times the plans it fits, twins included
+RESULT_BUDGET_BYTES = 2**30
+BYTES_PER_SET = 32
 RESULT_COLUMNS = (
     "case",
     "state",
@@ -106,8 +114,6 @@ class ExperimentConfig:
                 raise ValueError(f"every entry of {name} must be >= 1")
         if not all(m <= MAX_COUNT for m in self.m_values):
             raise ValueError("every entry of m_values must be <= 2**32")
-        if not all(n <= MAX_N_MEAN for n in self.n_values):
-            raise ValueError(f"every entry of n_values must be <= {MAX_N_MEAN:g}")
         for state in self.states:  # ProbeState checks N > 0, and N >= G - 1 for TMSD
             for n_mean in self.n_values:
                 _make_state(state, n_mean, self.tmsd_gain)
@@ -182,6 +188,13 @@ def _columns_as_rows(*columns: np.ndarray) -> list[tuple]:
 def _prepare(config: ExperimentConfig):
     """Case, grids, ideal traces, scenario and swept nu values shared by every subcommand."""
     case = build_case(config)
+    nu_values = config.nu_values if config.nu_values is not None else (case.nu_default,)
+    n_mean, nu = max(config.n_values), max(nu_values)
+    if n_mean * nu > MAX_N_NU:
+        raise ValueError(
+            f"N * nu must be <= {MAX_N_NU:.1e}, where the shot noise falls below "
+            f"the fit's resolution; got {n_mean:g} * {nu}"
+        )
     trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
     T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
     i_tau = trace.index_at(case.kinetics.tau_s)
@@ -189,7 +202,6 @@ def _prepare(config: ExperimentConfig):
     scenario = SensingScenario(
         mode=ScenarioMode(config.scenario), eta_a=config.eta_a, t_mid=t_mid
     )
-    nu_values = config.nu_values if config.nu_values is not None else (case.nu_default,)
     return case, trace, T_L, t_mid, scenario, nu_values
 
 
@@ -250,6 +262,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     plans = list(dict.fromkeys(
         each for plan in points for each in (plan, twins.get(plan)) if each is not None
     ))
+    if config.p * len(plans) > RESULT_BUDGET_BYTES // BYTES_PER_SET:
+        raise ValueError(
+            f"p times the plans a run fits must be <= {RESULT_BUDGET_BYTES // BYTES_PER_SET} "
+            f"({BYTES_PER_SET} B per set within {RESULT_BUDGET_BYTES} B); "
+            f"got {config.p} * {len(plans)}"
+        )
     ensembles = dict(zip(plans, run_ensembles(plans, trace.t, T_L, workers=threads)))
 
     result_rows, unreliable = [], []
@@ -355,7 +373,7 @@ def _cmd_case(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if not 0 <= args.seed < 2**63:
         raise ValueError(f"--seed must lie in [0, 2**63), got {args.seed}")
-    # imported here: no other command needs the oracle or scipy.linalg
+    # imported here: no other command needs the oracle
     from .oracle import TruncationError, verify_closed_forms
 
     try:

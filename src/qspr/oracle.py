@@ -4,25 +4,23 @@
 photon-number moments. Here states are explicit amplitude arrays, the channels
 thin the joint photon-number distribution numerically (exact, as M is
 photon-number diagonal) and moments are direct sums, so the amplitudes and the
-numerical thinning check both the table and the law. TMSD is built by
-exponentiating the squeezing generator G = a b - a^dag b^dag numerically, with
-no moment algebra. G keeps D = n_a - n_b fixed and |alpha>|0> puts coh[D] on the
-first site of sector D, so each sector is exponentiated on its own, exactly:
-on |D+j, j>, G = S (i A_D) S^-1 with S = diag(i^j) and A_D real symmetric
-tridiagonal (zero diagonal, off-diagonal sqrt((D+j+1)(j+1))). With
-A_D = V_D diag(w_D) V_D^T, amps[D+j, j] = coh[D] i^j (V_D (e^(i r w_D) * V_D[0]))_j.
-The eigenpairs of every sector are cached per cutoff, zero-padded to one
-(d, d, d) array, so one state is one batched real product over all sectors:
-a padded term has V_D[0, k] = 0 and adds exactly 0.0.
+numerical thinning check both the table and the law. TMSD comes from the
+squeezing generator G = a b - a^dag b^dag alone, with no moment algebra. G keeps
+D = n_a - n_b fixed and |alpha>|0> puts coh[D] on the first site |D, 0> of
+sector D, where the SU(1,1) disentangling identity (Perelomov, Generalized
+Coherent States and Their Applications, 1986) gives the sector exactly:
+exp(rG)|D, 0> = sech(r)^(D+1) sum_j (-tanh r)^j sqrt(C(D+j, j)) |D+j, j>.
+So amps[D+j, j] = coh[D] sech(r)^(D+1) (-tanh r)^j sqrt(C(D+j, j)), one product
+over the box's sites. Every state here is exact on its box: truncation shows
+only as the probability mass outside it, which build_state bounds.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from math import comb
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln, xlog1py, xlogy
 
 from .probes import ProbeKind, ProbeState, delta_M, mean_M
@@ -30,10 +28,11 @@ from .probes import ProbeKind, ProbeState, delta_M, mean_M
 
 # largest probability mass a truncated state may leave outside its cutoff
 TAIL_TOLERANCE = 1e-10
-# largest cutoff a verify pass accepts: the TMSD sector cache holds (cutoff+1)^3
-# floats for cutoff and cutoff + 8, some 138 MB at this bound (a verify pass at
-# it peaks at about 200 MiB RSS), far past the few tens the oracle's small
-# states need
+# largest cutoff a verify pass accepts, over five times the 36 that the largest
+# small state needs (TMSD, |alpha|^2 = 4, r = 0.5). Cost sets it, not range: each
+# tuple thins its (d, d) box with two d^3 products, and 50 tuples per family
+# take about 1.2 s on a 2-core host against 0.04 s at cutoff 40. The TMSD factor
+# sqrt(C(D + j, j)) is at most 3e29 here; C overflows a float only past 1,029.
 MAX_CUTOFF = 200
 
 
@@ -58,59 +57,34 @@ def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     return np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
 
 
-class _SqueezeSectors(NamedTuple):
-    """Every sector's eigenpairs on one zero-padded grid, read-only; d = cutoff + 1.
-
-    V[D, :d-D, :d-D] = V_D and W[D, :d-D] = w_D, zero elsewhere; source and
-    target are the flat indices of sector site (D, j) in a (d, d) sector grid
-    and of its box cell amps[D + j, j]; phases[j] = i^j, exact.
-    """
-
-    V: np.ndarray
-    W: np.ndarray
-    source: np.ndarray
-    target: np.ndarray
-    phases: np.ndarray
-
-
-@lru_cache(maxsize=2)  # one verify pass builds at cutoff and cutoff + 8
-def _squeeze_sectors(cutoff: int) -> _SqueezeSectors:
-    """Eigenpairs (w_D, V_D) of A_D for each sector D = 0..cutoff, padded to d sites."""
+@lru_cache(maxsize=2)
+def _sector_sites(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sites (D, j) of the box, D + j <= cutoff, and sqrt(C(D + j, j)) on each, read-only."""
     d = cutoff + 1
-    V, W = np.zeros((d, d, d)), np.zeros((d, d))
-    for D in range(d):
-        j = np.arange(cutoff - D, dtype=float)
-        W[D, : d - D], V[D, : d - D, : d - D] = eigh_tridiagonal(
-            np.zeros(d - D), np.sqrt((D + j + 1.0) * (j + 1.0))
-        )
-    D, j = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) < d)  # sites D + j <= cutoff
-    sectors = _SqueezeSectors(
-        V, W, D * d + j, (D + j) * d + j, np.array((1, 1j, -1, -1j))[np.arange(d) % 4]
-    )
-    for a in sectors:
+    D, j = np.nonzero(np.add.outer(np.arange(d), np.arange(d)) < d)
+    # C(200, 100) ~ 9e58: each exact integer rounds once to float, then once in sqrt
+    root_binom = np.sqrt([float(comb(n, k)) for n, k in zip((D + j).tolist(), j.tolist())])
+    for a in (D, j, root_binom):
         a.flags.writeable = False
-    return sectors
+    return D, j, root_binom
 
 
 def _tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
-    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, all sectors in one product."""
+    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, exactly."""
     d = cutoff + 1
-    s = _squeeze_sectors(cutoff)
-    # c[D] = e^(i r w_D) * coh[D] V_D[0]; a padded k has V[D, 0, k] = 0, so c[D, k] = 0
-    c = np.exp(1j * r * s.W) * _coherent_amplitudes(alpha, cutoff)[:, None] * s.V[:, 0, :]
-    # V is real: one real stacked product gives both parts of V_D c[D] for every D
-    sectors = (s.V @ np.stack([c.real, c.imag], axis=-1)).view(complex)
+    D, j, root_binom = _sector_sites(cutoff)
+    n = np.arange(d)
+    head = _coherent_amplitudes(alpha, cutoff) * (1.0 / np.cosh(r)) ** (n + 1)  # coh[D] sech^(D+1)
     amps = np.zeros((d, d), dtype=complex)
-    amps.ravel()[s.target] = sectors.ravel()[s.source]  # sector D is amps[D + j, j]
-    return amps * s.phases  # S = diag(i^j), j = n_b
+    amps[D + j, j] = head[D] * ((-np.tanh(r)) ** n)[j] * root_binom  # (-tanh r)^j
+    return amps
 
 
 def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
     """Explicit truncated amplitudes of a probe state.
 
-    Raises TruncationError if the probability mass outside the cutoff exceeds
-    TAIL_TOLERANCE (for TMSD, also if the generator exponentiation has not
-    converged against a larger cutoff).
+    Every amplitude on the box is exact, so the one truncation guard is the
+    probability mass outside it: TruncationError if that exceeds TAIL_TOLERANCE.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -134,20 +108,9 @@ def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
         amps = np.zeros((d, d), dtype=complex)
         # S(r)|00> has Schmidt form sqrt(1-lam^2) * (-lam)^n |n,n>
         amps[n, n] = np.sqrt(1.0 - lam**2) * complex(-lam) ** n
-    else:  # TMSD by truncated generator exponentiation
-        alpha = complex(np.sqrt(state.alpha_sq))
-        amps = _tmsd_amplitudes(alpha, state.squeeze_r, cutoff)
-        check = _tmsd_amplitudes(alpha, state.squeeze_r, cutoff + 8)[:d, :d]
-        # convergence is judged on photon-number probabilities, the only
-        # quantity the moments consume
-        drift = float(np.max(np.abs(np.abs(check) ** 2 - np.abs(amps) ** 2)))
-        if drift > max(100.0 * TAIL_TOLERANCE, 1e-9):
-            raise TruncationError(
-                f"TMSD exponentiation not converged at cutoff {cutoff}: drift {drift:.2e}"
-            )
-    # the TMSD exponential is unitary on the box: its leak shows only in `check`
-    inside = check if state.kind is ProbeKind.TMSD else amps
-    tail = float(max(1.0 - np.sum(np.abs(inside) ** 2), 0.0))
+    else:  # TMSD from its exact sector expansion
+        amps = _tmsd_amplitudes(complex(np.sqrt(state.alpha_sq)), state.squeeze_r, cutoff)
+    tail = float(max(1.0 - np.sum(np.abs(amps) ** 2), 0.0))
     if tail > TAIL_TOLERANCE:
         raise TruncationError(f"truncated tail mass {tail:.2e} exceeds {TAIL_TOLERANCE:.1e}")
     return TruncatedTwoModeState(cutoff=cutoff, amplitudes=amps, tail_mass=tail)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 import qspr
 from qspr.cases import KAUSAITE2007, LAHIRI1999, CaseStudy, resolve_case
 from qspr.cli import (
-    MAX_N_MEAN,
+    MAX_N_NU,
+    RESULT_BUDGET_BYTES,
     ExperimentConfig,
     build_case,
     build_parser,
@@ -299,22 +301,50 @@ class TestConfigDocuments:
     )
     def test_photon_numbers_that_overflow_exit_2(self, tmp_path, capsys, doc):
         # from about N = 1e155 the fit's sums of squares overflow, and from
-        # 1.3e154 so does a TMSV state's variance N(N + 1)
+        # 1.3e154 so does a TMSV state's variance N(N + 1); the bound on N * nu
+        # rejects them long before
+        self.assert_noise_floor_exits_2(tmp_path, capsys, doc, doc["n_values"][0], 1000)
+
+    @pytest.mark.parametrize(
+        "doc,n_mean,nu",
+        [
+            ({"states": ["tmf"], "n_values": [1e35], "p": 3, "m_values": [2]}, 1e35, 1000),
+            ({"states": ["tmsd"], "n_values": [1e50], "p": 3, "m_values": [2]}, 1e50, 1000),
+            ({"states": ["tmf"], "n_values": [1e30], "p": 3, "m_values": [2]}, 1e30, 1000),
+            ({"states": ["tmc"], "n_values": [10, 1e15], "nu_values": [1, 100000]}, 1e15, 100000),
+            ({"case": "lahiri1999", "n_values": [1e15]}, 1e15, 100000),
+            ({"n_values": [1e10], "overrides": {"nu_default": 10**10}}, 1e10, 10**10),
+        ],
+        ids=["tmf-1e35", "tmsd-1e50", "tmf-1e30", "nu_values", "case-nu", "override-nu"],
+    )
+    def test_shot_noise_below_fit_resolution_exits_2(self, tmp_path, capsys, doc, n_mean, nu):
+        # the relative noise 1/sqrt(N * nu) falls below what the fit resolves:
+        # at 1e35 every fit returned the same bits (precision 0, R_k nan); at
+        # 1e30 the precision was one ulp of the rate and R_k exactly 1.0
+        self.assert_noise_floor_exits_2(tmp_path, capsys, doc, n_mean, nu)
+
+    @staticmethod
+    def assert_noise_floor_exits_2(tmp_path, capsys, doc, n_mean, nu):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(doc))
         out = tmp_path / "out"
+        line = (
+            f"error: N * nu must be <= {MAX_N_NU:.1e}, where the shot noise falls below "
+            f"the fit's resolution; got {n_mean:g} * {nu}\n"
+        )
         for command in ("run", "sensorgram"):
             assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
-            err = capsys.readouterr().err
-            assert err == "error: every entry of n_values must be <= 1e+100\n", command
+            assert capsys.readouterr().err == line, command
             assert not out.exists(), command
 
     @pytest.mark.parametrize("state", ["tmc", "tmsv"])
     def test_largest_photon_number_runs(self, tmp_path, state):
-        # at the bound every fit sum stays finite: no overflow warning, every cell finite
+        # N * nu exactly at the bound, at the case's nu = 1000: no warning,
+        # every cell finite and every precision nonzero
+        assert MAX_N_NU / 1000 * 1000 == MAX_N_NU
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
-            {"states": [state], "n_values": [MAX_N_MEAN], "p": 2, "m_values": [2]}
+            {"states": [state], "n_values": [MAX_N_NU / 1000], "p": 2, "m_values": [2]}
         ))
         for command in ("run", "sensorgram"):
             out = str(tmp_path / command)
@@ -324,6 +354,34 @@ class TestConfigDocuments:
         results = read_rows(tmp_path / "run" / "results.csv")
         numbers = [row[key] for row in results for key in ("estimate", "precision", "R_k")]
         assert all(math.isfinite(float(v)) for v in numbers)
+        assert all(float(row["precision"]) > 0.0 for row in results)
+
+    def test_sets_beyond_the_result_budget_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the README sweep fits 30 plans (24 points and 6 TMSD twins); at p = 2**32
+        # their set results alone would take 4 TB
+        def never(*args, **kwargs):
+            raise AssertionError("ensembles started")
+
+        monkeypatch.setattr("qspr.cli.run_ensembles", never)
+        doc = {
+            "states": ["tmc", "tmf", "tmsv", "tmsd"],
+            "n_values": [10, 100, 1000],
+            "nu_values": [100, 1000],
+            "m_values": [10],
+            "p": 2**32,
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        started = time.perf_counter()
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert time.perf_counter() - started < 1.0
+        limit = RESULT_BUDGET_BYTES // 32
+        assert capsys.readouterr().err == (
+            f"error: p times the plans a run fits must be <= {limit} "
+            f"(32 B per set within {RESULT_BUDGET_BYTES} B); got {2**32} * 30\n"
+        )
+        assert not out.exists()
 
     def test_cli_import_leaves_scipy_stats_out(self):
         # neither scipy.stats nor the oracle (and its scipy.linalg) is imported
