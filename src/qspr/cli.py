@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,7 +26,7 @@ import scipy
 
 from . import __version__
 from .cases import CaseStudy, available_cases, dataclass_from_json, resolve_case
-from .fit import COST_TOLERANCE, STEP_TOLERANCE
+from .fit import NOISE_FLOOR
 from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from .probes import (
     DEFAULT_TMSD_GAIN,
@@ -50,17 +52,9 @@ from .simulate import (
 PAPER_FIDELITY_SETS = 1500
 VERIFY_TOLERANCE = 1e-6  # largest deviation from the oracle that ``qspr verify`` passes
 MAP_N_MAX = 1e4  # midpoint maps span N in [10, MAP_N_MAX]; a TMSD map keeps N >= G - 1
-# largest N * nu. A point's relative shot noise, about 1/sqrt(N * nu), must stay
-# above two floors of the fit: STEP_TOLERANCE, the relative step at which it
-# stops, and the rounding of its cost test. A sample is stored to a relative eps,
-# which adds a share (eps / noise)^2 to each squared residual, and the test
-# stops on a relative decrease of COST_TOLERANCE; the larger floor,
-# eps / sqrt(COST_TOLERANCE) = 2.2e-10, gives N * nu <= 2.0e19
-MAX_N_NU = 1.0 / max(STEP_TOLERANCE, np.finfo(float).eps / np.sqrt(COST_TOLERANCE)) ** 2
-# a run holds 32 B per set and plan until it ends (kbars' three float64s and
-# usable's one int64); this budget bounds p times the plans it fits, twins included
-RESULT_BUDGET_BYTES = 2**30
-BYTES_PER_SET = 32
+# largest N * nu: a point's relative shot noise, about 1/sqrt(N * nu), must stay
+# above the fit's noise floor, which gives N * nu <= 2.0e19
+MAX_N_NU = 1.0 / NOISE_FLOOR**2
 RESULT_COLUMNS = (
     "case",
     "state",
@@ -186,7 +180,7 @@ def _columns_as_rows(*columns: np.ndarray) -> list[tuple]:
 
 
 def _prepare(config: ExperimentConfig):
-    """Case, grids, ideal traces, scenario and swept nu values shared by every subcommand."""
+    """Case, grids, ideal traces, scenario (with t_mid) and swept nu values of every subcommand."""
     case = build_case(config)
     nu_values = config.nu_values if config.nu_values is not None else (case.nu_default,)
     n_mean, nu = max(config.n_values), max(nu_values)
@@ -198,11 +192,10 @@ def _prepare(config: ExperimentConfig):
     trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
     T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
     i_tau = trace.index_at(case.kinetics.tau_s)
-    t_mid = 0.5 * (T_L[0] + T_L[i_tau])
     scenario = SensingScenario(
-        mode=ScenarioMode(config.scenario), eta_a=config.eta_a, t_mid=t_mid
+        mode=ScenarioMode(config.scenario), eta_a=config.eta_a, t_mid=0.5 * (T_L[0] + T_L[i_tau])
     )
-    return case, trace, T_L, t_mid, scenario, nu_values
+    return case, trace, T_L, scenario, nu_values
 
 
 def _sensorgram_tables(config: ExperimentConfig, case, trace, T_L, scenario, nu: int) -> list:
@@ -244,8 +237,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     fails (for example with LowSignalError) leaves no partial output behind.
     """
     started = time.perf_counter()
-    case, trace, T_L, t_mid, scenario, nu_values = _prepare(config)
-    points, twins = [], {}  # one plan per sweep point; a quantum plan's classical twin
+    case, trace, T_L, scenario, nu_values = _prepare(config)
+    points, twins = [], {}  # one plan per sweep point; its classical twin (a TMC plan's is itself)
     for state_name in config.states:
         for n_mean in config.n_values:
             state = _make_state(state_name, n_mean, config.tmsd_gain)
@@ -256,19 +249,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
                         scenario=scenario, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
                     )
                     points.append(plan)
-                    if state.kind is not ProbeKind.TMC:
-                        twins[plan] = replace(plan, state=matched_classical_reference(state))
-    # every distinct plan once, in first-request order, in one set-major run
-    plans = list(dict.fromkeys(
-        each for plan in points for each in (plan, twins.get(plan)) if each is not None
-    ))
-    if config.p * len(plans) > RESULT_BUDGET_BYTES // BYTES_PER_SET:
-        raise ValueError(
-            f"p times the plans a run fits must be <= {RESULT_BUDGET_BYTES // BYTES_PER_SET} "
-            f"({BYTES_PER_SET} B per set within {RESULT_BUDGET_BYTES} B); "
-            f"got {config.p} * {len(plans)}"
-        )
-    ensembles = dict(zip(plans, run_ensembles(plans, trace.t, T_L, workers=threads)))
+                    twins[plan] = replace(plan, state=matched_classical_reference(state))
+    # every distinct plan once, in first-request order, in one set-major run;
+    # outputs do not depend on the worker count, so more workers than CPUs buy nothing
+    plans = list(dict.fromkeys(each for plan in points for each in (plan, twins[plan])))
+    workers = min(threads, os.cpu_count() or 1)
+    ensembles = dict(zip(plans, run_ensembles(plans, trace.t, T_L, workers=workers)))
 
     result_rows, unreliable = [], []
     for plan in points:
@@ -279,12 +265,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
                 f"{state_name} N={n_mean} nu={plan.nu} m={plan.m}: "
                 f"{res.failed_fit_count}/{res.total_fits} fits failed"
             )
-        if plan in twins:
-            r_k = enhancement_Rk(ensembles[twins[plan]], res)
-            r_m = float(enhancement_RM(plan.state, t_mid, scenario))
-        else:
-            r_k = {name: 1.0 for name in PARAMETER_NAMES}
-            r_m = 1.0
+        r_k = enhancement_Rk(ensembles[twins[plan]], res)
+        r_m = float(enhancement_RM(plan.state, scenario.t_mid, scenario))
         for parameter, estimate, precision in zip(PARAMETER_NAMES, res.estimate, res.precision):
             result_rows.append(
                 (
@@ -336,7 +318,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
             "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
-        "midpoint_transmittance": float(t_mid),
+        "midpoint_transmittance": float(scenario.t_mid),
         "unreliable_ensembles": unreliable,
         "outputs": [path.name for path in written],
         "runtime_seconds": time.perf_counter() - started,
@@ -396,7 +378,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sensorgram(args: argparse.Namespace) -> int:
     """Ideal + one seeded noisy sensorgram per state, no ensembles (fast)."""
     config = _load_config(args)
-    case, trace, T_L, _, scenario, nu_values = _prepare(config)
+    case, trace, T_L, scenario, nu_values = _prepare(config)
     tables = _sensorgram_tables(config, case, trace, T_L, scenario, int(nu_values[0]))
     for path in _write_tables(Path(config.output_dir), tables):
         print(f"wrote {path}")
@@ -467,6 +449,11 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # e.g. a time grid too fine to allocate
         detail = f": {exc}" if str(exc) else ""
         print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
+    except BrokenExecutor:
+        print(
+            "error: a worker process ended abruptly (for example, out of memory)", file=sys.stderr
+        )
         return 2
 
 

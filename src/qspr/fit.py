@@ -36,10 +36,15 @@ from .kinetics import close_ka
 _TINY = np.finfo(float).tiny
 # Levenberg-Marquardt settings, read by ``lm_solve`` at call time
 MAX_ITERS = 200  # per row and segment solve
-STEP_TOLERANCE = 1e-10  # relative step size
+STEP_TOLERANCE = 1e-10  # step norm against the norm of x, whose entries carry mixed units
 DAMPING_INIT = 1e-3
 GRAD_TOLERANCE = 1e-8  # cosine of residual against Jacobian columns
 COST_TOLERANCE = 1e-12  # relative decrease of the squared norm
+# smallest relative noise a fit resolves: a sample is stored to a relative eps,
+# which adds a share (eps / noise)^2 to each squared residual, and the cost test
+# stops on a relative decrease of COST_TOLERANCE, so the noise must exceed
+# eps / sqrt(COST_TOLERANCE) = 2.2e-10
+NOISE_FLOOR = np.finfo(float).eps / np.sqrt(COST_TOLERANCE)
 # live rows per residual evaluation: bounds the (rows, n, P) temporaries of a
 # solve whatever the number of rows that share its loop
 ROWS_PER_SLICE = 128

@@ -40,15 +40,6 @@ class TruncationError(RuntimeError):
     """Fock-space cutoff too small for the requested state."""
 
 
-@dataclass(frozen=True)
-class TruncatedTwoModeState:
-    """Pure two-mode state as a dense amplitude array indexed (n_a, n_b)."""
-
-    cutoff: int
-    amplitudes: np.ndarray
-    tail_mass: float
-
-
 def _coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     n = np.arange(cutoff + 1)
     mag = np.abs(alpha)
@@ -80,8 +71,8 @@ def _tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
     return amps
 
 
-def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
-    """Explicit truncated amplitudes of a probe state.
+def build_state(state: ProbeState, cutoff: int) -> np.ndarray:
+    """Explicit truncated amplitudes of a probe state, a (cutoff+1, cutoff+1) array [n_a, n_b].
 
     Every amplitude on the box is exact, so the one truncation guard is the
     probability mass outside it: TruncationError if that exceeds TAIL_TOLERANCE.
@@ -113,7 +104,7 @@ def build_state(state: ProbeState, cutoff: int) -> TruncatedTwoModeState:
     tail = float(max(1.0 - np.sum(np.abs(amps) ** 2), 0.0))
     if tail > TAIL_TOLERANCE:
         raise TruncationError(f"truncated tail mass {tail:.2e} exceeds {TAIL_TOLERANCE:.1e}")
-    return TruncatedTwoModeState(cutoff=cutoff, amplitudes=amps, tail_mass=tail)
+    return amps
 
 
 @lru_cache(maxsize=2)
@@ -139,22 +130,20 @@ def _thinning_matrix(cutoff: int, transmissivity: float) -> np.ndarray:
     return np.exp(log_binom + (xlogy(k, transmissivity) + xlog1py(k, -transmissivity)[lost]))
 
 
-def apply_channels(
-    state: TruncatedTwoModeState, T: float, eta_a: float, eta_b: float
-) -> np.ndarray:
+def apply_channels(amplitudes: np.ndarray, T: float, eta_a: float, eta_b: float) -> np.ndarray:
     """Joint photon-number probabilities [n_a, n_b] after the sensor (T) and both losses.
 
-    The sensor and the signal-mode loss compose into one binomial channel of
-    transmissivity eta_a*T; the reference mode is thinned by eta_b. Exact on
-    the truncated basis since the observable is photon-number diagonal.
+    ``amplitudes`` is a state from build_state, whose cutoff is its length
+    less one. The sensor and the signal-mode loss compose into one binomial
+    channel of transmissivity eta_a*T; the reference mode is thinned by eta_b.
+    Exact on the truncated basis since the observable is photon-number diagonal.
     """
     for name, val in (("T", T), ("eta_a", eta_a), ("eta_b", eta_b)):
         if not 0 <= val <= 1:
             raise ValueError(f"{name} must lie in [0, 1]")
-    P = np.abs(state.amplitudes) ** 2
-    Ba = _thinning_matrix(state.cutoff, eta_a * T)
-    Bb = _thinning_matrix(state.cutoff, eta_b)
-    return Ba.T @ P @ Bb
+    cutoff = len(amplitudes) - 1
+    P = np.abs(amplitudes) ** 2
+    return _thinning_matrix(cutoff, eta_a * T).T @ P @ _thinning_matrix(cutoff, eta_b)
 
 
 def oracle_moments(P: np.ndarray) -> tuple[float, float]:

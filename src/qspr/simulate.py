@@ -56,6 +56,10 @@ ROWS_PER_CHUNK = 2048
 # most sets per plan and sensorgrams per set: the substream keys hash each set
 # and sensorgram index as one uint32 word
 MAX_COUNT = 2**32
+# a result holds 32 B per set (kbars' three float64s and usable's one int64);
+# this budget bounds p times the plans of one run_ensembles call
+RESULT_BUDGET_BYTES = 2**30
+BYTES_PER_SET = 32
 # numpy.random.SeedSequence's hash constants (pool of 4 uint32 words)
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -312,7 +316,8 @@ def _chunks(p: int, count: int) -> Iterator[range]:
 def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsembleResult]:
     """Simulate p sets of m noisy sensorgrams per plan and summarize each kbar distribution.
 
-    The plans must share seed, p >= 2, tau_s and L0. Sets are processed in the
+    The plans must share seed, p >= 2, tau_s and L0, and p times the plans
+    must fit RESULT_BUDGET_BYTES at BYTES_PER_SET. Sets are processed in the
     fewest chunks of whole sets that hold at most ROWS_PER_CHUNK rows of all
     plans together (at least one set), with sizes that differ by at most one
     set, serially or spread over ``workers`` processes (one pool for all
@@ -329,8 +334,14 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     plans = list(plans)
     if len({(plan.seed, plan.p, plan.tau_s, plan.L0) for plan in plans}) != 1:
         raise ValueError("run_ensembles needs one or more plans sharing seed, p, tau_s and L0")
-    if plans[0].p < 2:  # precision is a standard deviation over sets
+    p = plans[0].p
+    if p < 2:  # precision is a standard deviation over sets
         raise ValueError("p must be >= 2")
+    if p * len(plans) > RESULT_BUDGET_BYTES // BYTES_PER_SET:
+        raise ValueError(
+            f"p times the plans a run fits must be <= {RESULT_BUDGET_BYTES // BYTES_PER_SET} "
+            f"({BYTES_PER_SET} B per set within {RESULT_BUDGET_BYTES} B); got {p} * {len(plans)}"
+        )
     t = np.asarray(t, dtype=float)
     T = np.asarray(transmittance, dtype=float)
     if t.shape != T.shape:
@@ -339,8 +350,8 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
         raise ValueError("workers must be >= 1")
     laws = [_noise_law(plan, T) for plan in plans]
     worker = partial(_fit_chunk, plans=plans, laws=laws, t=t)
-    count = _chunk_count(plans[0].p, sum(plan.m for plan in plans))
-    chunks = _chunks(plans[0].p, count)
+    count = _chunk_count(p, sum(plan.m for plan in plans))
+    chunks = _chunks(p, count)
     workers = min(workers, count)
     if workers > 1:
         per_chunk, pending = [], deque()

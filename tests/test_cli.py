@@ -18,13 +18,13 @@ import qspr
 from qspr.cases import KAUSAITE2007, LAHIRI1999, CaseStudy, resolve_case
 from qspr.cli import (
     MAX_N_NU,
-    RESULT_BUDGET_BYTES,
     ExperimentConfig,
     build_case,
     build_parser,
     main,
     run_experiment,
 )
+from qspr.simulate import RESULT_BUDGET_BYTES
 
 
 def tiny_config(out_dir, **kwargs) -> ExperimentConfig:
@@ -360,9 +360,9 @@ class TestConfigDocuments:
         # the README sweep fits 30 plans (24 points and 6 TMSD twins); at p = 2**32
         # their set results alone would take 4 TB
         def never(*args, **kwargs):
-            raise AssertionError("ensembles started")
+            raise AssertionError("a chunk started")
 
-        monkeypatch.setattr("qspr.cli.run_ensembles", never)
+        monkeypatch.setattr("qspr.simulate._fit_chunk", never)
         doc = {
             "states": ["tmc", "tmf", "tmsv", "tmsd"],
             "n_values": [10, 100, 1000],
@@ -679,6 +679,54 @@ class TestCommandLine:
         assert main(["run", "--config", str(cfg_path), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_are_capped_at_the_cpu_count(self, tmp_path, monkeypatch):
+        # --threads 64 on 2 CPUs runs 2 workers; the spy checks the count
+        # before anything runs, so no more than 2 processes ever start
+        import qspr.cli as cli
+        import qspr.simulate as simulate
+
+        real, seen = cli.run_ensembles, []
+
+        def spy(plans, t, T, workers=1):
+            assert workers <= 2, workers
+            seen.append(workers)
+            return real(plans, t, T, workers=workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "run_ensembles", spy)
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 6)  # 2 sets of 3 rows: 4 chunks
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "x", states=("tmc",)).to_dict()))
+        for threads in ("1", "64"):
+            out = str(tmp_path / threads)
+            assert main(["run", "--config", str(cfg_path), "--out", out, "--threads", threads]) == 0
+        assert seen == [1, 2]
+        for name in ("results.csv", "sensorgram_ideal.csv", "sensorgram_sample.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
+
+    def test_dead_worker_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a pool worker that ends abruptly (the kernel's OOM killer, say) gives
+        # one error line, not a BrokenProcessPool traceback, and no output
+        import qspr.simulate as simulate
+
+        test_process = os.getpid()
+
+        def die(*args, **kwargs):
+            if os.getpid() == test_process:
+                raise AssertionError("the fit ran in the test process")
+            os._exit(9)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(simulate, "fit_sensorgrams", die)
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 6)  # 2 sets of 3 rows: 4 chunks
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", states=("tmc",)).to_dict()))
+        assert main(["run", "--config", str(cfg_path), "--threads", "2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: a worker process ended abruptly (for example, out of memory)\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_failed_sensorgram_draw_leaves_no_output(self, tmp_path, monkeypatch, capsys):

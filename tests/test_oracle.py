@@ -97,16 +97,15 @@ class TestSectorExponential:
 
 class TestBuildState:
     def test_twin_fock_is_single_basis_vector(self):
-        state = build_state(ProbeState(ProbeKind.TMF, 2.0), cutoff=4)
+        amps = build_state(ProbeState(ProbeKind.TMF, 2.0), cutoff=4)
         expected = np.zeros((5, 5))
         expected[2, 2] = 1.0
-        assert np.array_equal(np.abs(state.amplitudes), expected)
-        assert state.tail_mass == 0.0
+        assert np.array_equal(np.abs(amps), expected)
+        assert 1.0 - np.sum(np.abs(amps) ** 2) == 0.0
 
     def test_tmsv_schmidt_weights(self):
         r = 0.5
-        state = build_state(tmsv_with_r(r), cutoff=40)
-        probs = np.abs(state.amplitudes) ** 2
+        probs = np.abs(build_state(tmsv_with_r(r), cutoff=40)) ** 2
         lam2 = np.tanh(r) ** 2
         n = np.arange(41)
         assert probs[0, 0] == pytest.approx(0.7864477329659274, rel=1e-12)
@@ -119,11 +118,10 @@ class TestBuildState:
         sd = build_state(tmsd_with(0.0, r), cutoff=30)
         sv = build_state(tmsv_with_r(r), cutoff=30)
         # photon statistics must agree; the generator phase convention may not
-        assert np.abs(sd.amplitudes) == pytest.approx(np.abs(sv.amplitudes), abs=1e-10)
+        assert np.abs(sd) == pytest.approx(np.abs(sv), abs=1e-10)
 
     def test_tmc_is_product_of_poissonians(self):
-        state = build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=40)
-        probs = np.abs(state.amplitudes) ** 2
+        probs = np.abs(build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=40)) ** 2
         marginal_a = probs.sum(axis=1)
         from scipy.stats import poisson
 
@@ -142,16 +140,15 @@ class TestBuildState:
 
     def test_tmsd_tail_mass_is_the_squeezing_leak(self):
         probe = tmsd_with(0.1, 0.5)
-        state = build_state(probe, cutoff=16)
-        large = build_state(probe, cutoff=60).amplitudes
+        amps = build_state(probe, cutoff=16)
+        large = build_state(probe, cutoff=60)
         leak = 1.0 - np.sum(np.abs(large[:17, :17]) ** 2)
         assert leak == pytest.approx(9.1e-11, rel=0.01)
-        assert state.tail_mass == pytest.approx(leak, rel=0.01)
+        assert 1.0 - np.sum(np.abs(amps) ** 2) == pytest.approx(leak, rel=0.01)
 
     def test_tmsd_mean_photon_partition(self):
         state_spec = tmsd_with(2.0, 0.4)
-        built = build_state(state_spec, cutoff=50)
-        probs = np.abs(built.amplitudes) ** 2
+        probs = np.abs(build_state(state_spec, cutoff=50)) ** 2
         n = np.arange(51, dtype=float)
         assert probs.sum(axis=1) @ n == pytest.approx(state_spec.n_mean, rel=1e-10)
         assert probs.sum(axis=0) @ n == pytest.approx(state_spec.n_reference, rel=1e-10)
@@ -159,33 +156,34 @@ class TestBuildState:
 
 class TestApplyChannels:
     def test_identity_channel_preserves_distribution(self):
-        state = build_state(ProbeState(ProbeKind.TMC, 2.0), cutoff=30)
-        P = apply_channels(state, T=1.0, eta_a=1.0, eta_b=1.0)
-        assert P == pytest.approx(np.abs(state.amplitudes) ** 2, abs=1e-14)
+        amps = build_state(ProbeState(ProbeKind.TMC, 2.0), cutoff=30)
+        P = apply_channels(amps, T=1.0, eta_a=1.0, eta_b=1.0)
+        assert P == pytest.approx(np.abs(amps) ** 2, abs=1e-14)
 
     def test_single_photon_binomial(self):
-        state = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
-        P = apply_channels(state, T=0.5, eta_a=1.0, eta_b=1.0)
+        amps = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
+        P = apply_channels(amps, T=0.5, eta_a=1.0, eta_b=1.0)
         assert P[0, 1] == pytest.approx(0.5, rel=1e-12)
         assert P[1, 1] == pytest.approx(0.5, rel=1e-12)
 
     def test_poisson_thinning(self):
-        state = build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=45)
-        marginal_a = apply_channels(state, T=0.4, eta_a=1.0, eta_b=1.0).sum(axis=1)
+        amps = build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=45)
+        marginal_a = apply_channels(amps, T=0.4, eta_a=1.0, eta_b=1.0).sum(axis=1)
         assert marginal_a[0] == pytest.approx(np.exp(-1.2), rel=1e-10)
 
     def test_channel_bounds_checked(self):
-        state = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
+        amps = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
         with pytest.raises(ValueError):
-            apply_channels(state, T=1.2, eta_a=1.0, eta_b=1.0)
+            apply_channels(amps, T=1.2, eta_a=1.0, eta_b=1.0)
 
     def test_thinning_conserves_probability(self):
         # binomial loss moves photons, never mass: sum + tail stays 1
         for probe in (ProbeState(ProbeKind.TMC, 2.5), tmsd_with(1.2, 0.35)):
-            state = build_state(probe, cutoff=45)
-            P = apply_channels(state, T=0.37, eta_a=0.81, eta_b=0.64)
+            amps = build_state(probe, cutoff=45)
+            P = apply_channels(amps, T=0.37, eta_a=0.81, eta_b=0.64)
             assert np.all(P >= 0.0)
-            assert P.sum() + state.tail_mass == pytest.approx(1.0, abs=1e-12)
+            tail_mass = 1.0 - np.sum(np.abs(amps) ** 2)
+            assert P.sum() + tail_mass == pytest.approx(1.0, abs=1e-12)
 
 
 class TestThinningMatrix:
@@ -205,22 +203,22 @@ class TestThinningMatrix:
 
 class TestOracleMoments:
     def test_tmf_against_closed_form(self):
-        state = build_state(ProbeState(ProbeKind.TMF, 4.0), cutoff=10)
-        mm, dm = oracle_moments(apply_channels(state, 0.3, 1.0, 1.0))
+        amps = build_state(ProbeState(ProbeKind.TMF, 4.0), cutoff=10)
+        mm, dm = oracle_moments(apply_channels(amps, 0.3, 1.0, 1.0))
         assert type(mm) is float and type(dm) is float
         assert dm == pytest.approx(np.sqrt(4 * (0.3 * 0.7 + 0.0)), rel=1e-10)
 
     def test_tmsv_against_closed_form(self):
         probe = tmsv_with_r(0.4)
-        state = build_state(probe, cutoff=60)
-        mm, dm = oracle_moments(apply_channels(state, 0.6, 0.8, 0.8))
+        amps = build_state(probe, cutoff=60)
+        mm, dm = oracle_moments(apply_channels(amps, 0.6, 0.8, 0.8))
         assert dm == pytest.approx(delta_M(probe, 0.6, 0.8, 0.8), rel=1e-8)
         assert mm == pytest.approx(mean_M(probe, 0.6, 0.8, 0.8), abs=1e-8)
 
     def test_tmsd_against_closed_form(self):
         probe = tmsd_with(2.0, float(np.arccosh(np.sqrt(1.5))))
-        state = build_state(probe, cutoff=60)
-        mm, dm = oracle_moments(apply_channels(state, 0.5, 1.0, 1.0))
+        amps = build_state(probe, cutoff=60)
+        mm, dm = oracle_moments(apply_channels(amps, 0.5, 1.0, 1.0))
         assert dm == pytest.approx(delta_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
         assert mm == pytest.approx(mean_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
 
@@ -228,8 +226,8 @@ class TestOracleMoments:
         probe = tmsd_with(1.5, 0.4)
         vals = []
         for cutoff in (40, 80):
-            state = build_state(probe, cutoff=cutoff)
-            vals.append(oracle_moments(apply_channels(state, 0.55, 0.9, 0.7))[1])
+            amps = build_state(probe, cutoff=cutoff)
+            vals.append(oracle_moments(apply_channels(amps, 0.55, 0.9, 0.7))[1])
         assert abs(vals[1] - vals[0]) < 1e-8
 
 

@@ -200,9 +200,14 @@ class TestEnhancement:
         assert high < 1.0
         assert high < low
 
-    def test_classical_state_rejected(self):
-        with pytest.raises(ValueError):
-            enhancement_RM(ProbeState(ProbeKind.TMC, 10.0), 0.5, NO_LOSS)
+    def test_classical_state_is_its_own_benchmark(self):
+        # R_M of a TMC state is x/x with x its own delta_M: exactly 1, balanced or not
+        lossy = SensingScenario(mode=ScenarioMode.OPTIMIZED, eta_a=0.8, t_mid=0.45)
+        T = np.linspace(0.05, 0.95, 19)
+        for state in (ProbeState(ProbeKind.TMC, 10.0), ProbeState(ProbeKind.TMC, 10.0, n_ref=4.0)):
+            for sc in (NO_LOSS, lossy):
+                assert enhancement_RM(state, 0.5, sc) == 1.0
+                assert np.all(enhancement_RM(state, T, sc) == 1.0)
 
 
 class TestMidpointMap:

@@ -268,6 +268,24 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="p must be >= 2"):
             run_ensembles(plans, t, T_L)
 
+    def test_sets_beyond_the_result_budget_raise_before_any_draw(self, kausaite_ideal, monkeypatch):
+        # two plans at p = 2**25 would hold 2 GiB of set results: the engine
+        # refuses them itself, before a chunk draws its normals
+        def never(*args, **kwargs):
+            raise AssertionError("normals drawn")
+
+        monkeypatch.setattr(simulate, "_substream_normals", never)
+        t, T_L = kausaite_ideal
+        p = simulate.RESULT_BUDGET_BYTES // simulate.BYTES_PER_SET
+        plans = [make_plan(m=2, p=p), make_plan(kind=ProbeKind.TMF, m=2, p=p)]
+        line = (
+            f"p times the plans a run fits must be <= {p} (32 B per set within "
+            f"{simulate.RESULT_BUDGET_BYTES} B); got {p} * 2"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            run_ensembles(plans, t, T_L)
+        assert str(excinfo.value) == line
+
     def test_precision_stable_in_p(self, kausaite_ideal):
         # the kbar distribution summary has settled by p=1500: doubling the
         # number of sets moves the reported precision by less than 5%
