@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import time
 from concurrent.futures import BrokenExecutor
@@ -119,6 +118,8 @@ class ExperimentConfig:
             raise ValueError("p must be <= 2**32")
         if not 0 <= self.seed < 2**63:
             raise ValueError("seed must lie in [0, 2**63)")
+        if not 0 < self.eta_a <= 1:
+            raise ValueError("eta_a must lie in (0, 1]")
         if self.scenario not in {m.value for m in ScenarioMode}:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.case == "custom" and not self.overrides:
@@ -198,19 +199,13 @@ def _prepare(config: ExperimentConfig):
     return case, trace, T_L, scenario, nu_values
 
 
-def _sensorgram_tables(config: ExperimentConfig, case, trace, T_L, scenario, nu: int) -> list:
+def _sensorgram_tables(config: ExperimentConfig, trace, T_L, scenario, nu: int) -> list:
     """sensorgram_ideal.csv and one seeded noisy realization per state, as tables to write."""
     states = [_make_state(s, config.n_values[0], config.tmsd_gain) for s in config.states]
     mean_traces = [mean_M(s, T_L, scenario.eta_a, scenario.eta_b) for s in states]
-    plans = [
-        SimulationPlan(
-            nu=nu, m=1, p=1, seed=config.seed, state=s, scenario=scenario,
-            tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
-        )
-        for s in states
-    ]
+    plans = [SimulationPlan(nu=nu, m=1, state=s, scenario=scenario) for s in states]
     # sensorgram 0 of set 0 of every state, from one draw of its substream
-    sample_traces = synthesize_noisy_sensorgrams(T_L, plans, sets=[0])
+    sample_traces = synthesize_noisy_sensorgrams(T_L, plans, config.seed, sets=[0])
     names = [s.kind.value for s in states]
     ideal = (
         "sensorgram_ideal.csv",
@@ -244,17 +239,15 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
             state = _make_state(state_name, n_mean, config.tmsd_gain)
             for nu in nu_values:
                 for m in config.m_values:
-                    plan = SimulationPlan(
-                        nu=int(nu), m=int(m), p=int(config.p), seed=config.seed, state=state,
-                        scenario=scenario, tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
-                    )
+                    plan = SimulationPlan(nu=int(nu), m=int(m), state=state, scenario=scenario)
                     points.append(plan)
                     twins[plan] = replace(plan, state=matched_classical_reference(state))
-    # every distinct plan once, in first-request order, in one set-major run;
-    # outputs do not depend on the worker count, so more workers than CPUs buy nothing
+    # every distinct plan once, in first-request order, in one set-major run
     plans = list(dict.fromkeys(each for plan in points for each in (plan, twins[plan])))
-    workers = min(threads, os.cpu_count() or 1)
-    ensembles = dict(zip(plans, run_ensembles(plans, trace.t, T_L, workers=workers)))
+    results = run_ensembles(
+        plans, trace.t, T_L, case.kinetics, config.seed, int(config.p), workers=threads
+    )
+    ensembles = dict(zip(plans, results))
 
     result_rows, unreliable = [], []
     for plan in points:
@@ -286,7 +279,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
                 )
             )
 
-    tables = _sensorgram_tables(config, case, trace, T_L, scenario, int(nu_values[0]))
+    tables = _sensorgram_tables(config, trace, T_L, scenario, int(nu_values[0]))
     tables.append(("results.csv", RESULT_COLUMNS, result_rows))
     map_T = np.linspace(float(T_L.min()), float(T_L.max()), 41)
     # each axis value formatted once, by position, for every row that repeats
@@ -328,6 +321,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
     config = _load_config(args)
     if args.paper_fidelity:
         config = replace(config, p=max(config.p, PAPER_FIDELITY_SETS))
@@ -378,8 +373,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_sensorgram(args: argparse.Namespace) -> int:
     """Ideal + one seeded noisy sensorgram per state, no ensembles (fast)."""
     config = _load_config(args)
-    case, trace, T_L, scenario, nu_values = _prepare(config)
-    tables = _sensorgram_tables(config, case, trace, T_L, scenario, int(nu_values[0]))
+    _, trace, T_L, scenario, nu_values = _prepare(config)
+    tables = _sensorgram_tables(config, trace, T_L, scenario, int(nu_values[0]))
     for path in _write_tables(Path(config.output_dir), tables):
         print(f"wrote {path}")
     return 0

@@ -16,22 +16,24 @@ would be, and normals are drawn by inverse transform (ndtri of the stream's
 uniforms). The keys of a whole chunk come from one vectorised pass of
 SeedSequence's hash, and one re-keyed generator fills every row with its
 uniforms. Results are therefore bit-identical for any execution order or
-worker count, and plans that share a seed share the same underlying standard
+worker count, and the plans of a run share the same underlying standard
 normals across states, nu and m (common random numbers).
 
 The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
-once and cuts the p sets into the fewest chunks of whole sets that hold at
-most ROWS_PER_CHUNK rows of all plans together (at least one set), with sizes
-that differ by at most one set. A chunk is one block fit
-(``qspr.fit.fit_sensorgrams``, one LM loop per segment): it draws its
-substreams once, for the largest m, and each plan reads the first m
-sensorgrams of every set. The block is handed over as the chunk's normals and
-each plan's noise law, and the fit builds one segment's columns of its rows at
-a time. A row of that fit is bitwise independent of the other rows, so a
-plan's result is the same whatever other plans share its run or its chunk.
+once, with the run's seed, set count and kinetics given once, and cuts the p
+sets into the fewest chunks of whole sets that hold at most ROWS_PER_CHUNK
+rows of all plans together (at least one set), with sizes that differ by at
+most one set. A chunk is one block fit (``qspr.fit.fit_sensorgrams``, one LM
+loop per segment): it draws its substreams once, for the largest m, and each
+plan reads the first m sensorgrams of every set. The block is handed over as
+the chunk's normals and each plan's noise law, and the fit builds one
+segment's columns of its rows at a time. A row of that fit is bitwise
+independent of the other rows, so a plan's result is the same whatever other
+plans share its run or its chunk.
 """
 from __future__ import annotations
 
+import os
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
@@ -42,6 +44,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .fit import fit_sensorgrams
+from .kinetics import KineticParameters
 from .probes import ProbeState, SensingScenario, delta_M, mean_M
 
 PARAMETER_NAMES = ("k_a", "k_s", "k_d")
@@ -73,46 +76,40 @@ class LowSignalError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    """Everything needed to reproduce one ensemble bit-for-bit.
+    """One ensemble of a run: the facts in which the ensembles of one run differ.
 
-    nu: measurements per time instance; m: sensorgrams per set; p: sets.
-    tau_s and L0 parameterize the fit (switch time and ligand concentration).
+    nu: measurements per time instance; m: sensorgrams per set; the probe
+    state and the loss scenario. The run (``run_ensembles``) gives the seed,
+    the set count p and the kinetics whose tau_s and L0 parameterize the fit.
     """
 
     nu: int
     m: int
-    p: int
-    seed: int
     state: ProbeState
     scenario: SensingScenario
-    tau_s: float
-    L0: float
 
     def __post_init__(self) -> None:
-        for name in ("nu", "m", "p"):
+        for name in ("nu", "m"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("m", "p"):
-            if getattr(self, name) > MAX_COUNT:
-                raise ValueError(f"{name} must be <= 2**32")
-        if not 0 <= self.seed < 2**63:
-            raise ValueError("seed must lie in [0, 2**63)")
-        if not (self.tau_s > 0 and self.L0 > 0):
-            raise ValueError("tau_s and L0 must be positive")
+        if self.m > MAX_COUNT:
+            raise ValueError("m must be <= 2**32")
 
 
 @dataclass(frozen=True, eq=False)
 class TrialEnsembleResult:
-    """The set averages of one plan's fitted rate constants over its p sets.
+    """The set averages of one plan's fitted rate constants over the p sets of its run.
 
     kbars: (p, 3), row i the mean (k_a, k_s, k_d) of set i's usable fits, in
-    PARAMETER_NAMES order; usable: (p,), the number of those fits per set.
-    Compare two results with ``np.array_equal`` on both arrays.
+    PARAMETER_NAMES order; usable: (p,), the number of those fits per set;
+    seed: the run's seed. Compare two results with ``np.array_equal`` on both
+    arrays.
     """
 
     kbars: np.ndarray
     usable: np.ndarray
     plan: SimulationPlan
+    seed: int
 
     @property
     def estimate(self) -> np.ndarray:
@@ -124,7 +121,7 @@ class TrialEnsembleResult:
 
     @property
     def total_fits(self) -> int:
-        return self.plan.m * self.plan.p
+        return self.plan.m * len(self.kbars)
 
     @property
     def failed_fit_count(self) -> int:
@@ -162,6 +159,8 @@ def _philox_keys(seed: int, sets, m: int) -> np.ndarray:
     [seed_lo, seed_hi, 0, 0, set, j]: [i, j] equals the key of
     Philox(SeedSequence(entropy=seed, spawn_key=(sets[i], j))) bit for bit.
     """
+    if not 0 <= seed < 2**63:
+        raise ValueError("seed must lie in [0, 2**63)")
     hashmix = _hashmix(_INIT_A, _MULT_A)
     # the seed fills the pool (padded with zeros), the same for every substream
     pool = [hashmix(word) for word in (seed & _MASK32, seed >> 32, 0, 0)]
@@ -241,23 +240,21 @@ class _NoisyRows:
         return out
 
 
-def synthesize_noisy_sensorgrams(transmittance, plans, sets) -> np.ndarray:
+def synthesize_noisy_sensorgrams(transmittance, plans, seed: int, sets) -> np.ndarray:
     """Noisy measurement-space sensorgrams Mbar(t) of the given sets, one per row.
 
-    ``plans`` is one plan or several sharing a seed, whose rows follow plan
-    after plan; the sets' substreams are drawn once for all of them. Row
-    i*m + j of a plan is sensorgram j of set ``sets[i]``, drawn from its own
-    (seed, set, sensorgram) substream; the sample-mean noise is dM/sqrt(nu).
-    These are the rows that ``run_ensembles`` fits, bit for bit. Every set
-    index must be an integer in [0, MAX_COUNT), one word of the substream key.
+    The rows of ``plans`` follow plan after plan; the sets' substreams are
+    drawn once for all of them. Row i*m + j of a plan is sensorgram j of set
+    ``sets[i]``, drawn from its own (seed, set, sensorgram) substream; the
+    sample-mean noise is dM/sqrt(nu). These are the rows that
+    ``run_ensembles`` fits with the same seed, bit for bit. Every set index
+    must be an integer in [0, MAX_COUNT), one word of the substream key.
     """
-    plans = [plans] if isinstance(plans, SimulationPlan) else list(plans)
-    if len({plan.seed for plan in plans}) != 1:
-        raise ValueError("synthesize_noisy_sensorgrams needs one or more plans sharing a seed")
+    plans = list(plans)
     if not all(isinstance(s, (int, np.integer)) and 0 <= s < MAX_COUNT for s in sets):
         raise ValueError("sets must be integer set indices in [0, 2**32)")
     T = np.asarray(transmittance, dtype=float)
-    Z = _substream_normals(plans[0].seed, sets, max(plan.m for plan in plans), T.size)
+    Z = _substream_normals(seed, sets, max(plan.m for plan in plans), T.size)
     return _NoisyRows(Z, [(plan.m, *_noise_law(plan, T)) for plan in plans]).columns(0, T.size)
 
 
@@ -267,6 +264,8 @@ def _fit_chunk(
     plans: list[SimulationPlan],
     laws: list[tuple[np.ndarray, np.ndarray]],
     t: np.ndarray,
+    kinetics: KineticParameters,
+    seed: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per plan, the set averages kbar (sets, 3) and usable-fit counts (sets,) of a chunk.
 
@@ -275,10 +274,9 @@ def _fit_chunk(
     draw. All plans share one block fit, which builds its rows from the normals
     one segment at a time. A set without a usable fit gets kbar 0 and count 0.
     """
-    head = plans[0]
-    Z = _substream_normals(head.seed, sets, max(plan.m for plan in plans), t.size)
+    Z = _substream_normals(seed, sets, max(plan.m for plan in plans), t.size)
     noisy = _NoisyRows(Z, [(plan.m, *law) for plan, law in zip(plans, laws)])
-    fits = fit_sensorgrams(t, noisy, head.tau_s, head.L0)
+    fits = fit_sensorgrams(t, noisy, kinetics.tau_s, kinetics.L0)
     rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
     out, end = [], 0
     for plan in plans:
@@ -293,16 +291,6 @@ def _fit_chunk(
     return out
 
 
-def _summarize(plan: SimulationPlan, kbars: np.ndarray, usable: np.ndarray) -> TrialEnsembleResult:
-    """The plan's result; LowSignalError for a set without a usable fit."""
-    if not usable.all():
-        raise LowSignalError(
-            f"set {np.argmin(usable)}: all {plan.m} fits failed; "
-            "signal-to-noise too low for this plan (raise nu, m or N)"
-        )
-    return TrialEnsembleResult(kbars=kbars, usable=usable, plan=plan)
-
-
 def _chunk_count(p: int, rows_per_set: int) -> int:
     """How many runs of whole sets of at most ROWS_PER_CHUNK rows (at least one set) cover p sets."""
     return -(-p // max(1, ROWS_PER_CHUNK // rows_per_set))
@@ -313,14 +301,18 @@ def _chunks(p: int, count: int) -> Iterator[range]:
     return (range(p * k // count, p * (k + 1) // count) for k in range(count))
 
 
-def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsembleResult]:
+def run_ensembles(
+    plans, t, transmittance, kinetics: KineticParameters, seed: int, p: int, workers: int = 1
+) -> list[TrialEnsembleResult]:
     """Simulate p sets of m noisy sensorgrams per plan and summarize each kbar distribution.
 
-    The plans must share seed, p >= 2, tau_s and L0, and p times the plans
-    must fit RESULT_BUDGET_BYTES at BYTES_PER_SET. Sets are processed in the
-    fewest chunks of whole sets that hold at most ROWS_PER_CHUNK rows of all
-    plans together (at least one set), with sizes that differ by at most one
-    set, serially or spread over ``workers`` processes (one pool for all
+    Every plan is drawn from ``seed`` on the same p sets, p in [2, MAX_COUNT],
+    and fitted with the switch time and ligand concentration of ``kinetics``;
+    p times the plans must fit RESULT_BUDGET_BYTES at BYTES_PER_SET. Sets are
+    processed in the fewest chunks of whole sets that hold at most
+    ROWS_PER_CHUNK rows of all plans together (at least one set), with sizes
+    that differ by at most one set, serially or spread over ``workers``
+    processes, but no more than there are chunks or CPUs (one pool for all
     plans, at most two chunks per worker in flight, results collected in set
     order). Each chunk derives the keys of all its (seed, set, sensorgram)
     substreams in one batched hash, draws each substream once for all plans
@@ -332,11 +324,12 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     ``workers`` and of the other plans.
     """
     plans = list(plans)
-    if len({(plan.seed, plan.p, plan.tau_s, plan.L0) for plan in plans}) != 1:
-        raise ValueError("run_ensembles needs one or more plans sharing seed, p, tau_s and L0")
-    p = plans[0].p
+    if not plans:
+        raise ValueError("run_ensembles needs one or more plans")
     if p < 2:  # precision is a standard deviation over sets
         raise ValueError("p must be >= 2")
+    if p > MAX_COUNT:
+        raise ValueError("p must be <= 2**32")
     if p * len(plans) > RESULT_BUDGET_BYTES // BYTES_PER_SET:
         raise ValueError(
             f"p times the plans a run fits must be <= {RESULT_BUDGET_BYTES // BYTES_PER_SET} "
@@ -349,10 +342,11 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
     if workers < 1:
         raise ValueError("workers must be >= 1")
     laws = [_noise_law(plan, T) for plan in plans]
-    worker = partial(_fit_chunk, plans=plans, laws=laws, t=t)
+    worker = partial(_fit_chunk, plans=plans, laws=laws, t=t, kinetics=kinetics, seed=seed)
     count = _chunk_count(p, sum(plan.m for plan in plans))
     chunks = _chunks(p, count)
-    workers = min(workers, count)
+    # outputs do not depend on the worker count, so more workers than CPUs buy nothing
+    workers = min(workers, count, os.cpu_count() or 1)
     if workers > 1:
         per_chunk, pending = [], deque()
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -363,18 +357,27 @@ def run_ensembles(plans, t, transmittance, workers: int = 1) -> list[TrialEnsemb
             per_chunk += [future.result() for future in pending]
     else:
         per_chunk = map(worker, chunks)
-    return [
-        _summarize(plan, *(np.concatenate(column) for column in zip(*parts)))
-        for plan, parts in zip(plans, zip(*per_chunk))
-    ]
+    results = []
+    for plan, parts in zip(plans, zip(*per_chunk)):
+        kbars, usable = (np.concatenate(column) for column in zip(*parts))
+        if not usable.all():
+            raise LowSignalError(
+                f"set {np.argmin(usable)}: all {plan.m} fits failed; "
+                "signal-to-noise too low for this plan (raise nu, m or N)"
+            )
+        results.append(TrialEnsembleResult(kbars, usable, plan, seed))
+    return results
 
 
 def enhancement_Rk(classical: TrialEnsembleResult, quantum: TrialEnsembleResult) -> dict[str, float]:
     """Kinetic enhancement R_k = precision(classical)/precision(quantum) per parameter.
 
-    The two plans must agree in everything except the probe state, and the
-    states must carry the same signal-mode photon number.
+    The results must pair their sets by index (same seed and set count), their
+    plans must agree except in the probe state, and the states must carry the
+    same signal-mode photon number.
     """
+    if classical.seed != quantum.seed or len(classical.kbars) != len(quantum.kbars):
+        raise ValueError("results differ in seed or set count; enhancement ratios are not paired")
     if replace(classical.plan, state=quantum.plan.state) != quantum.plan:
         raise ValueError("plans differ beyond the probe state; enhancement ratios are not comparable")
     if classical.plan.state.n_mean != quantum.plan.state.n_mean:

@@ -58,14 +58,12 @@ class EnsembleBank:
 
     def get(self, kind: ProbeKind, nu: int = 100, m: int = 10, scenario=NO_LOSS):
         plan = SimulationPlan(
-            nu=nu, m=m, p=200, seed=42,
-            state=ProbeState(kind=kind, n_mean=10.0),
-            scenario=scenario,
-            tau_s=KAUSAITE2007.kinetics.tau_s,
-            L0=KAUSAITE2007.kinetics.L0,
+            nu=nu, m=m, state=ProbeState(kind=kind, n_mean=10.0), scenario=scenario
         )
         if plan not in self._cache:
-            self._cache[plan] = run_ensembles([plan], self.t, self.T_L)[0]
+            self._cache[plan] = run_ensembles(
+                [plan], self.t, self.T_L, KAUSAITE2007.kinetics, seed=42, p=200
+            )[0]
         return self._cache[plan]
 
 
@@ -221,13 +219,12 @@ def test_criterion_09_tmsv_degrades_with_photon_number(kausaite_pipeline):
 
     def bright_plan(kind):
         return SimulationPlan(
-            nu=100, m=10, p=100, seed=42,
-            state=ProbeState(kind=kind, n_mean=1e4), scenario=NO_LOSS,
-            tau_s=KAUSAITE2007.kinetics.tau_s, L0=KAUSAITE2007.kinetics.L0,
+            nu=100, m=10, state=ProbeState(kind=kind, n_mean=1e4), scenario=NO_LOSS
         )
 
+    plans = [bright_plan(ProbeKind.TMC), bright_plan(ProbeKind.TMSV)]
     ratios = enhancement_Rk(
-        *run_ensembles([bright_plan(ProbeKind.TMC), bright_plan(ProbeKind.TMSV)], trace.t, T_L)
+        *run_ensembles(plans, trace.t, T_L, KAUSAITE2007.kinetics, seed=42, p=100)
     )
     ok = high < 1.0 and high < low and all(v < 1.0 for v in ratios.values())
     report(

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,16 @@ def tiny_config(out_dir, **kwargs) -> ExperimentConfig:
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+def forbid_reconstruction(monkeypatch):
+    """Fail the test if a command reaches the case's Fresnel reconstruction."""
+    import qspr.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the case was reconstructed")
+
+    monkeypatch.setattr(cli, "reconstruct_transmittance_sensorgram", never)
 
 
 def read_rows(path):
@@ -682,44 +693,42 @@ class TestCommandLine:
         assert not (tmp_path / "out").exists()
 
     def test_threads_are_capped_at_the_cpu_count(self, tmp_path, monkeypatch):
-        # --threads 64 on 2 CPUs runs 2 workers; the spy checks the count
-        # before anything runs, so no more than 2 processes ever start
-        import qspr.cli as cli
+        # --threads 64 on 2 CPUs builds a pool of 2 workers; the spy caps the
+        # pool it builds too, so no more than 2 processes ever start
         import qspr.simulate as simulate
 
-        real, seen = cli.run_ensembles, []
+        pools = []
 
-        def spy(plans, t, T, workers=1):
-            assert workers <= 2, workers
-            seen.append(workers)
-            return real(plans, t, T, workers=workers)
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(min(max_workers, 2), *args, **kwargs)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "run_ensembles", spy)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 6)  # 2 sets of 3 rows: 4 chunks
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "x", states=("tmc",)).to_dict()))
         for threads in ("1", "64"):
             out = str(tmp_path / threads)
             assert main(["run", "--config", str(cfg_path), "--out", out, "--threads", threads]) == 0
-        assert seen == [1, 2]
+        assert pools == [2]  # --threads 1 runs serially, without a pool
         for name in ("results.csv", "sensorgram_ideal.csv", "sensorgram_sample.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "64" / name).read_bytes()
 
     def test_dead_worker_exits_2(self, tmp_path, monkeypatch, capsys):
         # a pool worker that ends abruptly (the kernel's OOM killer, say) gives
-        # one error line, not a BrokenProcessPool traceback, and no output
+        # one error line, not a BrokenProcessPool traceback, and no output.
+        # The pool hands its worker os._exit in place of each chunk: a stdlib
+        # function, so the worker dies under any start method
         import qspr.simulate as simulate
 
-        test_process = os.getpid()
-
-        def die(*args, **kwargs):
-            if os.getpid() == test_process:
-                raise AssertionError("the fit ran in the test process")
-            os._exit(9)
+        class DyingPool(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                return super().submit(os._exit, 9)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(simulate, "fit_sensorgrams", die)
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", DyingPool)
         monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 6)  # 2 sets of 3 rows: 4 chunks
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", states=("tmc",)).to_dict()))
@@ -728,6 +737,27 @@ class TestCommandLine:
             "error: a worker process ended abruptly (for example, out of memory)\n"
         )
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_2_before_any_work(self, tmp_path, monkeypatch, capsys, threads):
+        # the flag is checked before the config is loaded or the case reconstructed
+        forbid_reconstruction(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["run", "--out", str(out), "--threads", threads]) == 2
+        assert capsys.readouterr().err == "error: --threads must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta_a", [1.5, 0.0, -0.2])
+    def test_eta_a_outside_unit_interval_exits_2(self, tmp_path, monkeypatch, capsys, eta_a):
+        # config load rejects it, before the case's Fresnel reconstruction
+        forbid_reconstruction(monkeypatch)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"eta_a": eta_a}))
+        out = tmp_path / "out"
+        for command in ("run", "sensorgram"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == "error: eta_a must lie in (0, 1]\n", command
+            assert not out.exists(), command
 
     def test_failed_sensorgram_draw_leaves_no_output(self, tmp_path, monkeypatch, capsys):
         import qspr.cli as cli

@@ -322,11 +322,11 @@ def noisy_block(case, kind, n_mean, nu, rows, seed=7):
     trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
     T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
     plan = SimulationPlan(
-        nu=nu, m=rows, p=1, seed=seed, state=ProbeState(kind=kind, n_mean=n_mean),
+        nu=nu, m=rows, state=ProbeState(kind=kind, n_mean=n_mean),
         scenario=SensingScenario(mode=ScenarioMode.STANDARD),
-        tau_s=case.kinetics.tau_s, L0=case.kinetics.L0,
     )
-    return trace.t, synthesize_noisy_sensorgrams(T_L, plan, sets=[0]), plan.tau_s, plan.L0
+    Y = synthesize_noisy_sensorgrams(T_L, [plan], seed, sets=[0])
+    return trace.t, Y, case.kinetics.tau_s, case.kinetics.L0
 
 
 # low-SNR blocks in which some fits fail: the README sweep's TMSV point at

@@ -1,5 +1,6 @@
 """Monte Carlo ensemble engine: determinism, noise law, aggregation policy."""
 import dataclasses
+import os
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
@@ -22,6 +23,8 @@ from qspr.simulate import (
 )
 
 NO_LOSS = SensingScenario(mode=ScenarioMode.STANDARD, eta_a=1.0)
+KINETICS = KAUSAITE2007.kinetics
+SEED = 99
 
 
 @pytest.fixture(scope="module")
@@ -32,17 +35,13 @@ def kausaite_ideal():
     return trace.t, T_L
 
 
-def make_plan(kind=ProbeKind.TMC, nu=1000, m=3, p=5, seed=99, n_mean=10.0, scenario=NO_LOSS):
-    return SimulationPlan(
-        nu=nu,
-        m=m,
-        p=p,
-        seed=seed,
-        state=ProbeState(kind=kind, n_mean=n_mean),
-        scenario=scenario,
-        tau_s=KAUSAITE2007.kinetics.tau_s,
-        L0=KAUSAITE2007.kinetics.L0,
-    )
+def make_plan(kind=ProbeKind.TMC, nu=1000, m=3, n_mean=10.0, scenario=NO_LOSS):
+    return SimulationPlan(nu=nu, m=m, state=ProbeState(kind=kind, n_mean=n_mean), scenario=scenario)
+
+
+def run(plans, t, T_L, p=5, seed=SEED, workers=1):
+    """The plans as one run of p sets on the kausaite2007 kinetics."""
+    return run_ensembles(plans, t, T_L, KINETICS, seed, p, workers=workers)
 
 
 def zero_normals(seed, sets, m, n):
@@ -51,9 +50,10 @@ def zero_normals(seed, sets, m, n):
 
 
 def same(a, b) -> bool:
-    """Whether two ensemble results hold the same plan and the same bits."""
+    """Whether two ensemble results hold the same plan, seed and bits."""
     return (
         a.plan == b.plan
+        and a.seed == b.seed
         and np.array_equal(a.kbars, b.kbars)
         and np.array_equal(a.usable, b.usable)
     )
@@ -98,7 +98,7 @@ class TestSynthesize:
         t, T_L = kausaite_ideal
         plan = make_plan()
         monkeypatch.setattr(simulate, "_substream_normals", zero_normals)
-        got = synthesize_noisy_sensorgrams(T_L, plan, sets=[0, 1])
+        got = synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[0, 1])
         assert got.shape == (2 * plan.m, t.size)
         for row in got:
             assert row == pytest.approx(mean_M(plan.state, T_L, 1.0, 1.0), rel=1e-14)
@@ -106,8 +106,8 @@ class TestSynthesize:
     def test_fixed_seed_bit_identical(self, kausaite_ideal):
         t, T_L = kausaite_ideal
         plan = make_plan()
-        one = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])
-        two = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])
+        one = synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[0])
+        two = synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[0])
         assert np.array_equal(one, two)
 
     def test_rows_follow_set_and_sensorgram_substreams(self, kausaite_ideal):
@@ -115,31 +115,29 @@ class TestSynthesize:
         # other requested sets: the (seed, set, sensorgram) substreams fix the noise
         t, T_L = kausaite_ideal
         plan = make_plan()
-        block = synthesize_noisy_sensorgrams(T_L, plan, sets=[4, 1])
+        block = synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[4, 1])
         mean = mean_M(plan.state, T_L, 1.0, 1.0)
         sigma = delta_M(plan.state, T_L, 1.0, 1.0) / np.sqrt(plan.nu)
         for i, set_index in enumerate([4, 1]):
             for j in range(plan.m):
-                z = standard_normals(sensorgram_substream(plan.seed, set_index, j), t.size)
+                z = standard_normals(sensorgram_substream(SEED, set_index, j), t.size)
                 assert np.array_equal(block[i * plan.m + j], mean + sigma * z)
-        assert np.array_equal(synthesize_noisy_sensorgrams(T_L, plan, sets=[1]), block[plan.m :])
+        assert np.array_equal(synthesize_noisy_sensorgrams(T_L, [plan], SEED, [1]), block[plan.m :])
 
     def test_plans_share_one_draw(self, kausaite_ideal):
-        # several plans sharing a seed read one draw: their rows, plan after
-        # plan, are each plan's own rows bit for bit
+        # several plans read one draw: their rows, plan after plan, are each
+        # plan's own rows bit for bit
         t, T_L = kausaite_ideal
         plans = [make_plan(m=3), make_plan(kind=ProbeKind.TMSV, nu=300, m=1), make_plan(m=2)]
-        together = synthesize_noisy_sensorgrams(T_L, plans, sets=[4, 1])
-        alone = [synthesize_noisy_sensorgrams(T_L, plan, sets=[4, 1]) for plan in plans]
+        together = synthesize_noisy_sensorgrams(T_L, plans, SEED, sets=[4, 1])
+        alone = [synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[4, 1]) for plan in plans]
         assert np.array_equal(together, np.concatenate(alone))
-        with pytest.raises(ValueError, match="sharing a seed"):
-            synthesize_noisy_sensorgrams(T_L, [plans[0], make_plan(seed=100)], sets=[0])
 
     def test_sample_mean_matches_specified_law(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=100, m=10_000, p=1)
+        plan = make_plan(nu=100, m=10_000)
         idx = 42
-        draws = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[:, idx]
+        draws = synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[0])[:, idx]
         mu = mean_M(plan.state, T_L[idx], 1.0, 1.0)
         sigma = delta_M(plan.state, T_L[idx], 1.0, 1.0) / np.sqrt(plan.nu)
         assert abs(draws.mean() - mu) < 4.0 * sigma / np.sqrt(draws.size)
@@ -150,25 +148,26 @@ class TestSynthesize:
         # a set index is one uint32 word of its substreams' keys
         _, T_L = kausaite_ideal
         plan = make_plan()
-        assert synthesize_noisy_sensorgrams(T_L, plan, sets=[2**32 - 1]).shape == (plan.m, T_L.size)
+        top = synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[2**32 - 1])
+        assert top.shape == (plan.m, T_L.size)
         with pytest.raises(ValueError, match="^sets must"):
-            synthesize_noisy_sensorgrams(T_L, plan, sets=[0, bad])
+            synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[0, bad])
 
     def test_rejects_unphysical_transmittance(self, kausaite_ideal):
         t, _ = kausaite_ideal
         plan = make_plan()
         with pytest.raises(ValueError):
-            synthesize_noisy_sensorgrams(np.full_like(t, 1.5), plan, sets=[0])
+            synthesize_noisy_sensorgrams(np.full_like(t, 1.5), [plan], SEED, sets=[0])
 
 
 class TestRunEnsemble:
     def test_zero_noise_collapses_to_ideal_fit(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
-        plan = make_plan(p=4, m=2)
+        plan = make_plan(m=2)
         monkeypatch.setattr(simulate, "_substream_normals", zero_normals)
-        res = run_ensembles([plan], t, T_L)[0]  # serial: the patch reaches every draw
+        res = run([plan], t, T_L, p=4)[0]  # serial: the patch reaches every draw
         ideal = fit_sensorgrams(
-            t, mean_M(plan.state, T_L, 1.0, 1.0)[None], plan.tau_s, plan.L0
+            t, mean_M(plan.state, T_L, 1.0, 1.0)[None], KINETICS.tau_s, KINETICS.L0
         )
         _, k_s, k_d = res.estimate
         assert np.array_equal(res.precision[1:], [0.0, 0.0])  # k_s, k_d
@@ -180,25 +179,26 @@ class TestRunEnsemble:
         # classical probe at the reference operating point: the estimate stays
         # within three precisions of the noise-free pipeline value
         t, T_L = kausaite_ideal
-        res = run_ensembles([make_plan(nu=1000, m=10, p=300, seed=42)], t, T_L)[0]
+        res = run([make_plan(nu=1000, m=10)], t, T_L, p=300, seed=42)[0]
         assert res.failed_fit_count == 0
         assert abs(res.estimate[2] - 7.771e-3) < 3.0 * res.precision[2]  # k_d
 
     def test_parallel_execution_identical(self, kausaite_ideal, monkeypatch):
         # three chunks of sets, so every worker count splits the work differently
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=200, m=2, p=134, seed=5)
+        plan = make_plan(nu=200, m=2)
         monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 100)  # 45, 45 and 44 sets
-        assert simulate._chunk_count(plan.p, plan.m) == 3
-        serial = run_ensembles([plan], t, T_L, workers=1)[0]
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)  # 3 workers on any host
+        assert simulate._chunk_count(134, plan.m) == 3
+        serial = run([plan], t, T_L, p=134, seed=5)[0]
         for workers in (2, 3):
-            parallel = run_ensembles([plan], t, T_L, workers=workers)[0]
+            parallel = run([plan], t, T_L, p=134, seed=5, workers=workers)[0]
             assert same(serial, parallel)  # bit-identical aggregation
 
     def test_rerun_bit_identical(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=500, m=2, p=4)
-        assert same(run_ensembles([plan], t, T_L)[0], run_ensembles([plan], t, T_L)[0])
+        plan = make_plan(nu=500, m=2)
+        assert same(run([plan], t, T_L, p=4)[0], run([plan], t, T_L, p=4)[0])
 
     def test_all_failed_set_aborts(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
@@ -212,7 +212,7 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(simulate, "fit_sensorgrams", hopeless)
         with pytest.raises(LowSignalError, match="all 3 fits failed"):
-            run_ensembles([make_plan(m=3, p=2)], t, T_L)
+            run([make_plan(m=3)], t, T_L, p=2)
 
     def test_failure_fraction_flags_unreliable(self, kausaite_ideal, monkeypatch):
         t, T_L = kausaite_ideal
@@ -229,7 +229,7 @@ class TestRunEnsemble:
             return dataclasses.replace(result, converged=converged)
 
         monkeypatch.setattr(simulate, "fit_sensorgrams", flaky)
-        res = run_ensembles([make_plan(m=4, p=5)], t, T_L)[0]
+        res = run([make_plan(m=4)], t, T_L, p=5)[0]
         assert res.failed_fit_count == 5
         assert res.total_fits == 20
         assert res.failed_fit_count / res.total_fits == 0.25
@@ -239,7 +239,7 @@ class TestRunEnsemble:
         # an independent recomputation of the set averages: each set is drawn and
         # fitted on its own, and a fit fails by a rule that reads only its own rates
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=300, m=4, p=6)
+        plan, p = make_plan(nu=300, m=4), 6
 
         def usable(fits):
             return fits.converged & (fits.k_d <= 7.771e-3)  # the noise-free k_d
@@ -249,24 +249,24 @@ class TestRunEnsemble:
             return dataclasses.replace(fits, converged=usable(fits))
 
         monkeypatch.setattr(simulate, "fit_sensorgrams", failing)
-        res = run_ensembles([plan], t, T_L)[0]
-        for i in range(plan.p):
-            Y = synthesize_noisy_sensorgrams(T_L, plan, [i])
-            fits = fit_sensorgrams(t, Y, plan.tau_s, plan.L0)
+        res = run([plan], t, T_L, p=p)[0]
+        for i in range(p):
+            Y = synthesize_noisy_sensorgrams(T_L, [plan], SEED, [i])
+            fits = fit_sensorgrams(t, Y, KINETICS.tau_s, KINETICS.L0)
             ok = usable(fits)
             assert res.usable[i] == ok.sum()
             rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])[ok]
             assert np.array_equal(res.kbars[i], rates.mean(axis=0)), i
-        assert res.kbars.shape == (plan.p, 3)
-        assert 0 < res.failed_fit_count == plan.m * plan.p - res.usable.sum()
+        assert res.kbars.shape == (p, 3)
+        assert 0 < res.failed_fit_count == plan.m * p - res.usable.sum()
 
     def test_needs_two_sets(self, kausaite_ideal):
         # the precision is a standard deviation over sets: one set would report
         # 0.0 for every rate, and R_k would divide by it
         t, T_L = kausaite_ideal
-        plans = [make_plan(m=2, p=1), make_plan(kind=ProbeKind.TMF, m=2, p=1)]
+        plans = [make_plan(m=2), make_plan(kind=ProbeKind.TMF, m=2)]
         with pytest.raises(ValueError, match="p must be >= 2"):
-            run_ensembles(plans, t, T_L)
+            run(plans, t, T_L, p=1)
 
     def test_sets_beyond_the_result_budget_raise_before_any_draw(self, kausaite_ideal, monkeypatch):
         # two plans at p = 2**25 would hold 2 GiB of set results: the engine
@@ -277,21 +277,22 @@ class TestRunEnsemble:
         monkeypatch.setattr(simulate, "_substream_normals", never)
         t, T_L = kausaite_ideal
         p = simulate.RESULT_BUDGET_BYTES // simulate.BYTES_PER_SET
-        plans = [make_plan(m=2, p=p), make_plan(kind=ProbeKind.TMF, m=2, p=p)]
+        plans = [make_plan(m=2), make_plan(kind=ProbeKind.TMF, m=2)]
         line = (
             f"p times the plans a run fits must be <= {p} (32 B per set within "
             f"{simulate.RESULT_BUDGET_BYTES} B); got {p} * 2"
         )
         with pytest.raises(ValueError) as excinfo:
-            run_ensembles(plans, t, T_L)
+            run(plans, t, T_L, p=p)
         assert str(excinfo.value) == line
 
     def test_precision_stable_in_p(self, kausaite_ideal):
         # the kbar distribution summary has settled by p=1500: doubling the
         # number of sets moves the reported precision by less than 5%
         t, T_L = kausaite_ideal
-        small = run_ensembles([make_plan(nu=100, m=4, p=1500, seed=42)], t, T_L, workers=2)[0]
-        large = run_ensembles([make_plan(nu=100, m=4, p=3000, seed=42)], t, T_L, workers=2)[0]
+        plan = make_plan(nu=100, m=4)
+        small = run([plan], t, T_L, p=1500, seed=42, workers=2)[0]
+        large = run([plan], t, T_L, p=3000, seed=42, workers=2)[0]
         for name, a, b in zip(simulate.PARAMETER_NAMES, small.precision, large.precision):
             assert abs(b / a - 1.0) < 0.05, name
 
@@ -300,12 +301,12 @@ class TestRunEnsemble:
         # transmittance space yields the same rates for the same random stream
         t, T_L = kausaite_ideal
         plan = make_plan(nu=1000)
-        y_m = synthesize_noisy_sensorgrams(T_L, plan, sets=[0])[0]
+        y_m = synthesize_noisy_sensorgrams(T_L, [plan], SEED, sets=[0])[0]
         slope = plan.scenario.eta_a * plan.state.n_mean
         intercept = -plan.scenario.eta_b * plan.state.n_reference
         y_t = (y_m - intercept) / slope  # Tbar with noise delta_T/sqrt(nu)
-        fit_m = fit_sensorgrams(t, y_m[None], plan.tau_s, plan.L0)
-        fit_t = fit_sensorgrams(t, y_t[None], plan.tau_s, plan.L0)
+        fit_m = fit_sensorgrams(t, y_m[None], KINETICS.tau_s, KINETICS.L0)
+        fit_t = fit_sensorgrams(t, y_t[None], KINETICS.tau_s, KINETICS.L0)
         assert fit_m.k_s[0] == pytest.approx(fit_t.k_s[0], rel=1e-8)
         assert fit_m.k_d[0] == pytest.approx(fit_t.k_d[0], rel=1e-8)
 
@@ -317,28 +318,24 @@ class TestRunEnsembles:
         t, T_L = kausaite_ideal
         p = 67
         monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", 340)  # 34 sets of 10 rows
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers on any host
         plans = [
-            make_plan(kind=ProbeKind.TMF, nu=300, m=2, p=p),
-            make_plan(kind=ProbeKind.TMC, nu=1000, m=3, p=p),
-            make_plan(kind=ProbeKind.TMSV, nu=300, m=3, p=p, n_mean=100.0),
-            make_plan(kind=ProbeKind.TMC, nu=300, m=2, p=p),
+            make_plan(kind=ProbeKind.TMF, nu=300, m=2),
+            make_plan(kind=ProbeKind.TMC, nu=1000, m=3),
+            make_plan(kind=ProbeKind.TMSV, nu=300, m=3, n_mean=100.0),
+            make_plan(kind=ProbeKind.TMC, nu=300, m=2),
         ]
-        alone = [run_ensembles([plan], t, T_L)[0] for plan in plans]
+        alone = [run([plan], t, T_L, p=p)[0] for plan in plans]
         for workers in (1, 2):
-            together = run_ensembles(plans, t, T_L, workers=workers)
+            together = run(plans, t, T_L, p=p, workers=workers)
             assert all(map(same, together, alone))
 
-    @pytest.mark.parametrize(
-        "change",
-        [{"seed": 100}, {"p": 6}, {"tau_s": 1000.0}, {"L0": 1e-6}, None],
-        ids=lambda change: next(iter(change)) if change else "no-plans",
-    )
-    def test_plans_must_share_sets_and_fit(self, kausaite_ideal, change):
+    @pytest.mark.parametrize("plans", [[]], ids=["no-plans"])
+    def test_plans_must_share_sets_and_fit(self, kausaite_ideal, plans):
+        # the run gives every plan its seed, sets and fit; it needs a plan to give them to
         t, T_L = kausaite_ideal
-        plan = make_plan(m=2, p=5)
-        plans = [plan, dataclasses.replace(plan, **change)] if change else []
-        with pytest.raises(ValueError, match="sharing seed, p, tau_s and L0"):
-            run_ensembles(plans, t, T_L)
+        with pytest.raises(ValueError, match="needs one or more plans"):
+            run(plans, t, T_L)
 
     @pytest.mark.parametrize("rows_per_chunk", [None, 100, 30], ids=["default", "100", "30"])
     def test_each_chunk_is_one_fit_of_whole_sets(self, kausaite_ideal, monkeypatch, rows_per_chunk):
@@ -346,11 +343,11 @@ class TestRunEnsembles:
         # so the 70 sets are two chunks of 35; a budget below m still fits one
         # whole set
         t, T_L = kausaite_ideal
-        plan = make_plan(m=40, p=70, seed=42)
+        plan, p = make_plan(m=40), 70
         if rows_per_chunk:
             monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", rows_per_chunk)
         # sensorgram 0 of each set, as the fit receives it
-        firsts = synthesize_noisy_sensorgrams(T_L, dataclasses.replace(plan, m=1), range(plan.p))
+        firsts = synthesize_noisy_sensorgrams(T_L, [dataclasses.replace(plan, m=1)], 42, range(p))
         set_of = {row.tobytes(): s for s, row in enumerate(firsts)}
         calls = []
 
@@ -359,9 +356,9 @@ class TestRunEnsembles:
             return fit_sensorgrams(t, Y, *args, **kwargs)
 
         monkeypatch.setattr(simulate, "fit_sensorgrams", spy)
-        run_ensembles([plan], t, T_L)
+        run([plan], t, T_L, p=p, seed=42)
         assert max(rows for rows, _ in calls) <= max(simulate.ROWS_PER_CHUNK, plan.m)
-        assert [s for _, sets in calls for s in sets] == list(range(plan.p))
+        assert [s for _, sets in calls for s in sets] == list(range(p))
 
     @pytest.mark.parametrize(
         "p,rows_per_set,budget,sizes",
@@ -389,8 +386,9 @@ class TestRunEnsembles:
         # fewer than 4 submitted chunks are uncollected, and results are
         # collected in set order, so they equal the serial run bit for bit
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=300, m=2, p=20, seed=5)
+        plan = make_plan(nu=300, m=2)
         monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", plan.m)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 2 workers on any host
         outstanding, in_flight = set(), []
 
         class CountingPool(ProcessPoolExecutor):
@@ -407,9 +405,9 @@ class TestRunEnsembles:
                 in_flight.append(len(outstanding))
                 return future
 
-        serial = run_ensembles([plan], t, T_L)[0]
+        serial = run([plan], t, T_L, p=20, seed=5)[0]
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
-        pooled = run_ensembles([plan], t, T_L, workers=2)[0]
+        pooled = run([plan], t, T_L, p=20, seed=5, workers=2)[0]
         assert len(in_flight) == 20 and max(in_flight) == 4
         assert same(serial, pooled)
 
@@ -422,16 +420,36 @@ class TestRunEnsembles:
             )
 
         monkeypatch.setattr(simulate, "fit_sensorgrams", hopeless)
-        two, three = make_plan(m=2, p=2), make_plan(m=3, p=2)
+        two, three = make_plan(m=2), make_plan(m=3)
         with pytest.raises(LowSignalError, match="all 2 fits failed"):
-            run_ensembles([two, three], t, T_L)
+            run([two, three], t, T_L, p=2)
         with pytest.raises(LowSignalError, match="all 3 fits failed"):
-            run_ensembles([three, two], t, T_L)
+            run([three, two], t, T_L, p=2)
+
+    def test_workers_are_capped_at_the_cpu_count(self, kausaite_ideal, monkeypatch):
+        # 8 chunks asked for 64 workers on 2 CPUs: the pool starts 2 workers,
+        # and the result equals the serial run bit for bit
+        t, T_L = kausaite_ideal
+        plan = make_plan(nu=300, m=2)
+        monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", plan.m)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                pools.append(max_workers)
+                super().__init__(min(max_workers, 2), *args, **kwargs)
+
+        serial = run([plan], t, T_L, p=8)[0]
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", CountingPool)
+        pooled = run_ensembles([plan], t, T_L, KINETICS, SEED, 8, workers=64)[0]
+        assert pools == [2]
+        assert same(serial, pooled)
 
 
 # the 24 points of the README sweep at p=5: 1,200 fits, TMSV at nu=100 among them
 README_PLANS = [
-    make_plan(kind=kind, nu=nu, m=10, p=5, seed=42, n_mean=n_mean)
+    make_plan(kind=kind, nu=nu, m=10, n_mean=n_mean)
     for kind in ProbeKind
     for n_mean in (10.0, 100.0, 1000.0)
     for nu in (100, 1000)
@@ -447,10 +465,9 @@ class TestSharedBlocks:
         # each plan's block is C-ordered like the whole stack, so every row sum
         # runs in one order; Fortran-ordered segments moved two TMSV rows by 1e-13
         t, T_L = kausaite_ideal
-        blocks = [synthesize_noisy_sensorgrams(T_L, plan, range(plan.p)) for plan in README_PLANS]
-        head = README_PLANS[0]
-        whole = fit_sensorgrams(t, np.concatenate(blocks), head.tau_s, head.L0)
-        per_plan = [fit_sensorgrams(t, Y, head.tau_s, head.L0) for Y in blocks]
+        blocks = [synthesize_noisy_sensorgrams(T_L, [plan], 42, range(5)) for plan in README_PLANS]
+        whole = fit_sensorgrams(t, np.concatenate(blocks), KINETICS.tau_s, KINETICS.L0)
+        per_plan = [fit_sensorgrams(t, Y, KINETICS.tau_s, KINETICS.L0) for Y in blocks]
         assert len(whole.k_d) == 1200
         for field in dataclasses.fields(whole):
             stacked = np.concatenate([getattr(fits, field.name) for fits in per_plan])
@@ -472,95 +489,115 @@ class TestSharedBlocks:
         # ROWS_PER_CHUNK = 1 fits one set of all 24 plans per chunk, and 10**6
         # all five sets in one chunk
         t, T_L = kausaite_ideal
-        shared = run_ensembles(README_PLANS, t, T_L)
+        shared = run(README_PLANS, t, T_L, p=5, seed=42)
         monkeypatch.setattr(simulate, "ROWS_PER_CHUNK", rows_per_chunk)
         if rows_per_slice:
             monkeypatch.setattr(fit_module, "ROWS_PER_SLICE", rows_per_slice)
-        assert all(map(same, run_ensembles(README_PLANS, t, T_L), shared))
+        assert all(map(same, run(README_PLANS, t, T_L, p=5, seed=42), shared))
 
     def test_fit_memory_per_row_is_bounded(self, kausaite_ideal):
         # a deterministic allocation count, not a timing: a block fit's memory
         # grows only by each row's segment data and LM state, so chunks of
         # ROWS_PER_CHUNK rows cost little more than chunks of 256
         t, T_L = kausaite_ideal
-        plan = make_plan(kind=ProbeKind.TMSV, nu=100, m=8, p=256, seed=42)
+        plan = make_plan(kind=ProbeKind.TMSV, nu=100, m=8)
         law = simulate._noise_law(plan, T_L)
 
         def peak(sets: int) -> int:
             # the block as _fit_chunk hands it over: normals plus the noise law
-            Z = simulate._substream_normals(plan.seed, range(sets), plan.m, t.size)
+            Z = simulate._substream_normals(42, range(sets), plan.m, t.size)
             rows = simulate._NoisyRows(Z, [(plan.m, *law)])
             tracemalloc.start()
             try:
-                fit_sensorgrams(t, rows, plan.tau_s, plan.L0)
+                fit_sensorgrams(t, rows, KINETICS.tau_s, KINETICS.L0)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        fit_sensorgrams(t, T_L[None], plan.tau_s, plan.L0)  # first call: lazy set-up
+        fit_sensorgrams(t, T_L[None], KINETICS.tau_s, KINETICS.L0)  # first call: lazy set-up
         small, large = peak(32), peak(256)  # 256 and 2,048 rows
         assert (large - small) / (2048 - 256) <= FIT_BYTES_PER_EXTRA_ROW
 
     def test_segments_need_increasing_t(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        plan = make_plan()
         with pytest.raises(ValueError, match="increasing"):
-            fit_sensorgrams(t[::-1], T_L[None], plan.tau_s, plan.L0)
+            fit_sensorgrams(t[::-1], T_L[None], KINETICS.tau_s, KINETICS.L0)
 
 
 class TestEnhancementRatios:
     def test_identical_ensembles_give_unity(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        res = run_ensembles([make_plan(nu=300, m=2, p=4)], t, T_L)[0]
+        res = run([make_plan(nu=300, m=2)], t, T_L, p=4)[0]
         ratios = enhancement_Rk(res, res)
         assert ratios == {"k_a": 1.0, "k_s": 1.0, "k_d": 1.0}
 
     def test_mismatched_plans_rejected(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        plans = [make_plan(nu=300, m=2, p=4), make_plan(nu=600, m=2, p=4, kind=ProbeKind.TMF)]
-        a, b = run_ensembles(plans, t, T_L)
+        plans = [make_plan(nu=300, m=2), make_plan(nu=600, m=2, kind=ProbeKind.TMF)]
+        a, b = run(plans, t, T_L, p=4)
         with pytest.raises(ValueError, match="plans differ"):
             enhancement_Rk(a, b)
 
+    def test_results_of_different_runs_rejected(self, kausaite_ideal):
+        # R_k pairs the sets of two ensembles by index: the same plan under
+        # another seed, or over another set count, is not its pair
+        t, T_L = kausaite_ideal
+        plan = make_plan(nu=300, m=2)
+        (res,) = run([plan], t, T_L, p=4, seed=1)
+        for other in (run([plan], t, T_L, p=4, seed=2)[0], run([plan], t, T_L, p=5, seed=1)[0]):
+            with pytest.raises(ValueError, match="seed or set count"):
+                enhancement_Rk(res, other)
+
     def test_mismatched_photon_number_rejected(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        a, b = run_ensembles(
+        a, b = run(
             [
-                make_plan(nu=300, m=2, p=4, n_mean=10.0),
-                make_plan(nu=300, m=2, p=4, kind=ProbeKind.TMF, n_mean=12.0),
+                make_plan(nu=300, m=2, n_mean=10.0),
+                make_plan(nu=300, m=2, kind=ProbeKind.TMF, n_mean=12.0),
             ],
             t,
             T_L,
+            p=4,
         )
         with pytest.raises(ValueError, match="photon"):
             enhancement_Rk(a, b)
 
     def test_quadrupling_m_doubles_precision(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        plans = [make_plan(nu=100, m=m, p=150, seed=42) for m in (10, 40)]
-        r10, r40 = run_ensembles(plans, t, T_L, workers=2)
+        plans = [make_plan(nu=100, m=m) for m in (10, 40)]
+        r10, r40 = run(plans, t, T_L, p=150, seed=42, workers=2)
         gains = r10.precision / r40.precision
         for name, gain in zip(simulate.PARAMETER_NAMES, gains):
             assert abs(gain / 2.0 - 1.0) < 0.15, (name, gain)
 
 
 class TestPlanValidation:
-    def test_counts_bounded_by_one_key_word(self):
-        # set and sensorgram indices are one uint32 word each in the substream keys
-        assert make_plan(m=2**32, p=2**32).p == 2**32
-        for name in ("m", "p"):
-            with pytest.raises(ValueError, match=f"{name} must be <= 2\\*\\*32"):
-                make_plan(**{name: 2**32 + 1})
+    def test_counts_bounded_by_one_key_word(self, kausaite_ideal):
+        # set and sensorgram indices are one uint32 word each in the substream keys;
+        # p = 2**32 passes the count check and fails only the result budget
+        t, T_L = kausaite_ideal
+        assert make_plan(m=2**32).m == 2**32
+        with pytest.raises(ValueError, match="m must be <= 2\\*\\*32"):
+            make_plan(m=2**32 + 1)
+        with pytest.raises(ValueError, match="p must be <= 2\\*\\*32"):
+            run([make_plan()], t, T_L, p=2**32 + 1)
+        with pytest.raises(ValueError, match="^p times the plans"):
+            run([make_plan()], t, T_L, p=2**32)
 
-    def test_counts_must_be_positive(self):
-        with pytest.raises(ValueError):
-            make_plan(p=0)
-        with pytest.raises(ValueError):
+    def test_counts_must_be_positive(self, kausaite_ideal):
+        t, T_L = kausaite_ideal
+        with pytest.raises(ValueError, match="p must be >= 2"):
+            run([make_plan()], t, T_L, p=0)
+        with pytest.raises(ValueError, match="m must be >= 1"):
             make_plan(m=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nu must be >= 1"):
             make_plan(nu=0)
 
-    def test_seed_range(self):
+    def test_seed_range(self, kausaite_ideal):
+        # the seed takes two entropy words of the substream keys
+        t, T_L = kausaite_ideal
         for seed in (2**63, -1):
-            with pytest.raises(ValueError):
-                make_plan(seed=seed)
+            with pytest.raises(ValueError, match="^seed must lie in \\[0, 2\\*\\*63\\)$"):
+                run([make_plan()], t, T_L, seed=seed)
+            with pytest.raises(ValueError, match="^seed must lie in \\[0, 2\\*\\*63\\)$"):
+                synthesize_noisy_sensorgrams(T_L, [make_plan()], seed, sets=[0])
