@@ -55,6 +55,17 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def require_json_type(where: str, key: str, value, hint) -> None:
+    """Raise ValueError naming ``where`` and ``key`` unless the JSON ``value`` fits ``hint``."""
+    if _fits(value, hint):
+        return
+    name = hint.__name__ if isinstance(hint, type) else hint
+    numbers = value if isinstance(value, list) else [value]
+    if any(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
+        name = f"{name} (integers must fit int64, numbers must be finite)"
+    raise ValueError(f"{where} key {key!r} must be {name}, got {value!r}")
+
+
 def dataclass_from_json(cls, doc, where: str):
     """Build dataclass ``cls`` from a JSON object, nested dataclasses included.
 
@@ -82,13 +93,9 @@ def dataclass_from_json(cls, doc, where: str):
     for key, value in doc.items():
         if dataclasses.is_dataclass(hints[key]):
             value = dataclass_from_json(hints[key], value, key)
-        elif not _fits(value, hints[key]):
-            hint = hints[key].__name__ if isinstance(hints[key], type) else hints[key]
-            numbers = value if isinstance(value, list) else [value]
-            if any(isinstance(v, (int, float)) and not isinstance(v, bool) for v in numbers):
-                hint = f"{hint} (integers must fit int64, numbers must be finite)"
-            raise ValueError(f"{where} key {key!r} must be {hint}, got {value!r}")
-        elif hints[key] is complex:
+        else:
+            require_json_type(where, key, value, hints[key])
+        if hints[key] is complex:
             value = complex(*value) if isinstance(value, list) else complex(value)
         elif isinstance(value, list):
             value = tuple(value)

@@ -16,6 +16,7 @@ import dataclasses
 import json
 import sys
 import time
+import typing
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,7 +25,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .cases import CaseStudy, available_cases, dataclass_from_json, resolve_case
+from .cases import CaseStudy, available_cases, dataclass_from_json, require_json_type, resolve_case
 from .fit import NOISE_FLOOR
 from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from .probes import (
@@ -34,7 +35,6 @@ from .probes import (
     ScenarioMode,
     SensingScenario,
     enhancement_RM,
-    matched_classical_reference,
     mean_M,
     midpoint_enhancement_map,
 )
@@ -43,7 +43,6 @@ from .simulate import (
     PARAMETER_NAMES,
     LowSignalError,
     SimulationPlan,
-    enhancement_Rk,
     run_ensembles,
     synthesize_noisy_sensorgrams,
 )
@@ -89,6 +88,11 @@ class ExperimentConfig:
     overrides: dict | None = None
 
     def __post_init__(self) -> None:
+        hints = typing.get_type_hints(ExperimentConfig)
+        for name in ("p", "seed", "nu_values", "m_values"):  # counts, typed as JSON loads them
+            value = getattr(self, name)
+            value = list(value) if isinstance(value, tuple) else value
+            require_json_type("config", name, value, hints[name])
         if not self.states:
             raise ValueError("config needs at least one probe state")
         unknown = [s for s in self.states if s not in {k.value for k in ProbeKind}]
@@ -233,53 +237,36 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     """
     started = time.perf_counter()
     case, trace, T_L, scenario, nu_values = _prepare(config)
-    points, twins = [], {}  # one plan per sweep point; its classical twin (a TMC plan's is itself)
-    for state_name in config.states:
-        for n_mean in config.n_values:
-            state = _make_state(state_name, n_mean, config.tmsd_gain)
-            for nu in nu_values:
-                for m in config.m_values:
-                    plan = SimulationPlan(nu=int(nu), m=int(m), state=state, scenario=scenario)
-                    points.append(plan)
-                    twins[plan] = replace(plan, state=matched_classical_reference(state))
-    # every distinct plan once, in first-request order, in one set-major run
-    plans = list(dict.fromkeys(each for plan in points for each in (plan, twins[plan])))
+    points = [  # one plan per sweep point; the run adds each point's classical twin
+        SimulationPlan(
+            nu=nu, m=m, state=_make_state(state_name, n_mean, config.tmsd_gain), scenario=scenario
+        )
+        for state_name in config.states
+        for n_mean in config.n_values
+        for nu in nu_values
+        for m in config.m_values
+    ]
     results = run_ensembles(
-        plans, trace.t, T_L, case.kinetics, config.seed, int(config.p), workers=threads
+        points, trace.t, T_L, case.kinetics, config.seed, config.p, workers=threads
     )
-    ensembles = dict(zip(plans, results))
 
     result_rows, unreliable = [], []
-    for plan in points:
-        res = ensembles[plan]
-        state_name, n_mean = plan.state.kind.value, plan.state.n_mean
-        if res.unreliable:
-            unreliable.append(
-                f"{state_name} N={n_mean} nu={plan.nu} m={plan.m}: "
-                f"{res.failed_fit_count}/{res.total_fits} fits failed"
-            )
-        r_k = enhancement_Rk(ensembles[twins[plan]], res)
-        r_m = float(enhancement_RM(plan.state, scenario.t_mid, scenario))
-        for parameter, estimate, precision in zip(PARAMETER_NAMES, res.estimate, res.precision):
-            result_rows.append(
-                (
-                    case.name,
-                    state_name,
-                    config.scenario,
-                    n_mean,
-                    plan.nu,
-                    plan.m,
-                    parameter,
-                    estimate,
-                    precision,
-                    r_k[parameter],
-                    r_m,
-                    res.failed_fit_count,
-                    config.seed,
+    for res in results:
+        plan, state = res.plan, res.plan.state
+        for ensemble in (res, res.twin or res):  # a twin's failed fits make R_k unreliable too
+            if ensemble.unreliable:
+                each = ensemble.plan.state  # a twin shares its point's N, nu and m
+                n_ref = "" if each.n_ref is None else f" n_ref={each.n_ref}"
+                unreliable.append(
+                    f"{each.kind.value} N={each.n_mean}{n_ref} nu={plan.nu} m={plan.m}: "
+                    f"{ensemble.failed_fit_count}/{ensemble.total_fits} fits failed"
                 )
-            )
+        point = (case.name, state.kind.value, config.scenario, state.n_mean, plan.nu, plan.m)
+        r_m = float(enhancement_RM(state, scenario.t_mid, scenario))
+        for row in zip(PARAMETER_NAMES, res.estimate, res.precision, res.R_k):
+            result_rows.append((*point, *row, r_m, res.failed_fit_count, config.seed))
 
-    tables = _sensorgram_tables(config, trace, T_L, scenario, int(nu_values[0]))
+    tables = _sensorgram_tables(config, trace, T_L, scenario, nu_values[0])
     tables.append(("results.csv", RESULT_COLUMNS, result_rows))
     map_T = np.linspace(float(T_L.min()), float(T_L.max()), 41)
     # each axis value formatted once, by position, for every row that repeats
@@ -312,7 +299,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
             "python": sys.version.split()[0],
         },
         "midpoint_transmittance": float(scenario.t_mid),
-        "unreliable_ensembles": unreliable,
+        "unreliable_ensembles": list(dict.fromkeys(unreliable)),  # a shared twin once
         "outputs": [path.name for path in written],
         "runtime_seconds": time.perf_counter() - started,
     }
@@ -374,7 +361,7 @@ def _cmd_sensorgram(args: argparse.Namespace) -> int:
     """Ideal + one seeded noisy sensorgram per state, no ensembles (fast)."""
     config = _load_config(args)
     _, trace, T_L, scenario, nu_values = _prepare(config)
-    tables = _sensorgram_tables(config, trace, T_L, scenario, int(nu_values[0]))
+    tables = _sensorgram_tables(config, trace, T_L, scenario, nu_values[0])
     for path in _write_tables(Path(config.output_dir), tables):
         print(f"wrote {path}")
     return 0

@@ -196,9 +196,12 @@ def delta_T(state: ProbeState, T, sc: SensingScenario, nu: int):
 def matched_classical_reference(state: ProbeState) -> ProbeState:
     """TMC benchmark with the per-mode mean photon numbers of ``state``.
 
-    Balanced references are canonicalized to ``n_ref=None`` so that equal
-    physical configurations compare (and hash) equal.
+    A TMC state is its own benchmark. Other balanced references are
+    canonicalized to ``n_ref=None`` so that equal physical configurations
+    compare (and hash) equal.
     """
+    if state.kind is ProbeKind.TMC:
+        return state
     n_ref = None if state.n_reference == state.n_mean else state.n_reference
     return ProbeState(kind=ProbeKind.TMC, n_mean=state.n_mean, n_ref=n_ref)
 

@@ -8,7 +8,8 @@ the fitted rate constants is one sample. Repeating over p sets gives the
 estimate (mean of kbar) and the estimation precision (standard deviation of
 kbar). A result keeps exactly that sample: ``kbars``, the p set averages of
 (k_a, k_s, k_d), and ``usable``, each set's count of usable fits; every
-summary is derived from those two arrays.
+summary is derived from those two arrays, and the kinetic enhancement R_k
+from the result of the plan's classical twin on the same sets.
 
 Randomness is counter-based: every (seed, set, sensorgram) triple owns a Philox
 substream, keyed as Philox(SeedSequence(entropy=seed, spawn_key=(set, j)))
@@ -20,16 +21,16 @@ worker count, and the plans of a run share the same underlying standard
 normals across states, nu and m (common random numbers).
 
 The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
-once, with the run's seed, set count and kinetics given once, and cuts the p
-sets into the fewest chunks of whole sets that hold at most ROWS_PER_CHUNK
-rows of all plans together (at least one set), with sizes that differ by at
-most one set. A chunk is one block fit (``qspr.fit.fit_sensorgrams``, one LM
-loop per segment): it draws its substreams once, for the largest m, and each
-plan reads the first m sensorgrams of every set. The block is handed over as
-the chunk's normals and each plan's noise law, and the fit builds one
-segment's columns of its rows at a time. A row of that fit is bitwise
-independent of the other rows, so a plan's result is the same whatever other
-plans share its run or its chunk.
+once, with the run's seed, set count and kinetics given once, adds each
+plan's classical twin, and cuts the p sets into the fewest chunks of whole
+sets that hold at most ROWS_PER_CHUNK rows of all plans together (at least
+one set), with sizes that differ by at most one set. A chunk is one block
+fit (``qspr.fit.fit_sensorgrams``, one LM loop per segment): it draws its
+substreams once, for the largest m, and each plan reads the first m
+sensorgrams of every set. The block is handed over as the chunk's normals and
+each plan's noise law, and the fit builds one segment's columns of its rows
+at a time. A row of that fit is bitwise independent of the other rows, so a
+plan's result is the same whatever other plans share its run or its chunk.
 """
 from __future__ import annotations
 
@@ -45,7 +46,7 @@ from scipy.special import ndtri
 
 from .fit import fit_sensorgrams
 from .kinetics import KineticParameters
-from .probes import ProbeState, SensingScenario, delta_M, mean_M
+from .probes import ProbeState, SensingScenario, delta_M, matched_classical_reference, mean_M
 
 PARAMETER_NAMES = ("k_a", "k_s", "k_d")
 UNRELIABLE_FAILURE_FRACTION = 0.2
@@ -102,14 +103,15 @@ class TrialEnsembleResult:
 
     kbars: (p, 3), row i the mean (k_a, k_s, k_d) of set i's usable fits, in
     PARAMETER_NAMES order; usable: (p,), the number of those fits per set;
-    seed: the run's seed. Compare two results with ``np.array_equal`` on both
-    arrays.
+    twin: the result of the plan's classical twin on the same sets, or None
+    when the plan is its own twin. Compare two results with
+    ``np.array_equal`` on both arrays, and their twins the same way.
     """
 
     kbars: np.ndarray
     usable: np.ndarray
     plan: SimulationPlan
-    seed: int
+    twin: TrialEnsembleResult | None
 
     @property
     def estimate(self) -> np.ndarray:
@@ -118,6 +120,11 @@ class TrialEnsembleResult:
     @property
     def precision(self) -> np.ndarray:
         return self.kbars.std(axis=0, ddof=1)
+
+    @property
+    def R_k(self) -> np.ndarray:
+        """Kinetic enhancement: the classical twin's precision over this plan's, per parameter."""
+        return (self if self.twin is None else self.twin).precision / self.precision
 
     @property
     def total_fits(self) -> int:
@@ -304,14 +311,17 @@ def _chunks(p: int, count: int) -> Iterator[range]:
 def run_ensembles(
     plans, t, transmittance, kinetics: KineticParameters, seed: int, p: int, workers: int = 1
 ) -> list[TrialEnsembleResult]:
-    """Simulate p sets of m noisy sensorgrams per plan and summarize each kbar distribution.
+    """Simulate p sets of m noisy sensorgrams per plan and its classical twin; one result per plan.
 
-    Every plan is drawn from ``seed`` on the same p sets, p in [2, MAX_COUNT],
-    and fitted with the switch time and ligand concentration of ``kinetics``;
-    p times the plans must fit RESULT_BUDGET_BYTES at BYTES_PER_SET. Sets are
+    A plan's twin is the plan with ``matched_classical_reference`` of its
+    state; a TMC plan is its own twin. Every distinct plan and twin is
+    fitted once, in the order plan, twin, next plan, ..., all drawn from
+    ``seed`` on the same p sets, p in [2, MAX_COUNT], and fitted with the
+    switch time and ligand concentration of ``kinetics``; p times the
+    fitted plans must fit RESULT_BUDGET_BYTES at BYTES_PER_SET. Sets are
     processed in the fewest chunks of whole sets that hold at most
-    ROWS_PER_CHUNK rows of all plans together (at least one set), with sizes
-    that differ by at most one set, serially or spread over ``workers``
+    ROWS_PER_CHUNK rows of all fitted plans together (at least one set), with
+    sizes that differ by at most one set, serially or spread over ``workers``
     processes, but no more than there are chunks or CPUs (one pool for all
     plans, at most two chunks per worker in flight, results collected in set
     order). Each chunk derives the keys of all its (seed, set, sensorgram)
@@ -319,21 +329,23 @@ def run_ensembles(
     and is one block fit. Chunk sizes depend on the plans only.
     Non-converged fits are excluded from their set's average and counted; a
     set with no converged fits at all aborts with LowSignalError, raised for
-    the first such plan in the order given. A result is flagged unreliable
+    the first such plan in the fitted order. A result is flagged unreliable
     when more than 20% of its fits failed. Output is independent of
     ``workers`` and of the other plans.
     """
     plans = list(plans)
     if not plans:
         raise ValueError("run_ensembles needs one or more plans")
+    twins = [replace(plan, state=matched_classical_reference(plan.state)) for plan in plans]
+    fitted = list(dict.fromkeys(each for pair in zip(plans, twins) for each in pair))
     if p < 2:  # precision is a standard deviation over sets
         raise ValueError("p must be >= 2")
     if p > MAX_COUNT:
         raise ValueError("p must be <= 2**32")
-    if p * len(plans) > RESULT_BUDGET_BYTES // BYTES_PER_SET:
+    if p * len(fitted) > RESULT_BUDGET_BYTES // BYTES_PER_SET:
         raise ValueError(
             f"p times the plans a run fits must be <= {RESULT_BUDGET_BYTES // BYTES_PER_SET} "
-            f"({BYTES_PER_SET} B per set within {RESULT_BUDGET_BYTES} B); got {p} * {len(plans)}"
+            f"({BYTES_PER_SET} B per set within {RESULT_BUDGET_BYTES} B); got {p} * {len(fitted)}"
         )
     t = np.asarray(t, dtype=float)
     T = np.asarray(transmittance, dtype=float)
@@ -341,9 +353,9 @@ def run_ensembles(
         raise ValueError("t and transmittance must share one grid")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    laws = [_noise_law(plan, T) for plan in plans]
-    worker = partial(_fit_chunk, plans=plans, laws=laws, t=t, kinetics=kinetics, seed=seed)
-    count = _chunk_count(p, sum(plan.m for plan in plans))
+    laws = [_noise_law(plan, T) for plan in fitted]
+    worker = partial(_fit_chunk, plans=fitted, laws=laws, t=t, kinetics=kinetics, seed=seed)
+    count = _chunk_count(p, sum(plan.m for plan in fitted))
     chunks = _chunks(p, count)
     # outputs do not depend on the worker count, so more workers than CPUs buy nothing
     workers = min(workers, count, os.cpu_count() or 1)
@@ -357,29 +369,18 @@ def run_ensembles(
             per_chunk += [future.result() for future in pending]
     else:
         per_chunk = map(worker, chunks)
-    results = []
-    for plan, parts in zip(plans, zip(*per_chunk)):
+    arrays = {}
+    for plan, parts in zip(fitted, zip(*per_chunk)):
         kbars, usable = (np.concatenate(column) for column in zip(*parts))
         if not usable.all():
             raise LowSignalError(
                 f"set {np.argmin(usable)}: all {plan.m} fits failed; "
                 "signal-to-noise too low for this plan (raise nu, m or N)"
             )
-        results.append(TrialEnsembleResult(kbars, usable, plan, seed))
-    return results
-
-
-def enhancement_Rk(classical: TrialEnsembleResult, quantum: TrialEnsembleResult) -> dict[str, float]:
-    """Kinetic enhancement R_k = precision(classical)/precision(quantum) per parameter.
-
-    The results must pair their sets by index (same seed and set count), their
-    plans must agree except in the probe state, and the states must carry the
-    same signal-mode photon number.
-    """
-    if classical.seed != quantum.seed or len(classical.kbars) != len(quantum.kbars):
-        raise ValueError("results differ in seed or set count; enhancement ratios are not paired")
-    if replace(classical.plan, state=quantum.plan.state) != quantum.plan:
-        raise ValueError("plans differ beyond the probe state; enhancement ratios are not comparable")
-    if classical.plan.state.n_mean != quantum.plan.state.n_mean:
-        raise ValueError("states must carry matching signal-mode photon numbers")
-    return dict(zip(PARAMETER_NAMES, (classical.precision / quantum.precision).tolist()))
+        arrays[plan] = kbars, usable
+    # each twin is its own twin, so every twin's result exists before the plans that read it
+    results = {twin: TrialEnsembleResult(*arrays[twin], twin, None) for twin in twins}
+    for plan, twin in zip(plans, twins):
+        if plan not in results:
+            results[plan] = TrialEnsembleResult(*arrays[plan], plan, results[twin])
+    return [results[plan] for plan in plans]

@@ -25,6 +25,7 @@ from qspr.cli import (
     main,
     run_experiment,
 )
+from qspr.probes import DEFAULT_TMSD_GAIN, ProbeKind, ProbeState
 from qspr.simulate import RESULT_BUDGET_BYTES
 
 
@@ -100,6 +101,21 @@ class TestConfig:
     def test_round_trip_through_dict(self):
         cfg = ExperimentConfig(states=("tmf",), nu_values=(100, 200), seed=3)
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("p", 3.7), ("seed", True), ("nu_values", (10.5,)), ("m_values", (2.0,))],
+        ids=["p-float", "seed-bool", "nu-float", "m-float"],
+    )
+    def test_counts_built_in_python_are_typed_as_json_loads_them(self, key, value):
+        # a config whose manifest could not replay it is refused when it is
+        # built, with the JSON loader's message
+        with pytest.raises(ValueError) as built:
+            ExperimentConfig(**{key: value})
+        with pytest.raises(ValueError) as loaded:
+            ExperimentConfig.from_dict({key: list(value) if isinstance(value, tuple) else value})
+        assert str(built.value) == str(loaded.value)
+        assert str(built.value).startswith(f"config key {key!r} must be ")
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
@@ -490,6 +506,7 @@ class TestRunExperiment:
         run_experiment(cfg)
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         replay = ExperimentConfig.from_dict(manifest)
+        assert replay == cfg
         replay = ExperimentConfig(**{**replay.to_dict(), "output_dir": str(tmp_path / "b")})
         run_experiment(replay)
         assert (tmp_path / "a" / "results.csv").read_bytes() == (
@@ -668,6 +685,47 @@ class TestCommandLine:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert "UNRELIABLE" in capsys.readouterr().err
         assert main(["run", "--config", str(cfg_path), "--allow-unreliable"]) == 0
+
+    @pytest.mark.parametrize(
+        "states", [["tmf"], ["tmc", "tmf"]], ids=["twin-only", "twin-and-point"]
+    )
+    def test_unreliable_twin_exits_nonzero(self, tmp_path, capsys, states):
+        # the TMF point loses 6 of 200 fits, its TMC twin 44: the point's R_k
+        # rests on an unreliable ensemble, listed once whether or not it is
+        # also a point; the CSV keeps the point's own failed-fit count
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({
+            "states": states, "n_values": [10], "nu_values": [3], "m_values": [10], "p": 20,
+        }))
+        run = ["run", "--config", str(cfg_path), "--seed", "42", "--out", str(tmp_path / "out")]
+        line = "tmc N=10 nu=3 m=10: 44/200 fits failed"
+        assert main(run) == 1
+        assert capsys.readouterr().err.count(f"UNRELIABLE: {line}\n") == 1
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["unreliable_ensembles"] == [line]
+        rows = read_rows(tmp_path / "out" / "results.csv")
+        assert {row["failed_fits"] for row in rows if row["state"] == "tmf"} == {"6"}
+        assert main([*run, "--allow-unreliable"]) == 0
+
+    def test_unreliable_tmsd_twin_names_its_reference_photon_number(self, tmp_path, monkeypatch):
+        import qspr.cli as cli
+
+        real = cli.run_ensembles
+
+        def degraded_twins(plans, *args, **kwargs):
+            # no usable fit in any twin: every twin fit counts as failed
+            return [
+                dataclasses.replace(
+                    result, twin=dataclasses.replace(result.twin, usable=0 * result.twin.usable)
+                )
+                for result in real(plans, *args, **kwargs)
+            ]
+
+        monkeypatch.setattr(cli, "run_ensembles", degraded_twins)
+        manifest = run_experiment(tiny_config(tmp_path / "out", states=("tmsd",)))
+        n_ref = ProbeState(ProbeKind.TMSD, 10.0, g=DEFAULT_TMSD_GAIN).n_reference
+        line = f"tmc N=10.0 n_ref={n_ref} nu=1000 m=3: 24/24 fits failed"
+        assert manifest["unreliable_ensembles"] == [line]
 
     def test_low_signal_run_fails_cleanly(self, tmp_path, capsys):
         # lahiri1999 at N=1, nu=1, m=1: some set has no converged fit at all

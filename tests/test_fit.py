@@ -8,12 +8,7 @@ import scalar_reference
 from qspr.cases import KAUSAITE2007, LAHIRI1999
 import qspr.fit as fit_module
 from qspr.fit import MAX_ITERS, fit_sensorgrams, lm_solve
-from qspr.kinetics import (
-    SensorgramShape,
-    linearize_sensorgram,
-    ideal_sensorgram,
-    reconstruct_transmittance_sensorgram,
-)
+from qspr.kinetics import SensorgramShape, ideal_sensorgram
 from qspr.probes import ProbeKind, ProbeState, ScenarioMode, SensingScenario
 from qspr.simulate import SimulationPlan, synthesize_noisy_sensorgrams
 
@@ -233,33 +228,18 @@ class TestRowProducts:
                 assert np.array_equal(whole[i], dots) and np.array_equal(single[0], dots)
 
 
-@pytest.fixture(scope="module")
-def kausaite_linearized():
-    case = KAUSAITE2007
-    trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
-    T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
-    return trace.t, T_L
-
-
-@pytest.fixture(scope="module")
-def lahiri_transmittance():
-    case = LAHIRI1999
-    trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
-    return trace.t, trace.transmittance
-
-
 class TestFitSensorgram:
-    def test_kausaite_pipeline_rates(self, kausaite_linearized):
-        t, y = kausaite_linearized
-        res = fit_sensorgrams(t, y[None], tau_s=1100.0, L0=274e-9)
+    def test_kausaite_pipeline_rates(self, kausaite2007):
+        trace, y = kausaite2007
+        res = fit_sensorgrams(trace.t, y[None], tau_s=1100.0, L0=274e-9)
         assert res.converged[0]
         assert res.k_s[0] == pytest.approx(0.0105, rel=0.02)
         assert res.k_d[0] == pytest.approx(7.771e-3, rel=0.02)
         assert res.k_a[0] == pytest.approx(10.029e3, rel=0.02)
 
-    def test_lahiri_pipeline_rates(self, lahiri_transmittance):
-        t, y = lahiri_transmittance
-        res = fit_sensorgrams(t, y[None], tau_s=300.0, L0=2.1)
+    def test_lahiri_pipeline_rates(self, lahiri1999):
+        trace, _ = lahiri1999
+        res = fit_sensorgrams(trace.t, trace.transmittance[None], tau_s=300.0, L0=2.1)
         assert res.converged[0]
         assert res.k_s[0] == pytest.approx(22.98e-3, rel=0.005)
         assert res.k_d[0] == pytest.approx(15e-3, rel=0.005)
@@ -286,22 +266,25 @@ class TestFitSensorgram:
                 assert res.k_s[0] == pytest.approx(k_s, rel=1e-6), (k_s, k_d)
                 assert res.k_d[0] == pytest.approx(k_d, rel=1e-6), (k_s, k_d)
 
-    def test_affine_equivariance(self, kausaite_linearized):
-        t, y = kausaite_linearized
+    def test_affine_equivariance(self, kausaite2007):
+        trace, y = kausaite2007
+        t = trace.t
         base = fit_sensorgrams(t, y[None], tau_s=1100.0, L0=274e-9)
         scaled = fit_sensorgrams(t, -40.0 + 25.0 * y[None], tau_s=1100.0, L0=274e-9)
         assert scaled.k_s[0] == pytest.approx(base.k_s[0], rel=1e-8)
         assert scaled.k_d[0] == pytest.approx(base.k_d[0], rel=1e-8)
 
-    def test_result_invariants(self, kausaite_linearized):
-        t, y = kausaite_linearized
+    def test_result_invariants(self, kausaite2007):
+        trace, y = kausaite2007
+        t = trace.t
         res = fit_sensorgrams(t, y[None], tau_s=1100.0, L0=274e-9)
         assert res.iterations[0] <= 2 * MAX_ITERS
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_overflowing_rate_is_not_converged(self, kausaite_linearized):
+    def test_overflowing_rate_is_not_converged(self, kausaite2007):
         # both segment solves converge, but k_a = (k_s - k_d)/L0 overflows to inf
-        t, y = kausaite_linearized
+        trace, y = kausaite2007
+        t = trace.t
         res = fit_sensorgrams(t, y[None], tau_s=1100.0, L0=5e-324)
         assert np.isinf(res.k_a[0]) and np.isfinite([res.k_s[0], res.k_d[0]]).all()
         assert not res.converged[0]
@@ -317,16 +300,20 @@ class TestFitSensorgram:
             fit_sensorgrams(t, np.ones_like(t)[None], tau_s=1000.0, L0=1.0)
 
 
-def noisy_block(case, kind, n_mean, nu, rows, seed=7):
+@pytest.fixture
+def noisy_block(request):
     """``rows`` seeded noisy sensorgrams of one probe state, as run_ensembles draws them."""
-    trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
-    T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
-    plan = SimulationPlan(
-        nu=nu, m=rows, state=ProbeState(kind=kind, n_mean=n_mean),
-        scenario=SensingScenario(mode=ScenarioMode.STANDARD),
-    )
-    Y = synthesize_noisy_sensorgrams(T_L, [plan], seed, sets=[0])
-    return trace.t, Y, case.kinetics.tau_s, case.kinetics.L0
+
+    def block(case, kind, n_mean, nu, rows, seed=7):
+        trace, T_L = request.getfixturevalue(case.name)
+        plan = SimulationPlan(
+            nu=nu, m=rows, state=ProbeState(kind=kind, n_mean=n_mean),
+            scenario=SensingScenario(mode=ScenarioMode.STANDARD),
+        )
+        Y = synthesize_noisy_sensorgrams(T_L, [plan], seed, sets=[0])
+        return trace.t, Y, case.kinetics.tau_s, case.kinetics.L0
+
+    return block
 
 
 # low-SNR blocks in which some fits fail: the README sweep's TMSV point at
@@ -358,7 +345,7 @@ def rates(fits):
 
 class TestBlockFit:
     @pytest.mark.parametrize("block", LOW_SNR_BLOCKS.values(), ids=LOW_SNR_BLOCKS.keys())
-    def test_matches_scalar_loop(self, block):
+    def test_matches_scalar_loop(self, noisy_block, block):
         # the batched engine against the per-sensorgram loop it replaced
         t, Y, tau, L0 = noisy_block(*block, rows=150)
         fits = fit_sensorgrams(t, Y, tau, L0)
@@ -370,7 +357,7 @@ class TestBlockFit:
     @pytest.mark.parametrize(
         "block", [*LOW_SNR_BLOCKS.values(), HOPELESS_BLOCK], ids=[*LOW_SNR_BLOCKS, "lahiri-tmc-nu100"]
     )
-    def test_matches_scalar_loop_from_the_same_start(self, block, monkeypatch):
+    def test_matches_scalar_loop_from_the_same_start(self, noisy_block, block, monkeypatch):
         # given the reference's own warm start, the block solver retraces the
         # scalar loop on every row, failed fits included
         monkeypatch.setattr(fit_module, "_dissociation_warm_start", polyfit_start)
@@ -380,7 +367,7 @@ class TestBlockFit:
         assert np.array_equal(fits.converged, converged)
         assert np.allclose(rates(fits), expected, rtol=1e-6, atol=0.0)
 
-    def test_closed_form_start_deviation_is_bounded(self):
+    def test_closed_form_start_deviation_is_bounded(self, noisy_block):
         # Known deviation: where most fits fail, the closed-form start (within
         # 1e-12 of np.polyfit's) sends a few rows to another flag or minimum;
         # 2 rows on this block, at most 4 on 20 lahiri blocks of 200 rows at
@@ -398,7 +385,7 @@ class TestBlockFit:
         assert 0 < differ.sum() <= 0.02 * len(Y)
 
     @pytest.mark.parametrize("block", LOW_SNR_BLOCKS.values(), ids=LOW_SNR_BLOCKS.keys())
-    def test_rows_independent_of_block_composition(self, block):
+    def test_rows_independent_of_block_composition(self, noisy_block, block):
         t, Y, tau, L0 = noisy_block(*block, rows=60)
         whole = fit_sensorgrams(t, Y, tau, L0)
         alone = [fit_sensorgrams(t, Y[i : i + 1], tau, L0) for i in range(len(Y))]

@@ -115,20 +115,6 @@ class TestTimeGrid:
             TimeGrid(100.0, 100.0, 1.0)
 
 
-@pytest.fixture(scope="module")
-def kausaite_trace():
-    return reconstruct_transmittance_sensorgram(
-        KAUSAITE2007.angular_shape(), KAUSAITE2007.stack, KAUSAITE2007.grid
-    )
-
-
-@pytest.fixture(scope="module")
-def lahiri_trace():
-    return reconstruct_transmittance_sensorgram(
-        LAHIRI1999.angular_shape(), LAHIRI1999.stack, LAHIRI1999.grid
-    )
-
-
 class TestReconstruction:
     def test_static_analyte_gives_flat_trace(self):
         quiet = SensorgramShape(
@@ -139,8 +125,8 @@ class TestReconstruction:
         assert np.max(np.abs(trace.transmittance - trace.transmittance[0])) < 1e-12
         assert trace.n_a[0] == pytest.approx(KAUSAITE2007.buffer_index, abs=1e-12)
 
-    def test_kausaite_midpoint(self, kausaite_trace):
-        trace = kausaite_trace
+    def test_kausaite_midpoint(self, kausaite2007):
+        trace, _ = kausaite2007
         i_tau = trace.index_at(1100.0)
         assert np.argmax(trace.transmittance) == i_tau
         t_mid = 0.5 * (trace.transmittance[0] + trace.transmittance[i_tau])
@@ -148,41 +134,42 @@ class TestReconstruction:
         # the op-level claim is tighter than the pipeline-level one
         assert t_mid == pytest.approx(0.4507, abs=1e-3)
 
-    def test_lahiri_midpoint(self, lahiri_trace):
-        trace = lahiri_trace
+    def test_lahiri_midpoint(self, lahiri1999):
+        trace, _ = lahiri1999
         i_tau = trace.index_at(300.0)
         t_mid = 0.5 * (trace.transmittance[0] + trace.transmittance[i_tau])
         assert t_mid == pytest.approx(0.4824, abs=2e-3)
         assert t_mid == pytest.approx(0.4824, abs=1e-3)
 
-    def test_index_trace_anchored_at_buffer(self, kausaite_trace):
-        assert kausaite_trace.n_a[0] == pytest.approx(1.3385, abs=1e-12)
+    def test_index_trace_anchored_at_buffer(self, kausaite2007):
+        trace, _ = kausaite2007
+        assert trace.n_a[0] == pytest.approx(1.3385, abs=1e-12)
 
 
 class TestLinearization:
-    def test_constant_index_rejected(self, kausaite_trace):
-        t = kausaite_trace.t
-        flat = np.full_like(t, 1.3385)
+    def test_constant_index_rejected(self, kausaite2007):
+        trace, _ = kausaite2007
+        flat = np.full_like(trace.t, 1.3385)
         with pytest.raises(ValueError, match="zero index deviation"):
-            linearize_sensorgram(t, kausaite_trace.transmittance, flat, 1100.0)
+            linearize_sensorgram(trace.t, trace.transmittance, flat, 1100.0)
 
-    def test_endpoints_pinned(self, kausaite_trace):
-        trace = kausaite_trace
+    def test_endpoints_pinned(self, kausaite2007):
+        trace, _ = kausaite2007
         T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, 1100.0)
         i_tau = trace.index_at(1100.0)
         assert T_L[0] == trace.transmittance[0]
         assert T_L[i_tau] == pytest.approx(trace.transmittance[i_tau], rel=1e-14)
 
-    def test_affine_in_index_squared(self, kausaite_trace):
-        trace = kausaite_trace
+    def test_affine_in_index_squared(self, kausaite2007):
+        trace, _ = kausaite2007
         T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, 1100.0)
         x = trace.n_a**2
         # collinearity of every triple against the first two points
         slope = (T_L[1] - T_L[0]) / (x[1] - x[0])
         assert np.max(np.abs(T_L - (T_L[0] + slope * (x - x[0])))) < 1e-12
 
-    def test_lahiri_needs_no_calibration(self, lahiri_trace):
-        trace = lahiri_trace
+    def test_lahiri_needs_no_calibration(self, lahiri1999):
+        trace, _ = lahiri1999
         T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, 300.0)
         i_tau = trace.index_at(300.0)
         deviation = np.max(np.abs(trace.transmittance - T_L))

@@ -53,6 +53,9 @@ class TestProbeState:
         assert ref.n_reference == pytest.approx(10.0 - tmsd.alpha_sq)
         balanced = matched_classical_reference(ProbeState(kind=ProbeKind.TMF, n_mean=7.0))
         assert balanced == ProbeState(kind=ProbeKind.TMC, n_mean=7.0)
+        for n_ref in (None, 7.0, 2.0):  # a TMC state is its own benchmark, n_ref as given
+            tmc = ProbeState(kind=ProbeKind.TMC, n_mean=7.0, n_ref=n_ref)
+            assert matched_classical_reference(tmc) is tmc
 
 
 class TestScenario:

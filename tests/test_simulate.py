@@ -12,12 +12,10 @@ import qspr.fit as fit_module
 import qspr.simulate as simulate
 from qspr.cases import KAUSAITE2007
 from qspr.fit import fit_sensorgrams
-from qspr.kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from qspr.probes import ProbeKind, ProbeState, ScenarioMode, SensingScenario, delta_M, mean_M
 from qspr.simulate import (
     LowSignalError,
     SimulationPlan,
-    enhancement_Rk,
     run_ensembles,
     synthesize_noisy_sensorgrams,
 )
@@ -27,11 +25,10 @@ KINETICS = KAUSAITE2007.kinetics
 SEED = 99
 
 
-@pytest.fixture(scope="module")
-def kausaite_ideal():
-    case = KAUSAITE2007
-    trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
-    T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
+@pytest.fixture
+def kausaite_ideal(kausaite2007):
+    """The kausaite2007 time grid and linearized transmittance (read-only)."""
+    trace, T_L = kausaite2007
     return trace.t, T_L
 
 
@@ -50,12 +47,14 @@ def zero_normals(seed, sets, m, n):
 
 
 def same(a, b) -> bool:
-    """Whether two ensemble results hold the same plan, seed and bits."""
+    """Whether two ensemble results, and their twins, hold the same plan and bits."""
+    if a is None or b is None:
+        return a is b
     return (
         a.plan == b.plan
-        and a.seed == b.seed
         and np.array_equal(a.kbars, b.kbars)
         and np.array_equal(a.usable, b.usable)
+        and same(a.twin, b.twin)
     )
 
 
@@ -525,42 +524,45 @@ class TestSharedBlocks:
 
 
 class TestEnhancementRatios:
-    def test_identical_ensembles_give_unity(self, kausaite_ideal):
+    def test_classical_plan_is_its_own_twin(self, kausaite_ideal):
+        # balanced or not, and with a balanced n_ref given: one plan fitted, R_k exactly 1
         t, T_L = kausaite_ideal
-        res = run([make_plan(nu=300, m=2)], t, T_L, p=4)[0]
-        ratios = enhancement_Rk(res, res)
-        assert ratios == {"k_a": 1.0, "k_s": 1.0, "k_d": 1.0}
+        for n_ref in (None, 10.0, 4.0):
+            state = ProbeState(ProbeKind.TMC, 10.0, n_ref)
+            plan = SimulationPlan(nu=300, m=2, state=state, scenario=NO_LOSS)
+            with pytest.raises(ValueError, match=r"got \d+ \* 1$"):
+                run([plan], t, T_L, p=simulate.RESULT_BUDGET_BYTES)
+            (res,) = run([plan], t, T_L, p=4)
+            assert res.twin is None
+            assert res.R_k.tolist() == [1.0, 1.0, 1.0]
 
-    def test_mismatched_plans_rejected(self, kausaite_ideal):
+    def test_twin_is_the_classical_run_on_the_same_sets(self, kausaite_ideal):
+        # the pairing R_k relies on: a TMF plan's twin is, bit for bit, a
+        # separate run of its TMC twin with the same seed and p
         t, T_L = kausaite_ideal
-        plans = [make_plan(nu=300, m=2), make_plan(nu=600, m=2, kind=ProbeKind.TMF)]
-        a, b = run(plans, t, T_L, p=4)
-        with pytest.raises(ValueError, match="plans differ"):
-            enhancement_Rk(a, b)
+        (quantum,) = run([make_plan(kind=ProbeKind.TMF, nu=300, m=2)], t, T_L, p=4)
+        (classical,) = run([make_plan(nu=300, m=2)], t, T_L, p=4)
+        assert quantum.twin.plan == classical.plan
+        assert np.array_equal(quantum.twin.kbars, classical.kbars)
+        assert np.array_equal(quantum.twin.usable, classical.usable)
+        assert np.array_equal(quantum.R_k, classical.precision / quantum.precision)
 
-    def test_results_of_different_runs_rejected(self, kausaite_ideal):
-        # R_k pairs the sets of two ensembles by index: the same plan under
-        # another seed, or over another set count, is not its pair
+    def test_twin_is_the_result_of_the_same_plan_in_the_run(self, kausaite_ideal):
         t, T_L = kausaite_ideal
-        plan = make_plan(nu=300, m=2)
-        (res,) = run([plan], t, T_L, p=4, seed=1)
-        for other in (run([plan], t, T_L, p=4, seed=2)[0], run([plan], t, T_L, p=5, seed=1)[0]):
-            with pytest.raises(ValueError, match="seed or set count"):
-                enhancement_Rk(res, other)
-
-    def test_mismatched_photon_number_rejected(self, kausaite_ideal):
-        t, T_L = kausaite_ideal
-        a, b = run(
-            [
-                make_plan(nu=300, m=2, n_mean=10.0),
-                make_plan(nu=300, m=2, kind=ProbeKind.TMF, n_mean=12.0),
-            ],
-            t,
-            T_L,
-            p=4,
+        classical, quantum = run(
+            [make_plan(nu=300, m=2), make_plan(kind=ProbeKind.TMF, nu=300, m=2)], t, T_L, p=4
         )
-        with pytest.raises(ValueError, match="photon"):
-            enhancement_Rk(a, b)
+        assert quantum.twin is classical
+
+    def test_one_result_per_requested_plan(self, kausaite_ideal):
+        # a plan given twice gets two results, in the order given; the run
+        # fits it and its twin once each, and its budget counts both
+        t, T_L = kausaite_ideal
+        plan = make_plan(kind=ProbeKind.TMF, nu=300, m=2)
+        with pytest.raises(ValueError, match=r"got \d+ \* 2$"):
+            run([plan, plan], t, T_L, p=simulate.RESULT_BUDGET_BYTES)
+        results = run([plan, plan], t, T_L, p=4)
+        assert len(results) == 2 and all(same(res, results[0]) for res in results)
 
     def test_quadrupling_m_doubles_precision(self, kausaite_ideal):
         t, T_L = kausaite_ideal
