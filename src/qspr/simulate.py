@@ -13,12 +13,16 @@ from the result of the plan's classical twin on the same sets.
 
 Randomness is counter-based: every (seed, set, sensorgram) triple owns a Philox
 substream, keyed as Philox(SeedSequence(entropy=seed, spawn_key=(set, j)))
-would be, and normals are drawn by inverse transform (ndtri of the stream's
-uniforms). The keys of a whole chunk come from one vectorised pass of
-SeedSequence's hash, and one re-keyed generator fills every row with its
-uniforms. Results are therefore bit-identical for any execution order or
-worker count, and the plans of a run share the same underlying standard
-normals across states, nu and m (common random numbers).
+would be, and normals are drawn by inverse transform of the stream's uniforms:
+Cephes ndtri (Moshier 1989), the function scipy's ndtri evaluates, in numpy.
+Its central branch equals scipy's bit for bit; its tails take numpy's
+float64 log, so their bits follow numpy's log dispatch, not scipy or the
+platform libm, and lie within 8 ulp of scipy's. The keys of a whole chunk
+come from one vectorised pass of SeedSequence's hash, and one re-keyed
+generator fills every row with its uniforms. Results are therefore
+bit-identical for any execution order or worker count, and the plans of a
+run share the same underlying standard normals across states, nu and m
+(common random numbers).
 
 The engine is set-major: ``run_ensembles`` takes every plan of a sweep at
 once, with the run's seed, set count and kinetics given once, adds each
@@ -42,7 +46,6 @@ from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from .fit import fit_sensorgrams
 from .kinetics import KineticParameters
@@ -69,6 +72,43 @@ _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+# Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions, 1989):
+# P0/Q0 on the central branch e**-2 < u <= 1 - e**-2, and in the tails, with
+# y = min(u, 1 - u) and x = sqrt(-2 ln y), P1/Q1 for x < 8 and P2/Q2 beyond;
+# the Q tables omit their leading coefficient 1 (p1evl)
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+# entries per block of _ndtri: its five-row workspace (640 KB) stays in cache
+NDTRI_BLOCK = 16384
 
 
 class LowSignalError(RuntimeError):
@@ -186,12 +226,89 @@ def _philox_keys(seed: int, sets, m: int) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
+def _polevl(x: np.ndarray, coefs, out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes polevl: Horner's rule over ``coefs``, the highest coefficient first."""
+    out = np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _p1evl(x: np.ndarray, coefs, out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes p1evl: ``_polevl`` with a leading coefficient 1 that ``coefs`` omits."""
+    out = np.add(x, coefs[0], out=out)
+    for c in coefs[1:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtri_tails(u: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Cephes ndtri of tail uniforms, u <= e**-2 or u > 1 - e**-2, in work[4]; work is (5, len(u)).
+
+    With y = min(u, 1 - u), x = sqrt(-2 ln y) and z = 1/x, the normal is
+    x - ln(x)/x - z*P(z)/Q(z), negative for u < 1/2.
+    """
+    x, z, ratio, q, out = work
+    np.subtract(1.0, u, out=x)
+    np.minimum(u, x, out=x)
+    np.log(x, out=x)
+    x *= -2.0
+    np.sqrt(x, out=x)
+    np.divide(1.0, x, out=z)
+    _polevl(z, _P1, ratio)
+    ratio *= z
+    ratio /= _p1evl(z, _Q1, q)
+    far = np.flatnonzero(x >= 8.0)  # y < e**-32
+    if far.size:
+        ratio[far] = z[far] * _polevl(z[far], _P2) / _p1evl(z[far], _Q2)
+    np.log(x, out=out)
+    out /= x
+    np.subtract(x, out, out=out)
+    out -= ratio
+    np.subtract(u, 0.5, out=q)
+    return np.copysign(out, q, out=out)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Normals from C-ordered uniforms u in [2**-53, 1) by Cephes ndtri, in place; returns u.
+
+    Cephes's rational approximations in Cephes's operation order, as scipy
+    evaluates them, a block of NDTRI_BLOCK entries at a time: the central
+    branch on every entry, then the tails over theirs. Every step writes
+    into one workspace allocated per call: temporaries allocated per block
+    cost a forked pool worker page faults on every block. Each entry depends
+    on its own value only.
+    """
+    flat = u.reshape(-1)
+    work = np.empty((5, min(NDTRI_BLOCK, flat.size)))
+    for start in range(0, flat.size, NDTRI_BLOCK):
+        v = flat[start : start + NDTRI_BLOCK]
+        y, y2, ratio, q = work[:4, : v.size]
+        tails = np.flatnonzero((v <= _EXP_M2) | (v > 1.0 - _EXP_M2))
+        t = v[tails]
+        np.subtract(v, 0.5, out=y)
+        np.multiply(y, y, out=y2)
+        _polevl(y2, _P0, ratio)
+        ratio *= y2
+        ratio /= _p1evl(y2, _Q0, q)
+        ratio *= y
+        np.add(y, ratio, out=v)
+        v *= _SQRT_2PI
+        v[tails] = _ndtri_tails(t, work[:, : t.size])
+    return u
+
+
 def _substream_normals(seed: int, sets, m: int, n: int) -> np.ndarray:
     """(sets, m, n) standard normals; [i, j] comes from the substream of set ``sets[i]``, sensorgram j.
 
     One Philox generator is re-keyed for every substream and restarted at
     counter 0 with an empty buffer, as a new Philox with that key starts; the
-    normals are ndtri of its uniforms.
+    normals are ``_ndtri`` of its uniforms, clamped to 2**-53: bit for bit
+    scipy's ndtri on the central branch e**-2 < u <= 1 - e**-2, within
+    8 ulp of it in the tails, whose bits follow numpy's float64 log.
     """
     Z = np.empty((len(sets), m, n))
     bit_generator = np.random.Philox(0)
@@ -203,7 +320,7 @@ def _substream_normals(seed: int, sets, m: int, n: int) -> np.ndarray:
             bit_generator.state = fresh
             uniforms.random(out=row)
     np.maximum(Z, 2.0**-53, out=Z)  # keep ndtri off the -inf endpoint
-    return ndtri(Z, out=Z)
+    return _ndtri(Z)
 
 
 def _noise_law(plan: SimulationPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

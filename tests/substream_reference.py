@@ -1,22 +1,18 @@
-"""The per-substream noise draw the batched one in ``qspr.simulate`` replaced, kept as its reference.
+"""The per-substream draw the batched one in ``qspr.simulate`` replaced, kept as its reference.
 
 Each (seed, set, sensorgram) triple builds its own SeedSequence, Philox and
-Generator, and draws its normals by inverse transform. The batched draw keeps
-these streams, so both must agree bit for bit.
+Generator, and draws its uniforms. The batched draw keeps these streams, so
+its normals must be ``qspr.simulate._ndtri`` of these uniforms bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
 
 
-def sensorgram_substream(seed: int, set_index: int, sensorgram_index: int) -> np.random.Generator:
-    """Philox generator owned by one (seed, set, sensorgram) triple."""
+def clamped_uniforms(seed: int, set_index: int, sensorgram_index: int, n: int) -> np.ndarray:
+    """The first n uniforms of one (seed, set, sensorgram) substream, raised to at least 2**-53.
+
+    The floor keeps the inverse transform off its -inf endpoint.
+    """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(set_index, sensorgram_index))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals by inverse transform (stable, documented algorithm)."""
-    u = np.maximum(rng.random(n), 2.0**-53)  # keep ndtri off the -inf endpoint
-    return ndtri(u)
+    return np.maximum(np.random.Generator(np.random.Philox(ss)).random(n), 2.0**-53)

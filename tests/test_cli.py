@@ -54,6 +54,19 @@ def forbid_reconstruction(monkeypatch):
     monkeypatch.setattr(cli, "reconstruct_transmittance_sensorgram", never)
 
 
+def python_output(code: str) -> str:
+    """The stripped stdout of ``code`` run in a fresh interpreter that imports this qspr."""
+    src = str(Path(qspr.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -410,20 +423,26 @@ class TestConfigDocuments:
         )
         assert not out.exists()
 
-    def test_cli_import_leaves_scipy_stats_out(self):
-        # neither scipy.stats nor the oracle (and its scipy.linalg) is imported
-        # before ``qspr verify`` needs it
-        modules = ("scipy.stats", "qspr.oracle", "scipy.linalg", "scipy.sparse.linalg")
-        code = f"import sys, qspr.cli; print([m for m in {modules!r} if m in sys.modules])"
-        src = str(Path(qspr.__file__).resolve().parents[1])
-        done = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": src},
-            capture_output=True,
-            text=True,
+    def test_cli_import_leaves_scipy_special_and_stats_out(self):
+        # neither scipy.special, scipy.stats nor the oracle (and its
+        # scipy.linalg) is imported before ``qspr verify`` needs it
+        modules = (
+            "scipy.special", "scipy.stats", "qspr.oracle", "scipy.linalg", "scipy.sparse.linalg"
         )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        code = f"import sys, qspr.cli; print([m for m in {modules!r} if m in sys.modules])"
+        assert python_output(code) == "[]"
+
+    def test_run_and_sensorgram_leave_scipy_special_out(self, tmp_path):
+        # the run path draws its normals without scipy.special
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"states": ["tmc"], "m_values": [2], "p": 3}))
+        code = (
+            "import sys; from qspr.cli import main; "
+            f"assert main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0; "
+            f"assert main(['sensorgram', '--out', {str(tmp_path / 'sg')!r}]) == 0; "
+            "print('scipy.special' in sys.modules)"
+        )
+        assert python_output(code).splitlines()[-1] == "False"
 
 
 class TestRunExperiment:

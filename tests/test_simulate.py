@@ -1,12 +1,15 @@
 """Monte Carlo ensemble engine: determinism, noise law, aggregation policy."""
 import dataclasses
+import math
 import os
 import tracemalloc
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
-from substream_reference import sensorgram_substream, standard_normals
+from scipy.special import ndtri
+from substream_reference import clamped_uniforms
 
 import qspr.fit as fit_module
 import qspr.simulate as simulate
@@ -85,11 +88,74 @@ class TestSubstreams:
 
     @pytest.mark.parametrize("m", [1, 2, 10])
     def test_normals_equal_per_substream_draws(self, m):
+        # the batched keys and re-keyed generator give each substream's own
+        # uniforms; TestNdtri checks the transform against scipy
         Z = simulate._substream_normals(99, [4, 1], m, 221)
         for i, set_index in enumerate([4, 1]):
             for j in range(m):
-                ref = standard_normals(sensorgram_substream(99, set_index, j), 221)
+                ref = simulate._ndtri(clamped_uniforms(99, set_index, j, 221))
                 assert np.array_equal(Z[i, j], ref), (set_index, j)
+
+
+class TestNdtri:
+    """The normal transform against scipy.special.ndtri, its independent reference.
+
+    2e6 Philox uniforms floored at 2**-53 as the draw floors them; 2**-k and
+    1 - 2**-k for k = 1 ... 53, which reach the far tails (P2/Q2); and the
+    doubles next to the branch edges e**-2 and 1 - e**-2.
+    """
+
+    @pytest.fixture(scope="class")
+    def uniforms(self):
+        k = np.arange(1, 54)
+        edges = np.array([[math.exp(-2)], [1.0 - math.exp(-2)]])
+        near = edges + np.arange(-3, 4) * np.spacing(edges)
+        drawn = np.random.Generator(np.random.Philox(2024)).random(2_000_000)
+        return np.concatenate([2.0**-k, 1.0 - 2.0**-k, near.ravel(), np.maximum(drawn, 2.0**-53)])
+
+    @pytest.fixture(scope="class")
+    def normals(self, uniforms):
+        return simulate._ndtri(uniforms.copy())
+
+    @pytest.fixture(scope="class")
+    def tails(self, uniforms):
+        return (uniforms <= math.exp(-2)) | (uniforms > 1.0 - math.exp(-2))
+
+    def test_raises_no_warning(self, uniforms):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            simulate._ndtri(uniforms.copy())
+
+    def test_central_branch_is_bit_identical(self, uniforms, normals, tails):
+        assert np.array_equal(normals[~tails], ndtri(uniforms[~tails]))
+
+    def test_tails_are_bit_identical_where_numpy_log_is_libm_log(self, uniforms, normals, tails):
+        # the tails take np.log of y = min(u, 1 - u) and of x = sqrt(-2 ln y);
+        # scipy takes the platform libm's log, as math.log does. Where numpy's
+        # log dispatch is libm's (NPY_DISABLE_CPU_FEATURES in CI), that is every entry
+        u = uniforms[tails]
+        y = np.minimum(u, 1.0 - u)
+        log_y = np.log(y)
+        x = np.sqrt(-2.0 * log_y)
+        libm = (log_y == [math.log(v) for v in y]) & (np.log(x) == [math.log(v) for v in x])
+        assert libm.mean() > 0.99
+        assert np.array_equal(normals[tails][libm], ndtri(u[libm]))
+
+    def test_tails_within_8_ulp(self, uniforms, normals, tails):
+        # measured: at most 4 ulp over these inputs with numpy 2.4's AVX-512 log
+        # on a Xeon with AVX-512, 0 with its libm log
+        reference = ndtri(uniforms[tails])
+        assert np.all(np.abs(normals[tails] - reference) <= 8 * np.spacing(np.abs(reference)))
+
+    @pytest.mark.parametrize("offset", [0, 1, 3, 17, 39])
+    @pytest.mark.parametrize("length", [1, 3, 7, 8, 9, 17, 1000])
+    def test_each_entry_independent_of_its_slice(self, uniforms, normals, offset, length):
+        part = slice(offset, offset + length)
+        assert np.array_equal(simulate._ndtri(uniforms[part].copy()), normals[part])
+
+    def test_each_entry_independent_of_the_block(self, uniforms, normals, monkeypatch):
+        monkeypatch.setattr(simulate, "NDTRI_BLOCK", 4_099)
+        assert np.array_equal(simulate._ndtri(uniforms[:100_000].copy()), normals[:100_000])
 
 
 class TestSynthesize:
@@ -119,7 +185,7 @@ class TestSynthesize:
         sigma = delta_M(plan.state, T_L, 1.0, 1.0) / np.sqrt(plan.nu)
         for i, set_index in enumerate([4, 1]):
             for j in range(plan.m):
-                z = standard_normals(sensorgram_substream(SEED, set_index, j), t.size)
+                z = simulate._ndtri(clamped_uniforms(SEED, set_index, j, t.size))
                 assert np.array_equal(block[i * plan.m + j], mean + sigma * z)
         assert np.array_equal(synthesize_noisy_sensorgrams(T_L, [plan], SEED, [1]), block[plan.m :])
 
