@@ -347,7 +347,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return 1
     failed = False
     for report in reports:
-        status = "ok" if report.max_dev <= VERIFY_TOLERANCE else "FAIL"
+        status = "ok" if report.max_dev <= VERIFY_TOLERANCE else "FAIL"  # NaN fails too
         failed |= status == "FAIL"
         print(
             f"{report.kind.value:5s} tuples={args.tuples} cutoff={args.cutoff} "

@@ -605,6 +605,38 @@ class TestCommandLine:
         assert main(["verify", "--tuples", "4", "--cutoff", "6"]) == 1
         assert "verification aborted" in capsys.readouterr().err
 
+    def test_verify_fails_a_nan_closed_form(self, monkeypatch, capsys):
+        import qspr.oracle
+
+        closed_form = qspr.oracle.delta_M
+
+        def nan_for_tmsv(state, *channels):
+            return math.nan if state.kind is ProbeKind.TMSV else closed_form(state, *channels)
+
+        monkeypatch.setattr(qspr.oracle, "delta_M", nan_for_tmsv)
+        assert main(["verify", "--tuples", "4", "--cutoff", "40"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.endswith("[FAIL]") for line in lines] == [False, False, True, False]
+        assert "max_dev_delta_M=nan" in lines[2]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_verify_fails_a_non_finite_oracle_mean(self, monkeypatch, capsys, bad):
+        import qspr.oracle
+
+        moments = qspr.oracle.oracle_moments
+
+        def bad_last_mean(P):
+            means, sds = moments(P)
+            means[-1] = bad
+            return means, sds
+
+        monkeypatch.setattr(qspr.oracle, "oracle_moments", bad_last_mean)
+        assert main(["verify", "--tuples", "4", "--cutoff", "40"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and all(line.endswith("[FAIL]") for line in lines)
+        # the delta_M deviations stay finite: max(delta, mean) must not drop the mean
+        assert all(f"max_dev_mean_M={bad:.3e}" in line and "delta_M=nan" not in line for line in lines)
+
     def test_verify_rejects_zero_tuples(self):
         assert main(["verify", "--tuples", "0"]) == 2
 

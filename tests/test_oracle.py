@@ -2,6 +2,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -9,14 +10,15 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import xlog1py, xlogy
+from scipy.special import gammaln, xlog1py, xlogy
 
 import qspr
+import qspr.oracle
 from qspr.oracle import (
     MAX_CUTOFF,
     TruncationError,
     _coherent_amplitudes,
-    _thinning_logs,
+    _random_small_state,
     _thinning_matrix,
     _tmsd_amplitudes,
     apply_channels,
@@ -36,7 +38,7 @@ def tmsd_with(alpha_sq: float, r: float) -> ProbeState:
     return ProbeState(kind=ProbeKind.TMSD, n_mean=g * alpha_sq + (g - 1.0), g=g)
 
 
-def sparse_tmsd_amplitudes(alpha: complex, r: float, cutoff: int) -> np.ndarray:
+def sparse_tmsd_amplitudes(alpha: float, r: float, cutoff: int) -> np.ndarray:
     """Reference: expm_multiply of the full sparse a b - a^dag b^dag on the (cutoff+1)^2 box."""
     d = cutoff + 1
     rows, cols, vals = [], [], []
@@ -72,6 +74,40 @@ def imported_after_oracle(package: str) -> str:
     return done.stdout.strip()
 
 
+def small_tuples(kind: ProbeKind, count: int, seed: int) -> tuple[list[ProbeState], np.ndarray]:
+    """``count`` states and their (T, eta_a, eta_b) rows, drawn as verify_closed_forms draws them."""
+    rng = np.random.default_rng(seed)
+    channels, states = [], []
+    for _ in range(count):
+        channels.append(rng.uniform(0.05, 0.95, size=3))
+        states.append(_random_small_state(kind, rng))
+    return states, np.array(channels)
+
+
+def recorded_verify(monkeypatch, entries: int) -> tuple[list, list]:
+    """verify_closed_forms(50, 40, 2024) at FOCK_ENTRIES_PER_SLICE = entries, with each tuple's (P, mean, sd)."""
+    monkeypatch.setattr(qspr.oracle, "FOCK_ENTRIES_PER_SLICE", entries)
+    seen = []
+
+    def recording(P):
+        moments = oracle_moments(P)
+        seen.extend(zip(P, *moments))
+        return moments
+
+    monkeypatch.setattr(qspr.oracle, "oracle_moments", recording)
+    return verify_closed_forms(tuples=50, cutoff=40, seed=2024), seen
+
+
+def verify_peak_bytes(tuples: int) -> int:
+    """tracemalloc peak of one verify_closed_forms pass at cutoff 40."""
+    tracemalloc.start()
+    try:
+        verify_closed_forms(tuples=tuples, cutoff=40, seed=2024)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSectorExponential:
     # the reference exponentiates on a box 40 photons larger, so its own edge
     # sits far below 1e-12 inside the test's box
@@ -80,9 +116,9 @@ class TestSectorExponential:
         d = cutoff + 1
         for alpha_sq in (0.0, 0.1, 4.0):
             for r in (0.1, 0.5):
-                alpha = complex(np.sqrt(alpha_sq))
+                alpha = float(np.sqrt(alpha_sq))
                 ref = sparse_tmsd_amplitudes(alpha, r, cutoff + 40)[:d, :d]
-                amps = _tmsd_amplitudes(alpha, r, cutoff)
+                amps = _tmsd_amplitudes([alpha], [r], cutoff)[0]
                 assert np.max(np.abs(amps - ref)) <= 1e-12, (alpha_sq, r)
         if cutoff == 6:  # the edge site |6, 0>, alone in sector D = cutoff, carries real weight
             assert abs(ref[6, 0]) > 0.1
@@ -189,10 +225,19 @@ class TestApplyChannels:
 class TestThinningMatrix:
     @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
     def test_matches_grid_formula_bitwise(self, p):
-        lost, log_binom = _thinning_logs(40)
-        k = np.arange(41)
+        N, k = np.ogrid[:41, :41]
+        lost = np.maximum(N - k, 0)
+        log_binom = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(lost + 1.0)
+        log_binom[k > N] = -np.inf
         grid = np.exp(log_binom + (xlogy(k, p) + xlog1py(lost, -p)))
         assert np.array_equal(_thinning_matrix(40, p), grid)
+
+    def test_stack_of_transmissivities_is_each_matrix(self):
+        p = np.array([[0.0, 0.37], [0.81, 1.0]])
+        stack = _thinning_matrix(40, p)
+        assert stack.shape == (2, 2, 41, 41)
+        for i, j in np.ndindex(p.shape):
+            assert np.array_equal(stack[i, j], _thinning_matrix(40, p[i, j]))
 
     def test_exact_endpoints(self):
         assert np.array_equal(_thinning_matrix(40, 1.0), np.eye(41))
@@ -253,3 +298,63 @@ class TestVerification:
     def test_tuple_count_validated(self):
         with pytest.raises(ValueError):
             verify_closed_forms(tuples=0, cutoff=40, seed=2024)
+
+    def test_memory_does_not_grow_with_tuples(self):
+        verify_closed_forms(tuples=1, cutoff=40, seed=2024)  # fill the per-cutoff caches
+        few, many = verify_peak_bytes(50), verify_peak_bytes(2000)
+        # a whole 2,000-tuple family of (41, 41) amplitudes alone is 54 MB
+        assert abs(many - few) <= 2**20, (few, many)
+
+
+class TestSlices:
+    @pytest.mark.parametrize("kind", list(ProbeKind))
+    def test_tuple_alone_equals_tuple_in_a_stack(self, kind):
+        states, channels = small_tuples(kind, 7, seed=11)
+        amps = build_state(states, cutoff=40)
+        P = apply_channels(amps, *channels.T)
+        means, sds = oracle_moments(P)
+        assert amps.shape == P.shape == (7, 41, 41) and means.shape == sds.shape == (7,)
+        for i, state in enumerate(states):
+            alone = build_state(state, cutoff=40)
+            assert np.array_equal(alone, amps[i])
+            P_alone = apply_channels(alone, *channels[i])
+            assert np.array_equal(P_alone, P[i])
+            assert oracle_moments(P_alone) == (means[i], sds[i])
+
+    def test_verify_is_independent_of_the_slice_size(self, monkeypatch):
+        reports, seen = recorded_verify(monkeypatch, qspr.oracle.FOCK_ENTRIES_PER_SLICE)
+        assert len(seen) == 4 * 50
+        # one tuple per slice, and each family in one slice
+        for entries in (1, 2**30):
+            other_reports, other_seen = recorded_verify(monkeypatch, entries)
+            assert other_reports == reports
+            assert len(other_seen) == len(seen)
+            for (P, mean, sd), (P0, mean0, sd0) in zip(other_seen, seen):
+                assert np.array_equal(P, P0) and (mean, sd) == (mean0, sd0)
+
+    def test_one_under_truncated_tuple_fails_its_slice(self, monkeypatch):
+        draw = qspr.oracle._random_small_state
+        drawn = []
+
+        def one_bright(kind, rng):
+            drawn.append(draw(kind, rng))
+            # the fourth TMC state needs a cutoff above 40: Poisson(30) leaves ~3% beyond it
+            return ProbeState(ProbeKind.TMC, 30.0) if len(drawn) == 4 else drawn[-1]
+
+        monkeypatch.setattr(qspr.oracle, "_random_small_state", one_bright)
+        assert qspr.oracle.FOCK_ENTRIES_PER_SLICE // 41**2 >= 9
+        with pytest.raises(TruncationError, match="tail mass"):
+            verify_closed_forms(tuples=9, cutoff=40, seed=2024)
+        assert len(drawn) == 9  # the whole slice was drawn before it was evaluated
+
+    def test_stack_error_names_its_first_failing_state(self):
+        ok = ProbeState(ProbeKind.TMC, 2.0)
+        with pytest.raises(TruncationError) as one:
+            build_state([ProbeState(ProbeKind.TMC, 30.0)], cutoff=40)
+        with pytest.raises(TruncationError) as stacked:
+            build_state([ok, ProbeState(ProbeKind.TMC, 30.0), ProbeState(ProbeKind.TMC, 35.0), ok], cutoff=40)
+        assert str(stacked.value) == str(one.value)
+
+    def test_stack_holds_one_family(self):
+        with pytest.raises(ValueError, match="one probe family"):
+            build_state([ProbeState(ProbeKind.TMC, 2.0), tmsv_with_r(0.3)], cutoff=40)
