@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .cases import CaseStudy, available_cases, dataclass_from_json, require_json_type, resolve_case
@@ -295,7 +294,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
         "versions": {
             "qspr": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "midpoint_transmittance": float(scenario.t_mid),

@@ -444,6 +444,29 @@ class TestConfigDocuments:
         )
         assert python_output(code).splitlines()[-1] == "False"
 
+    def test_cli_and_verify_import_no_scipy(self):
+        code = (
+            "import sys; from qspr.cli import main; "
+            "scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
+            "print(scipy()); assert main(['verify', '--tuples', '4']) == 0; print(scipy())"
+        )
+        lines = python_output(code).splitlines()
+        assert (lines[0], lines[-1]) == ("[]", "[]")
+
+    def test_commands_run_where_scipy_cannot_be_imported(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import raise ImportError
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"states": ["tmc"], "m_values": [2], "p": 2}))
+        code = (
+            "import sys, warnings; sys.modules['scipy'] = None; warnings.simplefilter('error'); "
+            "from qspr.cli import main; "
+            "assert main(['verify', '--tuples', '20', '--cutoff', '40']) == 0; "
+            f"assert main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path / 'run')!r}]) == 0; "
+            f"assert main(['sensorgram', '--out', {str(tmp_path / 'sg')!r}]) == 0; "
+            "print('done')"
+        )
+        assert python_output(code).splitlines()[-1] == "done"
+
 
 class TestRunExperiment:
     def test_artifacts_and_completeness(self, tmp_path):

@@ -4,13 +4,14 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
+from math import comb, exp, factorial, sqrt
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln, xlog1py, xlogy
 
 import qspr
 import qspr.oracle
@@ -131,6 +132,23 @@ class TestSectorExponential:
         assert imported_after_oracle("scipy.linalg") == "[]"
 
 
+class TestCoherentAmplitudes:
+    def test_alpha_zero_is_the_exact_vacuum(self):
+        vacuum = np.zeros(41)
+        vacuum[0] = 1.0
+        amps = _coherent_amplitudes([0.0, 1.0], 40)
+        assert np.array_equal(amps[0], vacuum)
+        assert np.array_equal(_coherent_amplitudes(0.0, 40), vacuum)
+        # alpha = 1 beside it: <n|1> = e^(-1/2) / sqrt(n!)
+        assert amps[1] == pytest.approx([exp(-0.5) / sqrt(factorial(n)) for n in range(41)], rel=1e-13)
+
+    def test_state_far_beyond_its_box_raises_not_nan(self):
+        # |alpha|^2 = 1e4 at cutoff 40: every amplitude underflows to 0, none is NaN
+        assert np.array_equal(_coherent_amplitudes(100.0, 40), np.zeros(41))
+        with pytest.raises(TruncationError, match="tail mass 1.00e\\+00"):
+            build_state(ProbeState(ProbeKind.TMC, 1e4), cutoff=40)
+
+
 class TestBuildState:
     def test_twin_fock_is_single_basis_vector(self):
         amps = build_state(ProbeState(ProbeKind.TMF, 2.0), cutoff=4)
@@ -223,14 +241,17 @@ class TestApplyChannels:
 
 
 class TestThinningMatrix:
-    @pytest.mark.parametrize("p", [0.0, 0.37, 1.0])
-    def test_matches_grid_formula_bitwise(self, p):
-        N, k = np.ogrid[:41, :41]
-        lost = np.maximum(N - k, 0)
-        log_binom = gammaln(N + 1.0) - gammaln(k + 1.0) - gammaln(lost + 1.0)
-        log_binom[k > N] = -np.inf
-        grid = np.exp(log_binom + (xlogy(k, p) + xlog1py(lost, -p)))
-        assert np.array_equal(_thinning_matrix(40, p), grid)
+    @pytest.mark.parametrize("p", [0.0025, 0.05, 0.37, 0.45, 0.5, 0.9025])
+    def test_matches_exact_rational(self, p):
+        # the float p taken exactly, so 1 - p is exact too; at p = 0.45, (1 - p)^40
+        # is 18 ulp off unless the thinning adds back the rounded-off rest of 1 - p
+        P = Fraction(p)
+        matrix = _thinning_matrix(40, p)
+        for n in range(41):
+            for k in range(n + 1):
+                exact = float(comb(n, k) * P**k * (1 - P) ** (n - k))
+                assert abs(matrix[n, k] - exact) <= 16 * np.finfo(float).eps * exact, (n, k)
+        assert np.all(matrix[np.triu_indices(41, 1)] == 0.0)
 
     def test_stack_of_transmissivities_is_each_matrix(self):
         p = np.array([[0.0, 0.37], [0.81, 1.0]])
