@@ -74,8 +74,7 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Cephes ndtri (Moshier, Methods and Programs for Mathematical Functions, 1989):
 # P0/Q0 on the central branch e**-2 < u <= 1 - e**-2, and in the tails, with
-# y = min(u, 1 - u) and x = sqrt(-2 ln y), P1/Q1 for x < 8 and P2/Q2 beyond;
-# the Q tables omit their leading coefficient 1 (p1evl)
+# y = min(u, 1 - u) and x = sqrt(-2 ln y), P1/Q1 for x < 8 and P2/Q2 beyond
 _EXP_M2 = 0.13533528323661269189
 _SQRT_2PI = 2.50662827463100050242
 _P0 = (
@@ -83,7 +82,7 @@ _P0 = (
     1.39312609387279679503e1, -1.23916583867381258016e0,
 )
 _Q0 = (
-    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
     -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
     1.59056225126211695515e1, -1.18331621121330003142e0,
 )
@@ -93,7 +92,7 @@ _P1 = (
     -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
 )
 _Q1 = (
-    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
     1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
     -3.80806407691578277194e-2, -9.33259480895457427372e-4,
 )
@@ -103,7 +102,7 @@ _P2 = (
     3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
 )
 _Q2 = (
-    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
@@ -236,15 +235,6 @@ def _polevl(x: np.ndarray, coefs, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _p1evl(x: np.ndarray, coefs, out: np.ndarray | None = None) -> np.ndarray:
-    """Cephes p1evl: ``_polevl`` with a leading coefficient 1 that ``coefs`` omits."""
-    out = np.add(x, coefs[0], out=out)
-    for c in coefs[1:]:
-        out *= x
-        out += c
-    return out
-
-
 def _ndtri_tails(u: np.ndarray, work: np.ndarray) -> np.ndarray:
     """Cephes ndtri of tail uniforms, u <= e**-2 or u > 1 - e**-2, in work[4]; work is (5, len(u)).
 
@@ -260,10 +250,10 @@ def _ndtri_tails(u: np.ndarray, work: np.ndarray) -> np.ndarray:
     np.divide(1.0, x, out=z)
     _polevl(z, _P1, ratio)
     ratio *= z
-    ratio /= _p1evl(z, _Q1, q)
+    ratio /= _polevl(z, _Q1, q)
     far = np.flatnonzero(x >= 8.0)  # y < e**-32
     if far.size:
-        ratio[far] = z[far] * _polevl(z[far], _P2) / _p1evl(z[far], _Q2)
+        ratio[far] = z[far] * _polevl(z[far], _P2) / _polevl(z[far], _Q2)
     np.log(x, out=out)
     out /= x
     np.subtract(x, out, out=out)
@@ -293,7 +283,7 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
         np.multiply(y, y, out=y2)
         _polevl(y2, _P0, ratio)
         ratio *= y2
-        ratio /= _p1evl(y2, _Q0, q)
+        ratio /= _polevl(y2, _Q0, q)
         ratio *= y
         np.add(y, ratio, out=v)
         v *= _SQRT_2PI

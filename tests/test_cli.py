@@ -17,14 +17,8 @@ from hypothesis import strategies as st
 
 import qspr
 from qspr.cases import KAUSAITE2007, LAHIRI1999, CaseStudy, resolve_case
-from qspr.cli import (
-    MAX_N_NU,
-    ExperimentConfig,
-    build_case,
-    build_parser,
-    main,
-    run_experiment,
-)
+from qspr.cli import build_parser, main, run_experiment
+from qspr.experiment import MAX_N_NU, ExperimentConfig, build_case
 from qspr.probes import DEFAULT_TMSD_GAIN, ProbeKind, ProbeState
 from qspr.simulate import RESULT_BUDGET_BYTES
 
@@ -46,12 +40,12 @@ def tiny_config(out_dir, **kwargs) -> ExperimentConfig:
 
 def forbid_reconstruction(monkeypatch):
     """Fail the test if a command reaches the case's Fresnel reconstruction."""
-    import qspr.cli as cli
+    import qspr.experiment as experiment
 
     def never(*args, **kwargs):
         raise AssertionError("the case was reconstructed")
 
-    monkeypatch.setattr(cli, "reconstruct_transmittance_sensorgram", never)
+    monkeypatch.setattr(experiment, "reconstruct_transmittance_sensorgram", never)
 
 
 def python_output(code: str) -> str:
@@ -581,6 +575,31 @@ class TestRunExperiment:
         writer.writerows([shortest(v) for v in row] for row in rows)
         assert (tmp_path / "table.csv").read_bytes() == expected.getvalue().encode()
 
+    def test_experiment_does_no_io(self, tmp_path, capsys):
+        # the experiment computes tables; the command line alone writes and prints them
+        import qspr.experiment as experiment
+        from qspr.cli import _write_tables
+
+        config = tiny_config(tmp_path / "absent")
+        tables, manifest = experiment.run(config)
+        _, trace, T_L, scenario, nu_values = experiment.prepare(config)
+        sensorgrams = experiment.sensorgram_tables(config, trace, T_L, scenario, nu_values[0])
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr() == ("", "")
+
+        written = run_experiment(config)
+        assert {**manifest, "outputs": written["outputs"]} == {
+            k: v for k, v in written.items() if k != "runtime_seconds"
+        }
+        assert main(["sensorgram", "--config", str(tmp_path / "absent" / "manifest.json"),
+                     "--out", str(tmp_path / "sensorgram")]) == 0
+        for produced, computed in (("absent", tables), ("sensorgram", sensorgrams)):
+            mine = _write_tables(tmp_path / f"{produced}-tables", computed)
+            csvs = sorted(path.name for path in (tmp_path / produced).glob("*.csv"))
+            assert sorted(path.name for path in mine) == csvs
+            for path in mine:
+                assert path.read_bytes() == (tmp_path / produced / path.name).read_bytes()
+
     def test_midpoint_map_grid(self, tmp_path):
         cfg = tiny_config(tmp_path / "out", states=("tmf", "tmsv"))
         run_experiment(cfg)
@@ -600,12 +619,12 @@ class TestRunExperiment:
         assert n_values[0] >= 19.0 and n_values[-1] == pytest.approx(1e4)
 
     def test_failed_map_leaves_no_output(self, tmp_path, monkeypatch):
-        import qspr.cli as cli
+        import qspr.experiment as experiment
 
         def broken(*args, **kwargs):
             raise ValueError("map failed")
 
-        monkeypatch.setattr(cli, "midpoint_enhancement_map", broken)
+        monkeypatch.setattr(experiment, "midpoint_enhancement_map", broken)
         cfg = tiny_config(tmp_path / "out")
         with pytest.raises(ValueError, match="map failed"):
             run_experiment(cfg)
@@ -742,9 +761,9 @@ class TestCommandLine:
     def test_unreliable_run_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         import dataclasses
 
-        import qspr.cli as cli
+        import qspr.experiment as experiment
 
-        real = cli.run_ensembles
+        real = experiment.run_ensembles
 
         def degraded(plans, *args, **kwargs):
             # no usable fit anywhere: every fit counts as failed
@@ -753,7 +772,7 @@ class TestCommandLine:
                 for result in real(plans, *args, **kwargs)
             ]
 
-        monkeypatch.setattr(cli, "run_ensembles", degraded)
+        monkeypatch.setattr(experiment, "run_ensembles", degraded)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out").to_dict()))
         assert main(["run", "--config", str(cfg_path)]) == 1
@@ -782,9 +801,9 @@ class TestCommandLine:
         assert main([*run, "--allow-unreliable"]) == 0
 
     def test_unreliable_tmsd_twin_names_its_reference_photon_number(self, tmp_path, monkeypatch):
-        import qspr.cli as cli
+        import qspr.experiment as experiment
 
-        real = cli.run_ensembles
+        real = experiment.run_ensembles
 
         def degraded_twins(plans, *args, **kwargs):
             # no usable fit in any twin: every twin fit counts as failed
@@ -795,7 +814,7 @@ class TestCommandLine:
                 for result in real(plans, *args, **kwargs)
             ]
 
-        monkeypatch.setattr(cli, "run_ensembles", degraded_twins)
+        monkeypatch.setattr(experiment, "run_ensembles", degraded_twins)
         manifest = run_experiment(tiny_config(tmp_path / "out", states=("tmsd",)))
         n_ref = ProbeState(ProbeKind.TMSD, 10.0, g=DEFAULT_TMSD_GAIN).n_reference
         line = f"tmc N=10.0 n_ref={n_ref} nu=1000 m=3: 24/24 fits failed"
@@ -892,12 +911,12 @@ class TestCommandLine:
             assert not out.exists(), command
 
     def test_failed_sensorgram_draw_leaves_no_output(self, tmp_path, monkeypatch, capsys):
-        import qspr.cli as cli
+        import qspr.experiment as experiment
 
         def broken(*args, **kwargs):
             raise ValueError("draw failed")
 
-        monkeypatch.setattr(cli, "synthesize_noisy_sensorgrams", broken)
+        monkeypatch.setattr(experiment, "synthesize_noisy_sensorgrams", broken)
         out = tmp_path / "s"
         assert main(["sensorgram", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: draw failed\n"
@@ -915,12 +934,12 @@ class TestCommandLine:
     def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys, exc, message):
         # a time grid too fine to allocate fails in the reconstruction of both
         # commands; the failure is simulated, no large array is requested
-        import qspr.cli as cli
+        import qspr.experiment as experiment
 
         def exhausted(*args, **kwargs):
             raise exc
 
-        monkeypatch.setattr(cli, "reconstruct_transmittance_sensorgram", exhausted)
+        monkeypatch.setattr(experiment, "reconstruct_transmittance_sensorgram", exhausted)
         out = tmp_path / "out"
         for command in ("run", "sensorgram"):
             assert main([command, "--out", str(out)]) == 2, command

@@ -1,10 +1,14 @@
-"""The seed-42 reference gate of the benchmark, applied by the test suite.
+"""The seed-42 reference gate and the set-up probe of the benchmark, applied by the test suite.
 
-``bench/check.py`` holds the comparison rules and ``bench/reference/`` the
-outputs they compare against; both are only read here.
+``bench/check.py`` holds the comparison rules, ``bench/reference/`` the
+outputs they compare against and ``bench/child.py`` the probe; all are only
+read or run here.
 """
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from qspr.cli import main
@@ -49,3 +53,19 @@ def test_oracle_verify_matches_reference(capsys):
     reference = check.read_oracle_lines((BENCH / "reference" / "oracle-verify.txt").read_text())
     assert [line["status"] for line in lines] == ["ok"] * 4
     assert check.compare_oracle(lines, reference, seeded=True) == []
+
+
+def test_bench_setup_probe_runs(tmp_path):
+    # the probe reads ExperimentConfig.from_dict and build_case through qspr.cli
+    src = Path(__file__).resolve().parents[1] / "src"
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(README_CONFIG))
+    done = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "setup", str(config_path)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    versions = json.loads(done.stdout.splitlines()[-1])
+    assert Path(versions["qspr_file"]).resolve().is_relative_to(src)
