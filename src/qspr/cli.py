@@ -7,7 +7,9 @@ Subcommands:
     sensorgram  write the ideal and one seeded noisy sensorgram for a case
 
 All outputs are deterministic functions of the resolved configuration,
-including the seed; rerunning a manifest reproduces the CSVs byte for byte.
+including the seed. Rerunning a manifest reproduces the CSVs byte for byte on
+the same numpy build and SIMD dispatch; elsewhere the results.csv floats agree
+within a relative 1e-6 and failed_fits exactly (README, "CLI").
 """
 from __future__ import annotations
 

@@ -30,7 +30,11 @@ from .simulate import (
     synthesize_noisy_sensorgrams,
 )
 
-MAP_N_MAX = 1e4  # midpoint maps span N in [10, MAP_N_MAX]; a TMSD map keeps N >= G - 1
+# the midpoint maps' N axis, 8 values a decade from 10 to 1e4; a TMSD map keeps
+# N >= G - 1. Python's float pow is libm's, so unlike np.geomspace the axis does
+# not follow numpy's SIMD dispatch
+MAP_N = tuple(10.0 ** (1 + i / 8) for i in range(25))
+MAP_N_MAX = MAP_N[-1]
 # largest N * nu: a point's relative shot noise, about 1/sqrt(N * nu), must stay
 # above the fit's noise floor, which gives N * nu <= 2.0e19
 MAX_N_NU = 1.0 / NOISE_FLOOR**2
@@ -233,14 +237,14 @@ def run(config: ExperimentConfig, threads: int = 1) -> tuple[list, dict]:
     for state_name in config.states:
         if state_name == ProbeKind.TMC.value:
             continue
-        map_N = np.geomspace(10.0, MAP_N_MAX, 25)
+        map_N = MAP_N
         if state_name == ProbeKind.TMSD.value:
-            map_N = map_N[map_N >= config.tmsd_gain - 1.0]
+            map_N = [n for n in MAP_N if n >= config.tmsd_gain - 1.0]
         grid = midpoint_enhancement_map(
             ProbeKind(state_name), scenario, map_T, map_N, g=config.tmsd_gain
         )
         rows = [
-            (n, T, r) for n, row in zip(map(str, map_N.tolist()), grid.tolist())
+            (n, T, r) for n, row in zip(map(str, map_N), grid.tolist())
             for T, r in zip(T_cells, row)
         ]
         tables.append((f"midpoint_map_{state_name}.csv", ("N", "T", "R_M"), rows))

@@ -19,20 +19,22 @@ only as the probability mass outside it, which build_state bounds.
 Every function acts on a stack of states of one family, (..., d, d) on the last
 two axes, and one state is a stack of one. verify_closed_forms draws and
 evaluates FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time, so its
-memory does not grow with the tuple count. Each state's probabilities and
-moments are per-state matrix products and dot products, never one product over
-the stack, so they do not depend on the slice a state is evaluated in.
+memory does not grow with the tuple count: one draw of five doubles a tuple,
+one stack through the oracle and one thinning_law call per slice. Each state's
+probabilities and moments are per-state matrix products and dot products,
+never one product over the stack, so they do not depend on the slice a state
+is evaluated in.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lgamma
+from math import comb, cosh, floor, lgamma, sinh
 
 import numpy as np
 
-from .probes import ProbeKind, ProbeState, delta_M, mean_M
+from .probes import ProbeKind, ProbeState, thinning_law
 
 
 # largest probability mass a truncated state may leave outside its cutoff
@@ -40,7 +42,7 @@ TAIL_TOLERANCE = 1e-10
 # largest cutoff a verify pass accepts, over five times the 36 that the largest
 # small state needs (TMSD, |alpha|^2 = 4, r = 0.5). Cost sets it, not range: each
 # tuple thins its (d, d) box with two d^3 products, and 50 tuples per family
-# take about 0.5 s in a warm process on a 2-core host against 0.02 s at cutoff
+# take about 0.45 s in a warm process on a 2-core host against 0.01 s at cutoff
 # 40. C(200, 100) ~ 9e58 is the largest binomial here; C overflows a float only past 1,029.
 MAX_CUTOFF = 200
 # Fock entries, (cutoff+1)^2 per tuple, that verify_closed_forms evaluates in
@@ -141,7 +143,8 @@ def build_state(states: ProbeState | Sequence[ProbeState], cutoff: int) -> np.nd
     else:  # TMSD from its exact sector expansion
         alpha = np.sqrt([state.alpha_sq for state in stack])
         amps = _tmsd_amplitudes(alpha, [state.squeeze_r for state in stack], cutoff)
-    tail = np.maximum(1.0 - np.sum(amps**2, axis=(-2, -1)), 0.0)
+    flat = amps.reshape(len(stack), d * d)
+    tail = np.maximum(1.0 - np.vecdot(flat, flat), 0.0)
     if np.any(tail > TAIL_TOLERANCE):
         first = tail[np.argmax(tail > TAIL_TOLERANCE)]
         raise TruncationError(f"truncated tail mass {first:.2e} exceeds {TAIL_TOLERANCE:.1e}")
@@ -187,9 +190,9 @@ def apply_channels(amplitudes: np.ndarray, T, eta_a, eta_b) -> np.ndarray:
         if not np.all((val >= 0) & (val <= 1)):
             raise ValueError(f"{name} must lie in [0, 1]")
     cutoff = amplitudes.shape[-1] - 1
-    P = amplitudes**2
+    P = np.square(amplitudes)
     # subnormals carry no mass a moment sees, and every product with one is slow
-    P[P < np.finfo(float).tiny] = 0.0
+    np.copyto(P, 0.0, where=P < np.finfo(float).tiny)
     signal = _thinning_matrix(cutoff, np.multiply(eta_a, T))
     return np.swapaxes(signal, -1, -2) @ P @ _thinning_matrix(cutoff, eta_b)
 
@@ -228,28 +231,39 @@ class OracleReport:
         return float(np.maximum(self.max_dev_delta_M, self.max_dev_mean_M))
 
 
-def _random_small_state(kind: ProbeKind, rng: np.random.Generator) -> ProbeState:
-    """Small-parameter state (N <= 4, r <= 0.5, |alpha|^2 <= 4) for oracle checks."""
+def _small_state(kind: ProbeKind, u: float, v: float) -> ProbeState:
+    """Small-parameter state (N <= 4, r <= 0.5, |alpha|^2 <= 4) from two uniform doubles in [0, 1)."""
     if kind is ProbeKind.TMC:
-        return ProbeState(kind=kind, n_mean=float(rng.uniform(0.5, 4.0)))
+        return ProbeState(kind, 0.5 + 3.5 * u)
     if kind is ProbeKind.TMF:
-        return ProbeState(kind=kind, n_mean=float(rng.integers(1, 5)))
+        return ProbeState(kind, float(1 + floor(4.0 * u)))
+    r = 0.1 + 0.4 * u
     if kind is ProbeKind.TMSV:
-        r = rng.uniform(0.1, 0.5)
-        return ProbeState(kind=kind, n_mean=float(np.sinh(r) ** 2))
-    g = float(np.cosh(rng.uniform(0.1, 0.5)) ** 2)
-    alpha_sq = float(rng.uniform(0.1, 4.0))
-    return ProbeState(kind=kind, n_mean=g * alpha_sq + (g - 1.0), g=g)
+        return ProbeState(kind, sinh(r) ** 2)
+    g, alpha_sq = cosh(r) ** 2, 0.1 + 3.9 * v
+    return ProbeState(kind, g * alpha_sq + (g - 1.0), g=g)
+
+
+def _draw_slice(kind: ProbeKind, rng: np.random.Generator, count: int) -> tuple[list[ProbeState], np.ndarray]:
+    """``count`` small states of one family and their (T, eta_a, eta_b) rows, each in [0.05, 0.95].
+
+    One (count, 5) draw: the i-th tuple of a family takes its doubles 5i to
+    5i + 4 whatever the slice, the channels from the first three and the
+    state from the last two. sinh and cosh act on Python floats, so a state
+    does not follow numpy's SIMD dispatch.
+    """
+    u = rng.random((count, 5))
+    return [_small_state(kind, a, b) for a, b in u[:, 3:].tolist()], 0.05 + 0.9 * u[:, :3]
 
 
 def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleReport]:
     """Compare oracle moments against the closed forms on random channel tuples.
 
     Deviations are relative to the closed form; the mean is scaled by the
-    measurement noise when it crosses zero. Each family's tuples are drawn in
-    order, (T, eta_a, eta_b) then the state, and evaluated
-    FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time; a NaN deviation
-    makes the family's report NaN.
+    measurement noise when it crosses zero. Each family's tuples are drawn and
+    evaluated FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time, a
+    slice's closed forms in one thinning_law call; a NaN deviation makes the
+    family's report NaN.
     """
     if tuples < 1:
         raise ValueError("tuples must be >= 1")
@@ -261,11 +275,8 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
     for kind in ProbeKind:
         worst_dm = worst_mm = 0.0
         for start in range(0, tuples, per_slice):
-            channels, states = [], []
-            for _ in range(min(per_slice, tuples - start)):
-                channels.append(rng.uniform(0.05, 0.95, size=3))
-                states.append(_random_small_state(kind, rng))
-            T, eta_a, eta_b = np.transpose(channels)
+            states, channels = _draw_slice(kind, rng, min(per_slice, tuples - start))
+            T, eta_a, eta_b = channels.T
             # P stays allocated until the next slice's is made. Freeing every
             # array of a slice at once let malloc return the heap top to the OS
             # and fault it back in on the next slice (560 pages a tuple at
@@ -273,8 +284,8 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
             # apply_channels changes.
             P = apply_channels(build_state(states, cutoff), T, eta_a, eta_b)
             mm_oracle, dm_oracle = oracle_moments(P)
-            closed = [(delta_M(*args), mean_M(*args)) for args in zip(states, T, eta_a, eta_b)]
-            dm_closed, mm_closed = np.transpose(closed)
+            moments = np.array([state.input_moments for state in states]).T
+            mm_closed, dm_closed = thinning_law(moments, T, eta_a, eta_b)
             # np.max and np.maximum carry a NaN through, where Python's max may drop it
             worst_dm = np.maximum(worst_dm, np.max(np.abs(dm_oracle - dm_closed) / dm_closed))
             scale = np.maximum(np.abs(mm_closed), dm_closed)

@@ -21,10 +21,13 @@ with input moments C = Cov(n_a, n_b), D_a = Var n_a - C, D_b = Var n_b - C:
     TMSD (G(G-1)(1+2|alpha|^2), G|alpha|^2, -(G-1)|alpha|^2)
 
 Every term is >= 0 for TMC, TMF and TMSV, so the sum has no cancellation.
+thinning_law evaluates <M> and Var M for one state's row of this table
+(ProbeState.input_moments) or for a whole table of states in one call.
 """
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,11 +83,11 @@ class ProbeState:
 
     @property
     def squeeze_r(self) -> float:
-        """Squeezing parameter r (TMSV: sinh^2 r = N; TMSD: cosh^2 r = G)."""
+        """Squeezing parameter r (TMSV: sinh^2 r = N; TMSD: cosh^2 r = G), by libm, not numpy's dispatch."""
         if self.kind is ProbeKind.TMSV:
-            return float(np.arcsinh(np.sqrt(self.n_mean)))
+            return math.asinh(math.sqrt(self.n_mean))
         if self.kind is ProbeKind.TMSD:
-            return float(np.arccosh(np.sqrt(self.g)))
+            return math.acosh(math.sqrt(self.g))
         raise ValueError(f"{self.kind.value} state carries no squeezing")
 
     @property
@@ -95,6 +98,19 @@ class ProbeState:
         if self.kind is ProbeKind.TMSD:
             return self.n_mean - self.alpha_sq
         return self.n_mean
+
+    @property
+    def input_moments(self) -> tuple[float, float, float, float, float]:
+        """(C, D_a, D_b, N, N_ref), the input photon-number moments that thinning_law takes."""
+        N, N_ref = self.n_mean, self.n_reference
+        if self.kind is ProbeKind.TMC:
+            return 0.0, N, N_ref, N, N_ref
+        if self.kind is ProbeKind.TMF:
+            return 0.0, 0.0, 0.0, N, N_ref
+        if self.kind is ProbeKind.TMSV:
+            return N * (N + 1.0), 0.0, 0.0, N, N_ref
+        G, a2 = self.g, self.alpha_sq
+        return G * (G - 1.0) * (1.0 + 2.0 * a2), G * a2, -(G - 1.0) * a2, N, N_ref
 
 
 class ScenarioMode(enum.Enum):
@@ -132,39 +148,37 @@ class SensingScenario:
         return 0.0
 
 
+def thinning_law(moments, T, eta_a, eta_b):
+    """(<M>, sqrt(Var M)) of input moments (C, D_a, D_b, N, N_ref) after sensor and losses.
+
+    ``moments`` holds the five on its first axis: one state's floats, or the
+    columns of a table of states, arrays that broadcast against T, eta_a and
+    eta_b. Every operation is elementwise, so an entry of a table equals the
+    same state evaluated alone, bit for bit. Floats where the result is one
+    value.
+    """
+    C, D_a, D_b, N, N_ref = moments
+    t = eta_a * np.asarray(T, dtype=float)
+    mean = t * N - eta_b * N_ref
+    # squares as products: ** on a float or numpy scalar is pow, off x * x by an ulp at times
+    d = t - eta_b
+    var = C * (d * d) + D_a * (t * t) + D_b * (eta_b * eta_b) + t * (1.0 - t) * N
+    sd = np.sqrt(var + eta_b * (1.0 - eta_b) * N_ref)
+    return (float(mean), float(sd)) if np.ndim(mean) == 0 else (mean, sd)
+
+
 def mean_M(state: ProbeState, T, eta_a: float, eta_b: float):
     """Expected intensity difference <M> = <n_a> - <n_b> after sensor and losses.
 
     ``eta_a``/``eta_b`` are the channel transmissivities of the signal and
     reference modes; for a scenario pass ``sc.eta_a, sc.eta_b``.
     """
-    T = np.asarray(T, dtype=float)
-    out = eta_a * T * state.n_mean - eta_b * state.n_reference
-    return float(out) if out.ndim == 0 else out
-
-
-def _thinned_sd(moments: tuple[float, ...], T, eta_a: float, eta_b: float):
-    """sqrt(Var M) by the thinning law for input moments (C, D_a, D_b, N, N_ref)."""
-    C, D_a, D_b, N, N_ref = moments
-    t = eta_a * np.asarray(T, dtype=float)
-    var = C * (t - eta_b) ** 2 + D_a * t**2 + D_b * eta_b**2 + t * (1.0 - t) * N
-    out = np.sqrt(var + eta_b * (1.0 - eta_b) * N_ref)
-    return float(out) if out.ndim == 0 else out
+    return thinning_law(state.input_moments, T, eta_a, eta_b)[0]
 
 
 def delta_M(state: ProbeState, T, eta_a: float, eta_b: float):
     """Single-shot uncertainty of the intensity difference M for the probe state."""
-    N = state.n_mean
-    if state.kind is ProbeKind.TMC:
-        C, D_a, D_b = 0.0, N, state.n_reference
-    elif state.kind is ProbeKind.TMF:
-        C, D_a, D_b = 0.0, 0.0, 0.0
-    elif state.kind is ProbeKind.TMSV:
-        C, D_a, D_b = N * (N + 1.0), 0.0, 0.0
-    else:  # TMSD
-        G, a2 = state.g, state.alpha_sq
-        C, D_a, D_b = G * (G - 1.0) * (1.0 + 2.0 * a2), G * a2, -(G - 1.0) * a2
-    return _thinned_sd((C, D_a, D_b, N, state.n_reference), T, eta_a, eta_b)
+    return thinning_law(state.input_moments, T, eta_a, eta_b)[1]
 
 
 def tmsd_delta_M_large_alpha(state: ProbeState, T, eta_a: float, eta_b: float):
@@ -177,7 +191,7 @@ def tmsd_delta_M_large_alpha(state: ProbeState, T, eta_a: float, eta_b: float):
         raise ValueError("the bright-beam form applies to TMSD states only")
     G = state.g
     per_alpha_sq = (2.0 * G * (G - 1.0), G, -(G - 1.0), G, G - 1.0)
-    return _thinned_sd(tuple(state.alpha_sq * m for m in per_alpha_sq), T, eta_a, eta_b)
+    return thinning_law(tuple(state.alpha_sq * m for m in per_alpha_sq), T, eta_a, eta_b)[1]
 
 
 def sensitivity(state: ProbeState, sc: SensingScenario) -> float:
@@ -229,8 +243,9 @@ def midpoint_enhancement_map(
     N_values = np.asarray(N_values, dtype=float)
     if T_values.size == 0 or N_values.size == 0:
         raise ValueError("T and N ranges must be non-empty")
-    grid = np.empty((N_values.size, T_values.size))
-    for i, n in enumerate(N_values):
-        state = ProbeState(kind=kind, n_mean=float(n), g=g)
-        grid[i] = enhancement_RM(state, T_values, sc)
-    return grid
+    states = [ProbeState(kind=kind, n_mean=n, g=g) for n in N_values.tolist()]
+    references = [matched_classical_reference(state) for state in states]
+    # R_M = delta_M(reference) / delta_M(state): one law call on a (state or reference, N, T) grid
+    columns = np.array([s.input_moments for s in states + references]).T
+    _, sd = thinning_law(columns.reshape(5, 2, len(states), 1), T_values, sc.eta_a, sc.eta_b)
+    return sd[1] / sd[0]

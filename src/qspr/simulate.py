@@ -49,7 +49,7 @@ import numpy as np
 
 from .fit import fit_sensorgrams
 from .kinetics import KineticParameters
-from .probes import ProbeState, SensingScenario, delta_M, matched_classical_reference, mean_M
+from .probes import ProbeState, SensingScenario, matched_classical_reference, thinning_law
 
 PARAMETER_NAMES = ("k_a", "k_s", "k_d")
 UNRELIABLE_FAILURE_FRACTION = 0.2
@@ -317,9 +317,8 @@ def _noise_law(plan: SimulationPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Mean and standard deviation dM/sqrt(nu) of the plan's measured sensorgram on T."""
     if np.any(T < 0) or np.any(T > 1):
         raise ValueError("ideal transmittance must lie in [0, 1]")
-    eta_a, eta_b = plan.scenario.eta_a, plan.scenario.eta_b
-    mean = mean_M(plan.state, T, eta_a, eta_b)
-    return mean, delta_M(plan.state, T, eta_a, eta_b) / np.sqrt(plan.nu)
+    mean, sd = thinning_law(plan.state.input_moments, T, plan.scenario.eta_a, plan.scenario.eta_b)
+    return mean, sd / np.sqrt(plan.nu)
 
 
 @dataclass(frozen=True, eq=False)

@@ -608,6 +608,29 @@ class TestRunExperiment:
         n_values = sorted({float(r["N"]) for r in rows})
         assert n_values[0] == 10.0 and n_values[-1] == pytest.approx(1e4)
 
+    def test_maps_do_not_follow_numpy_dispatch(self, tmp_path):
+        # the maps are closed forms on an N axis from libm's pow, so numpy's
+        # AVX-512 loops (off in the second process) must not move a byte
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(
+            {"states": ["tmf", "tmsv", "tmsd"], "n_values": [10], "m_values": [2], "p": 2}
+        ))
+        src = str(Path(qspr.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+        maps = []
+        for dispatch in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}):
+            out = tmp_path / f"out{len(maps)}"
+            done = subprocess.run(
+                [sys.executable, "-m", "qspr.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+                env={**env, **dispatch, "PYTHONPATH": src},
+                capture_output=True,
+                text=True,
+            )
+            assert done.returncode == 0, done.stderr
+            maps.append({path.name: path.read_bytes() for path in out.glob("midpoint_map_*.csv")})
+        assert sorted(maps[0]) == [f"midpoint_map_{s}.csv" for s in ("tmf", "tmsd", "tmsv")]
+        assert maps[1] == maps[0]
+
     def test_tmsd_map_starts_at_g_minus_1(self, tmp_path):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(
@@ -650,12 +673,16 @@ class TestCommandLine:
     def test_verify_fails_a_nan_closed_form(self, monkeypatch, capsys):
         import qspr.oracle
 
-        closed_form = qspr.oracle.delta_M
+        closed_forms = qspr.oracle.thinning_law
 
-        def nan_for_tmsv(state, *channels):
-            return math.nan if state.kind is ProbeKind.TMSV else closed_form(state, *channels)
+        def nan_for_tmsv(moments, *channels):
+            means, sds = closed_forms(moments, *channels)
+            # TMSV is the one family with a covariance C and no excess variance D_a
+            C, D_a = moments[:2]
+            sds[(C > 0) & (D_a == 0)] = math.nan
+            return means, sds
 
-        monkeypatch.setattr(qspr.oracle, "delta_M", nan_for_tmsv)
+        monkeypatch.setattr(qspr.oracle, "thinning_law", nan_for_tmsv)
         assert main(["verify", "--tuples", "4", "--cutoff", "40"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert [line.endswith("[FAIL]") for line in lines] == [False, False, True, False]

@@ -19,7 +19,7 @@ from qspr.oracle import (
     MAX_CUTOFF,
     TruncationError,
     _coherent_amplitudes,
-    _random_small_state,
+    _draw_slice,
     _thinning_matrix,
     _tmsd_amplitudes,
     apply_channels,
@@ -77,12 +77,7 @@ def imported_after_oracle(package: str) -> str:
 
 def small_tuples(kind: ProbeKind, count: int, seed: int) -> tuple[list[ProbeState], np.ndarray]:
     """``count`` states and their (T, eta_a, eta_b) rows, drawn as verify_closed_forms draws them."""
-    rng = np.random.default_rng(seed)
-    channels, states = [], []
-    for _ in range(count):
-        channels.append(rng.uniform(0.05, 0.95, size=3))
-        states.append(_random_small_state(kind, rng))
-    return states, np.array(channels)
+    return _draw_slice(kind, np.random.default_rng(seed), count)
 
 
 def recorded_verify(monkeypatch, entries: int) -> tuple[list, list]:
@@ -342,6 +337,23 @@ class TestSlices:
             assert np.array_equal(P_alone, P[i])
             assert oracle_moments(P_alone) == (means[i], sds[i])
 
+    def test_drawn_tuples_stay_in_their_ranges(self):
+        for kind in ProbeKind:
+            states, channels = small_tuples(kind, 400, seed=5)
+            assert channels.shape == (400, 3)
+            assert np.all((channels >= 0.05) & (channels <= 0.95))
+            n = np.array([state.n_mean for state in states])
+            if kind is ProbeKind.TMC:
+                assert np.all((n >= 0.5) & (n < 4.0))
+            elif kind is ProbeKind.TMF:
+                assert sorted(set(n)) == [1.0, 2.0, 3.0, 4.0]
+            else:
+                r = np.array([state.squeeze_r for state in states])
+                assert np.all((r > 0.1 - 1e-12) & (r < 0.5 + 1e-12))
+            if kind is ProbeKind.TMSD:
+                alpha_sq = np.array([state.alpha_sq for state in states])
+                assert np.all((alpha_sq > 0.1 - 1e-12) & (alpha_sq < 4.0 + 1e-12))
+
     def test_verify_is_independent_of_the_slice_size(self, monkeypatch):
         reports, seen = recorded_verify(monkeypatch, qspr.oracle.FOCK_ENTRIES_PER_SLICE)
         assert len(seen) == 4 * 50
@@ -354,15 +366,17 @@ class TestSlices:
                 assert np.array_equal(P, P0) and (mean, sd) == (mean0, sd0)
 
     def test_one_under_truncated_tuple_fails_its_slice(self, monkeypatch):
-        draw = qspr.oracle._random_small_state
+        draw = qspr.oracle._draw_slice
         drawn = []
 
-        def one_bright(kind, rng):
-            drawn.append(draw(kind, rng))
+        def one_bright(kind, rng, count):
+            states, channels = draw(kind, rng, count)
+            drawn.extend(states)
             # the fourth TMC state needs a cutoff above 40: Poisson(30) leaves ~3% beyond it
-            return ProbeState(ProbeKind.TMC, 30.0) if len(drawn) == 4 else drawn[-1]
+            states[3] = ProbeState(ProbeKind.TMC, 30.0)
+            return states, channels
 
-        monkeypatch.setattr(qspr.oracle, "_random_small_state", one_bright)
+        monkeypatch.setattr(qspr.oracle, "_draw_slice", one_bright)
         assert qspr.oracle.FOCK_ENTRIES_PER_SLICE // 41**2 >= 9
         with pytest.raises(TruncationError, match="tail mass"):
             verify_closed_forms(tuples=9, cutoff=40, seed=2024)

@@ -16,6 +16,7 @@ from qspr.probes import (
     mean_M,
     midpoint_enhancement_map,
     sensitivity,
+    thinning_law,
     tmsd_delta_M_large_alpha,
 )
 
@@ -236,6 +237,30 @@ class TestMidpointMap:
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):
             midpoint_enhancement_map(ProbeKind.TMF, NO_LOSS, [], self.N_GRID)
+
+
+class TestBroadcastLaw:
+    @pytest.mark.parametrize("kind", list(ProbeKind))
+    def test_table_equals_each_state_alone(self, kind):
+        rng = np.random.default_rng(13)
+        n = rng.uniform(5.0, 1e3, size=40)
+        states = [ProbeState(kind, x, g=float(g)) for x, g in zip(n.tolist(), rng.uniform(1.01, 5.0, 40))]
+        T, ea, eb = rng.random((3, 40))
+        eb[::4] = 0.0  # the single-mode scenario
+        table = np.array([s.input_moments for s in states]).T
+        means, sds = thinning_law(table, T, ea, eb)
+        for i, state in enumerate(states):
+            assert means[i] == mean_M(state, T[i], ea[i], eb[i])
+            assert sds[i] == delta_M(state, T[i], ea[i], eb[i])
+        # states against a transmittance axis, as the midpoint maps evaluate them
+        grid_means, grid_sds = thinning_law(table[..., None], T, 0.9, 0.4)
+        for i, state in enumerate(states):
+            assert np.array_equal(grid_means[i], mean_M(state, T, 0.9, 0.4))
+            assert np.array_equal(grid_sds[i], delta_M(state, T, 0.9, 0.4))
+
+    def test_one_state_gives_floats(self):
+        mean, sd = thinning_law(ProbeState(ProbeKind.TMSV, 3.0).input_moments, 0.5, 1.0, 1.0)
+        assert type(mean) is float and type(sd) is float
 
 
 class TestChannelForms:
