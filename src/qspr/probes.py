@@ -243,9 +243,8 @@ def midpoint_enhancement_map(
     N_values = np.asarray(N_values, dtype=float)
     if T_values.size == 0 or N_values.size == 0:
         raise ValueError("T and N ranges must be non-empty")
-    states = [ProbeState(kind=kind, n_mean=n, g=g) for n in N_values.tolist()]
-    references = [matched_classical_reference(state) for state in states]
-    # R_M = delta_M(reference) / delta_M(state): one law call on a (state or reference, N, T) grid
-    columns = np.array([s.input_moments for s in states + references]).T
-    _, sd = thinning_law(columns.reshape(5, 2, len(states), 1), T_values, sc.eta_a, sc.eta_b)
-    return sd[1] / sd[0]
+    grid = np.empty((N_values.size, T_values.size))
+    for i, n in enumerate(N_values):
+        state = ProbeState(kind=kind, n_mean=float(n), g=g)
+        grid[i] = enhancement_RM(state, T_values, sc)
+    return grid

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 import qspr
 from qspr.cases import KAUSAITE2007, LAHIRI1999, CaseStudy, resolve_case
@@ -608,28 +609,39 @@ class TestRunExperiment:
         n_values = sorted({float(r["N"]) for r in rows})
         assert n_values[0] == 10.0 and n_values[-1] == pytest.approx(1e4)
 
-    def test_maps_do_not_follow_numpy_dispatch(self, tmp_path):
+    AVX512_OFF = "AVX512_SPR AVX512_ICL X86_V4"
+
+    @pytest.mark.skipif(
+        not any(__cpu_features__.get(f) for f in AVX512_OFF.split()),
+        reason="numpy dispatches no AVX-512 loop here, so turning it off changes nothing",
+    )
+    def test_maps_do_not_follow_numpy_dispatch(self):
         # the maps are closed forms on an N axis from libm's pow, so numpy's
-        # AVX-512 loops (off in the second process) must not move a byte
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(
-            {"states": ["tmf", "tmsv", "tmsd"], "n_values": [10], "m_values": [2], "p": 2}
-        ))
+        # AVX-512 loops (off in the second process) must not move a value
+        script = (
+            "import numpy as np\n"
+            "from qspr.experiment import MAP_N\n"
+            "from qspr.probes import ProbeKind, ScenarioMode, SensingScenario, midpoint_enhancement_map\n"
+            "sc = SensingScenario(ScenarioMode.OPTIMIZED, eta_a=0.9, t_mid=0.5)\n"
+            "T = np.linspace(0.2, 0.8, 41)\n"
+            "print(repr(MAP_N))\n"
+            "for kind in (ProbeKind.TMF, ProbeKind.TMSV, ProbeKind.TMSD):\n"
+            "    print(repr(midpoint_enhancement_map(kind, sc, T, MAP_N).tolist()))\n"
+        )
         src = str(Path(qspr.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-        maps = []
-        for dispatch in ({}, {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"}):
-            out = tmp_path / f"out{len(maps)}"
+        outputs = []
+        for dispatch in ({}, {"NPY_DISABLE_CPU_FEATURES": self.AVX512_OFF}):
             done = subprocess.run(
-                [sys.executable, "-m", "qspr.cli", "run", "--config", str(cfg_path), "--out", str(out)],
+                [sys.executable, "-c", script],
                 env={**env, **dispatch, "PYTHONPATH": src},
                 capture_output=True,
                 text=True,
             )
             assert done.returncode == 0, done.stderr
-            maps.append({path.name: path.read_bytes() for path in out.glob("midpoint_map_*.csv")})
-        assert sorted(maps[0]) == [f"midpoint_map_{s}.csv" for s in ("tmf", "tmsd", "tmsv")]
-        assert maps[1] == maps[0]
+            outputs.append(done.stdout)
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[1] == outputs[0]
 
     def test_tmsd_map_starts_at_g_minus_1(self, tmp_path):
         cfg_path = tmp_path / "config.json"

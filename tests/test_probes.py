@@ -252,7 +252,7 @@ class TestBroadcastLaw:
         for i, state in enumerate(states):
             assert means[i] == mean_M(state, T[i], ea[i], eb[i])
             assert sds[i] == delta_M(state, T[i], ea[i], eb[i])
-        # states against a transmittance axis, as the midpoint maps evaluate them
+        # states against a transmittance axis, which delta_M also takes for one state
         grid_means, grid_sds = thinning_law(table[..., None], T, 0.9, 0.4)
         for i, state in enumerate(states):
             assert np.array_equal(grid_means[i], mean_M(state, T, 0.9, 0.4))
