@@ -20,10 +20,12 @@ Every function acts on a stack of states of one family, (..., d, d) on the last
 two axes, and one state is a stack of one. verify_closed_forms draws and
 evaluates FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time, so its
 memory does not grow with the tuple count: one draw of five doubles a tuple,
-one stack through the oracle and one thinning_law call per slice. Each state's
-probabilities and moments are per-state matrix products and dot products,
-never one product over the stack, so they do not depend on the slice a state
-is evaluated in.
+one stack through the oracle and one thinning_law call per slice. A pass
+allocates one workspace of three slice-sized stacks, which build_state,
+_thinning_matrix and apply_channels write into through ``out``; called
+without it, they allocate the same buffers. Each state's probabilities and
+moments are per-state matrix products and dot products, never one product
+over the stack, so they do not depend on the slice a state is evaluated in.
 """
 from __future__ import annotations
 
@@ -42,15 +44,16 @@ TAIL_TOLERANCE = 1e-10
 # largest cutoff a verify pass accepts, over five times the 36 that the largest
 # small state needs (TMSD, |alpha|^2 = 4, r = 0.5). Cost sets it, not range: each
 # tuple thins its (d, d) box with two d^3 products, and 50 tuples per family
-# take about 0.45 s in a warm process on a 2-core host against 0.01 s at cutoff
+# take about 0.35 s in a warm process on a 2-core host against 0.01 s at cutoff
 # 40. C(200, 100) ~ 9e58 is the largest binomial here; C overflows a float only past 1,029.
 MAX_CUTOFF = 200
 # Fock entries, (cutoff+1)^2 per tuple, that verify_closed_forms evaluates in
-# one slice, at least one tuple: 9 tuples at cutoff 40, one at MAX_CUTOFF, so a
-# slice's arrays are never larger than one MAX_CUTOFF tuple's. At 2**15 a pass
-# at cutoff 40 was at most a tenth faster, with twice the memory; at 2**13 it
-# was 40% slower.
-FOCK_ENTRIES_PER_SLICE = 2**14
+# one slice, at least one tuple: 19 tuples at cutoff 40, one at MAX_CUTOFF. A
+# pass holds three slice-sized stacks, 0.77 MB at cutoff 40, as much as the
+# seven transient ones of a 2**14 slice without the workspace. At 2**16 a
+# warm cutoff-40 pass was 13% faster again, and a verify process took 0.7 MB
+# more peak RSS.
+FOCK_ENTRIES_PER_SLICE = 2**15
 
 
 class TruncationError(RuntimeError):
@@ -91,27 +94,35 @@ def _coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
     return np.exp(logs, out=logs)
 
 
-def _tmsd_amplitudes(alpha, r, cutoff: int) -> np.ndarray:
-    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, exactly, (k, d, d) for k pairs."""
+def _tmsd_amplitudes(alpha, r, cutoff: int, *, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, exactly, (k, d, d) for k pairs.
+
+    Written into ``out``, a (k, d, d) array, when given.
+    """
     D, binom = _binomials(cutoff)
     r = np.asarray(r, dtype=float)[:, None]
     n = np.arange(cutoff + 1)
     head = _coherent_amplitudes(alpha, cutoff) * (1.0 / np.cosh(r)) ** (n + 1)  # coh[D] sech^(D+1)
-    amps = np.take(head, D, axis=-1)
+    # every index is on the box: mode="clip" writes into out without numpy's
+    # error-safe copy of it
+    amps = np.take(head, D, axis=-1, out=out, mode="clip")
     amps *= ((-np.tanh(r)) ** n)[:, None, :]  # (-tanh r)^j
     amps *= np.sqrt(binom)  # 0 off the sector sites
     return amps
 
 
-def build_state(states: ProbeState | Sequence[ProbeState], cutoff: int) -> np.ndarray:
+def build_state(
+    states: ProbeState | Sequence[ProbeState], cutoff: int, *, out: np.ndarray | None = None
+) -> np.ndarray:
     """Explicit truncated amplitudes [..., n_a, n_b] of one probe state or a stack of one family.
 
     A single state gives a (cutoff+1, cutoff+1) array, a sequence of k states
-    a (k, cutoff+1, cutoff+1) stack. The amplitudes are real: every probe state
-    has a real alpha and a fixed squeezing phase. Every amplitude on the box is
-    exact, so the one truncation guard is the probability mass outside it:
-    TruncationError, naming the first state that fails, if that exceeds
-    TAIL_TOLERANCE.
+    a (k, cutoff+1, cutoff+1) stack, written into ``out`` when that is given,
+    a C-contiguous (k, cutoff+1, cutoff+1) array. The amplitudes are real:
+    every probe state has a real alpha and a fixed squeezing phase. Every
+    amplitude on the box is exact, so the one truncation guard is the
+    probability mass outside it: TruncationError, naming the first state that
+    fails, if that exceeds TAIL_TOLERANCE.
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -122,9 +133,10 @@ def build_state(states: ProbeState | Sequence[ProbeState], cutoff: int) -> np.nd
         raise ValueError("a stack of states must hold one probe family")
     kind = kinds.pop()
     d = cutoff + 1
+    amps = np.empty((len(stack), d, d)) if out is None else out
     if kind is ProbeKind.TMC:
         coh = _coherent_amplitudes(np.sqrt([(state.n_mean, state.n_reference) for state in stack]), cutoff)
-        amps = coh[:, 0, :, None] * coh[:, 1, None, :]
+        np.multiply(coh[:, 0, :, None], coh[:, 1, None, :], out=amps)
     elif kind is ProbeKind.TMF:
         n_mean = np.array([state.n_mean for state in stack])
         if np.any(n_mean != np.floor(n_mean)):
@@ -132,17 +144,17 @@ def build_state(states: ProbeState | Sequence[ProbeState], cutoff: int) -> np.nd
         n = n_mean.astype(int)
         if np.any(n > cutoff):
             raise TruncationError(f"cutoff {cutoff} below Fock number {n[np.argmax(n > cutoff)]}")
-        amps = np.zeros((len(stack), d, d))
+        amps.fill(0.0)
         amps[np.arange(len(stack)), n, n] = 1.0
     elif kind is ProbeKind.TMSV:
         lam = np.tanh([state.squeeze_r for state in stack])[:, None]
         n = np.arange(d)
-        amps = np.zeros((len(stack), d, d))
+        amps.fill(0.0)
         # S(r)|00> has Schmidt form sqrt(1-lam^2) * (-lam)^n |n,n>
         amps[:, n, n] = np.sqrt(1.0 - lam**2) * (-lam) ** n
     else:  # TMSD from its exact sector expansion
         alpha = np.sqrt([state.alpha_sq for state in stack])
-        amps = _tmsd_amplitudes(alpha, [state.squeeze_r for state in stack], cutoff)
+        _tmsd_amplitudes(alpha, [state.squeeze_r for state in stack], cutoff, out=amps)
     flat = amps.reshape(len(stack), d * d)
     tail = np.maximum(1.0 - np.vecdot(flat, flat), 0.0)
     if np.any(tail > TAIL_TOLERANCE):
@@ -151,14 +163,14 @@ def build_state(states: ProbeState | Sequence[ProbeState], cutoff: int) -> np.nd
     return amps[0] if single else amps
 
 
-def _thinning_matrix(cutoff: int, transmissivity) -> np.ndarray:
+def _thinning_matrix(cutoff: int, transmissivity, *, out: np.ndarray | None = None) -> np.ndarray:
     """Binomial probabilities C(n, k) p^k (1-p)^(n-k) of keeping k of n photons, [..., n, k].
 
     One (d, d) matrix per transmissivity: a scalar p gives (d, d), an array of
-    shape S gives S + (d, d). A site is a product of three floats, which never
-    overflows (C(200, 100) ~ 9e58) and lies within a few ulp of the exact value
-    wherever p^k is normal; 0**0 = 1 keeps p = 0 and p = 1 exact. Sites k > n
-    are exact zeros.
+    shape S gives S + (d, d), written into ``out`` of that shape when given. A
+    site is a product of three floats, which never overflows (C(200, 100) ~
+    9e58) and lies within a few ulp of the exact value wherever p^k is normal;
+    0**0 = 1 keeps p = 0 and p = 1 exact. Sites k > n are exact zeros.
     """
     lost, binom = _binomials(cutoff)
     p = np.asarray(transmissivity, dtype=float)[..., None]
@@ -168,13 +180,15 @@ def _thinning_matrix(cutoff: int, transmissivity) -> np.ndarray:
     q = 1.0 - p
     q_pow = q**k
     q_pow[..., 1:] += ((1.0 - q) - p) * k[1:] * q_pow[..., :-1]
-    out = np.take(q_pow, lost, axis=-1)
+    out = np.take(q_pow, lost, axis=-1, out=out, mode="clip")
     out *= (p**k)[..., None, :]
     out *= binom
     return out
 
 
-def apply_channels(amplitudes: np.ndarray, T, eta_a, eta_b) -> np.ndarray:
+def apply_channels(
+    amplitudes: np.ndarray, T, eta_a, eta_b, *, out: Sequence[np.ndarray] | None = None
+) -> np.ndarray:
     """Joint photon-number probabilities [..., n_a, n_b] after the sensor (T) and both losses.
 
     ``amplitudes`` is a state or a stack of states from build_state, whose
@@ -184,17 +198,27 @@ def apply_channels(amplitudes: np.ndarray, T, eta_a, eta_b) -> np.ndarray:
     reference mode is thinned by eta_b. Exact on the truncated basis since the
     observable is photon-number diagonal. Each state is one pair of (d, d)
     matrix products, whatever the stack holds.
+
+    ``out`` holds three C-contiguous arrays of the result's shape, the
+    amplitudes' own array allowed as the first; all three are overwritten and
+    the result is the first. Without it the three are allocated.
     """
     for name, val in (("T", T), ("eta_a", eta_a), ("eta_b", eta_b)):
         val = np.asarray(val)
         if not np.all((val >= 0) & (val <= 1)):
             raise ValueError(f"{name} must lie in [0, 1]")
     cutoff = amplitudes.shape[-1] - 1
-    P = np.square(amplitudes)
+    stack = np.broadcast_shapes(amplitudes.shape[:-2], np.shape(T), np.shape(eta_a), np.shape(eta_b))
+    if out is None:
+        out = [np.empty(stack + amplitudes.shape[-2:]) for _ in range(3)]
+    P = np.square(amplitudes, out=out[0])
     # subnormals carry no mass a moment sees, and every product with one is slow
     np.copyto(P, 0.0, where=P < np.finfo(float).tiny)
-    signal = _thinning_matrix(cutoff, np.multiply(eta_a, T))
-    return np.swapaxes(signal, -1, -2) @ P @ _thinning_matrix(cutoff, eta_b)
+    signal = _thinning_matrix(cutoff, np.broadcast_to(np.multiply(eta_a, T), stack), out=out[1])
+    left = np.matmul(np.swapaxes(signal, -1, -2), P, out=out[2])
+    # P is spent: the reference thinning takes the signal's array and the result P's
+    reference = _thinning_matrix(cutoff, np.broadcast_to(eta_b, stack), out=out[1])
+    return np.matmul(left, reference, out=out[0])
 
 
 def oracle_moments(P: np.ndarray):
@@ -269,7 +293,13 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
         raise ValueError("tuples must be >= 1")
     if not 1 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff}")
-    per_slice = max(1, FOCK_ENTRIES_PER_SLICE // (cutoff + 1) ** 2)
+    per_slice = min(tuples, max(1, FOCK_ENTRIES_PER_SLICE // (cutoff + 1) ** 2))
+    # one workspace for the whole pass: amplitudes, P and the result in the
+    # first array, the thinning matrices in the second, S_a^T P in the third.
+    # Fresh arrays per slice let malloc return the heap top to the OS and fault
+    # it back in on the next one wherever glibc keeps its 128 KB trim
+    # threshold; tests/verify_faults.py counts those faults
+    workspace = np.empty((3, per_slice, cutoff + 1, cutoff + 1))
     rng = np.random.default_rng(seed)
     reports = []
     for kind in ProbeKind:
@@ -277,12 +307,8 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
         for start in range(0, tuples, per_slice):
             states, channels = _draw_slice(kind, rng, min(per_slice, tuples - start))
             T, eta_a, eta_b = channels.T
-            # P stays allocated until the next slice's is made. Freeing every
-            # array of a slice at once let malloc return the heap top to the OS
-            # and fault it back in on the next slice (560 pages a tuple at
-            # cutoff 200); count ru_minflt again when this loop or
-            # apply_channels changes.
-            P = apply_channels(build_state(states, cutoff), T, eta_a, eta_b)
+            buffers = workspace[:, : len(states)]
+            P = apply_channels(build_state(states, cutoff, out=buffers[0]), T, eta_a, eta_b, out=buffers)
             mm_oracle, dm_oracle = oracle_moments(P)
             moments = np.array([state.input_moments for state in states]).T
             mm_closed, dm_closed = thinning_law(moments, T, eta_a, eta_b)

@@ -87,7 +87,8 @@ def recorded_verify(monkeypatch, entries: int) -> tuple[list, list]:
 
     def recording(P):
         moments = oracle_moments(P)
-        seen.extend(zip(P, *moments))
+        # P is a view of verify's workspace, which the next slice overwrites
+        seen.extend(zip(P.copy(), *moments))
         return moments
 
     monkeypatch.setattr(qspr.oracle, "oracle_moments", recording)
@@ -315,6 +316,20 @@ class TestVerification:
         with pytest.raises(ValueError):
             verify_closed_forms(tuples=0, cutoff=40, seed=2024)
 
+    def test_warm_passes_fault_no_pages_without_scipy(self):
+        # the helper counts ru_minflt in fresh interpreters that never import scipy,
+        # so glibc's mmap and trim thresholds start at their 128 KB defaults
+        helper = Path(__file__).with_name("verify_faults.py")
+        src = str(Path(qspr.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, str(helper)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.count("minor faults per pass") == 4
+
     def test_memory_does_not_grow_with_tuples(self):
         verify_closed_forms(tuples=1, cutoff=40, seed=2024)  # fill the per-cutoff caches
         few, many = verify_peak_bytes(50), verify_peak_bytes(2000)
@@ -330,6 +345,10 @@ class TestSlices:
         P = apply_channels(amps, *channels.T)
         means, sds = oracle_moments(P)
         assert amps.shape == P.shape == (7, 41, 41) and means.shape == sds.shape == (7,)
+        # the same stack in a workspace, as verify evaluates it: P overwrites the amplitudes
+        workspace = np.full((3, 7, 41, 41), np.nan)
+        in_place = apply_channels(build_state(states, 40, out=workspace[0]), *channels.T, out=workspace)
+        assert np.shares_memory(in_place, workspace[0]) and np.array_equal(in_place, P)
         for i, state in enumerate(states):
             alone = build_state(state, cutoff=40)
             assert np.array_equal(alone, amps[i])
@@ -357,8 +376,9 @@ class TestSlices:
     def test_verify_is_independent_of_the_slice_size(self, monkeypatch):
         reports, seen = recorded_verify(monkeypatch, qspr.oracle.FOCK_ENTRIES_PER_SLICE)
         assert len(seen) == 4 * 50
-        # one tuple per slice, and each family in one slice
-        for entries in (1, 2**30):
+        # one tuple per slice, 9 tuples a slice (19 + 19 + 12 at the default:
+        # the last slice is a partial view of the workspace), and each family in one slice
+        for entries in (1, 2**14, 2**30):
             other_reports, other_seen = recorded_verify(monkeypatch, entries)
             assert other_reports == reports
             assert len(other_seen) == len(seen)
