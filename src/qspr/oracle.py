@@ -1,9 +1,14 @@
 """Brute-force verification of the measurement moments in a truncated Fock basis.
 
 :mod:`qspr.probes` applies one thinning law to a hand-derived table of input
-photon-number moments. Here states are explicit amplitude arrays, the channels
-thin the joint photon-number distribution numerically (exact, as M is
-photon-number diagonal) and moments are direct sums, so the amplitudes and the
+photon-number moments. Here states are explicit amplitude arrays and the
+channels are explicit binomial thinning matrices S (exact, as M is
+photon-number diagonal). Every moment of the thinned distribution
+S_a^T P S_b is a form f^T S_a^T P S_b g with f, g in [1, k, k^2] over the
+kept photon numbers k, so apply_channels contracts each matrix with those
+three vectors first and sums P against them: every amplitude and every
+binomial site still takes part, no row sum of S is taken to be 1 and no
+binomial moment is written in closed form. So the amplitudes and the
 numerical thinning check both the table and the law. The oracle needs numpy and
 the standard library only: one cached table of C(n, k), each an exact math.comb
 rounded once, serves the thinning law and the TMSD sectors. TMSD comes from the
@@ -21,11 +26,11 @@ two axes, and one state is a stack of one. verify_closed_forms draws and
 evaluates FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time, so its
 memory does not grow with the tuple count: one draw of five doubles a tuple,
 one stack through the oracle and one thinning_law call per slice. A pass
-allocates one workspace of three slice-sized stacks, which build_state,
+allocates one workspace of two slice-sized stacks, which build_state,
 _thinning_matrix and apply_channels write into through ``out``; called
-without it, they allocate the same buffers. Each state's probabilities and
-moments are per-state matrix products and dot products, never one product
-over the stack, so they do not depend on the slice a state is evaluated in.
+without it, they allocate the same buffers. Each state's moments are
+per-state matrix products of one shape, never one product over the stack, so
+they do not depend on the slice a state is evaluated in.
 """
 from __future__ import annotations
 
@@ -43,13 +48,14 @@ from .probes import ProbeKind, ProbeState, thinning_law
 TAIL_TOLERANCE = 1e-10
 # largest cutoff a verify pass accepts, over five times the 36 that the largest
 # small state needs (TMSD, |alpha|^2 = 4, r = 0.5). Cost sets it, not range: each
-# tuple thins its (d, d) box with two d^3 products, and 50 tuples per family
-# take about 0.35 s in a warm process on a 2-core host against 0.01 s at cutoff
-# 40. C(200, 100) ~ 9e58 is the largest binomial here; C overflows a float only past 1,029.
+# tuple builds and contracts its (d, d) box and two (d, d) thinning matrices,
+# O(d^2) work, and 50 tuples per family take about 0.12 s in a warm process on
+# a 2-core host against 0.01 s at cutoff 40. C(200, 100) ~ 9e58 is the largest
+# binomial here; C overflows a float only past 1,029.
 MAX_CUTOFF = 200
 # Fock entries, (cutoff+1)^2 per tuple, that verify_closed_forms evaluates in
 # one slice, at least one tuple: 19 tuples at cutoff 40, one at MAX_CUTOFF. A
-# pass holds three slice-sized stacks, 0.77 MB at cutoff 40, as much as the
+# pass holds two slice-sized stacks, 0.51 MB at cutoff 40, less than the
 # seven transient ones of a 2**14 slice without the workspace. At 2**16 a
 # warm cutoff-40 pass was 13% faster again, and a verify process took 0.7 MB
 # more peak RSS.
@@ -189,19 +195,21 @@ def _thinning_matrix(cutoff: int, transmissivity, *, out: np.ndarray | None = No
 def apply_channels(
     amplitudes: np.ndarray, T, eta_a, eta_b, *, out: Sequence[np.ndarray] | None = None
 ) -> np.ndarray:
-    """Joint photon-number probabilities [..., n_a, n_b] after the sensor (T) and both losses.
+    """Joint moments G[..., i, j] = E[n_a^i n_b^j], i, j <= 2, after the sensor (T) and both losses.
 
     ``amplitudes`` is a state or a stack of states from build_state, whose
     cutoff is its last axis's length less one; T, eta_a and eta_b are scalars
     or arrays over the stack's leading axes. The sensor and the signal-mode
     loss compose into one binomial channel of transmissivity eta_a*T; the
     reference mode is thinned by eta_b. Exact on the truncated basis since the
-    observable is photon-number diagonal. Each state is one pair of (d, d)
-    matrix products, whatever the stack holds.
+    observable is photon-number diagonal. Every moment of the thinned
+    distribution S_a^T P S_b is a form f^T (S_a^T P S_b) g with f, g in
+    V = [1, k, k^2], taken as (S_a V)^T P (S_b V): each state is three (d, d)
+    by (d, 3) products and one (3, d) by (d, 3), whatever the stack holds.
 
-    ``out`` holds three C-contiguous arrays of the result's shape, the
-    amplitudes' own array allowed as the first; all three are overwritten and
-    the result is the first. Without it the three are allocated.
+    ``out`` holds two C-contiguous arrays of the amplitudes' stack shape, the
+    amplitudes' own array allowed as the first; P overwrites the first and
+    the thinning matrices the second. Without it the two are allocated.
     """
     for name, val in (("T", T), ("eta_a", eta_a), ("eta_b", eta_b)):
         val = np.asarray(val)
@@ -210,33 +218,27 @@ def apply_channels(
     cutoff = amplitudes.shape[-1] - 1
     stack = np.broadcast_shapes(amplitudes.shape[:-2], np.shape(T), np.shape(eta_a), np.shape(eta_b))
     if out is None:
-        out = [np.empty(stack + amplitudes.shape[-2:]) for _ in range(3)]
+        out = [np.empty(stack + amplitudes.shape[-2:]) for _ in range(2)]
     P = np.square(amplitudes, out=out[0])
     # subnormals carry no mass a moment sees, and every product with one is slow
     np.copyto(P, 0.0, where=P < np.finfo(float).tiny)
-    signal = _thinning_matrix(cutoff, np.broadcast_to(np.multiply(eta_a, T), stack), out=out[1])
-    left = np.matmul(np.swapaxes(signal, -1, -2), P, out=out[2])
-    # P is spent: the reference thinning takes the signal's array and the result P's
-    reference = _thinning_matrix(cutoff, np.broadcast_to(eta_b, stack), out=out[1])
-    return np.matmul(left, reference, out=out[0])
+    V = np.arange(cutoff + 1, dtype=float)[:, None] ** np.arange(3)
+    signal = _thinning_matrix(cutoff, np.broadcast_to(np.multiply(eta_a, T), stack), out=out[1]) @ V
+    reference = _thinning_matrix(cutoff, np.broadcast_to(eta_b, stack), out=out[1]) @ V
+    return np.swapaxes(signal, -1, -2) @ (P @ reference)
 
 
-def oracle_moments(P: np.ndarray):
-    """(mean_M, delta_M) of the intensity difference of joint probabilities P by direct summation.
+def oracle_moments(G: np.ndarray):
+    """(mean_M, delta_M) of the intensity difference from joint moments G of apply_channels.
 
-    Floats for one (d, d) distribution, arrays over the leading axes of a
-    stack. Every moment is a sum, np.vecdot or vector-matrix product within
-    one state, never a product over the stack, so a state's moments do not
-    depend on the stack it sits in.
+    Floats for one (3, 3) matrix, arrays over the leading axes of a stack.
     """
-    n = np.arange(P.shape[-1], dtype=float)
-    pa, pb = P.sum(axis=-1), P.sum(axis=-2)
-    mean_a, mean_b = np.vecdot(pa, n), np.vecdot(pb, n)
-    var_a = np.vecdot(pa, n**2) - mean_a**2
-    var_b = np.vecdot(pb, n**2) - mean_b**2
-    cov = np.vecdot(n @ P, n) - mean_a * mean_b
+    mean_a, mean_b = G[..., 1, 0], G[..., 0, 1]
+    var_a = G[..., 2, 0] - mean_a**2
+    var_b = G[..., 0, 2] - mean_b**2
+    cov = G[..., 1, 1] - mean_a * mean_b
     mean, sd = mean_a - mean_b, np.sqrt(var_a + var_b - 2.0 * cov)
-    return (float(mean), float(sd)) if P.ndim == 2 else (mean, sd)
+    return (float(mean), float(sd)) if G.ndim == 2 else (mean, sd)
 
 
 @dataclass(frozen=True)
@@ -294,12 +296,12 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
     if not 1 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff}")
     per_slice = min(tuples, max(1, FOCK_ENTRIES_PER_SLICE // (cutoff + 1) ** 2))
-    # one workspace for the whole pass: amplitudes, P and the result in the
-    # first array, the thinning matrices in the second, S_a^T P in the third.
-    # Fresh arrays per slice let malloc return the heap top to the OS and fault
-    # it back in on the next one wherever glibc keeps its 128 KB trim
-    # threshold; tests/verify_faults.py counts those faults
-    workspace = np.empty((3, per_slice, cutoff + 1, cutoff + 1))
+    # one workspace for the whole pass: the amplitudes and P in the first
+    # array, the thinning matrices in the second. Fresh arrays per slice let
+    # malloc return the heap top to the OS and fault it back in on the next
+    # one wherever glibc keeps its 128 KB trim threshold;
+    # tests/verify_faults.py counts those faults
+    workspace = np.empty((2, per_slice, cutoff + 1, cutoff + 1))
     rng = np.random.default_rng(seed)
     reports = []
     for kind in ProbeKind:
@@ -308,8 +310,8 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
             states, channels = _draw_slice(kind, rng, min(per_slice, tuples - start))
             T, eta_a, eta_b = channels.T
             buffers = workspace[:, : len(states)]
-            P = apply_channels(build_state(states, cutoff, out=buffers[0]), T, eta_a, eta_b, out=buffers)
-            mm_oracle, dm_oracle = oracle_moments(P)
+            G = apply_channels(build_state(states, cutoff, out=buffers[0]), T, eta_a, eta_b, out=buffers)
+            mm_oracle, dm_oracle = oracle_moments(G)
             moments = np.array([state.input_moments for state in states]).T
             mm_closed, dm_closed = thinning_law(moments, T, eta_a, eta_b)
             # np.max and np.maximum carry a NaN through, where Python's max may drop it

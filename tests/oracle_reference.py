@@ -1,0 +1,43 @@
+"""The whole thinned distribution the contracted ``qspr.oracle.apply_channels`` replaced, kept as its reference.
+
+Each state's joint photon-number probabilities after the channels are formed
+in full, P' = S_a^T P S_b with two (d, d) matrix products, from the production
+``build_state`` amplitudes and ``_thinning_matrix``; its moments are direct
+sums over P'. The contraction takes the same sums in another order, so both
+must agree to round-off on every state.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from qspr.oracle import _thinning_matrix
+
+
+def thinned_distribution(amplitudes: np.ndarray, T, eta_a, eta_b) -> np.ndarray:
+    """Joint probabilities P'[..., n_a, n_b] of a state or stack after the sensor (T) and both losses."""
+    cutoff = amplitudes.shape[-1] - 1
+    P = np.square(amplitudes)
+    np.copyto(P, 0.0, where=P < np.finfo(float).tiny)
+    signal = _thinning_matrix(cutoff, np.multiply(eta_a, T))
+    reference = _thinning_matrix(cutoff, eta_b)
+    return np.swapaxes(signal, -1, -2) @ P @ reference
+
+
+def distribution_moments(P: np.ndarray):
+    """(mean_M, delta_M) of the intensity difference of joint probabilities P by direct summation."""
+    n = np.arange(P.shape[-1], dtype=float)
+    pa, pb = P.sum(axis=-1), P.sum(axis=-2)
+    mean_a, mean_b = np.vecdot(pa, n), np.vecdot(pb, n)
+    var_a = np.vecdot(pa, n**2) - mean_a**2
+    var_b = np.vecdot(pb, n**2) - mean_b**2
+    cov = np.vecdot(n @ P, n) - mean_a * mean_b
+    return mean_a - mean_b, np.sqrt(var_a + var_b - 2.0 * cov)
+
+
+def joint_moments(P: np.ndarray) -> np.ndarray:
+    """G[..., i, j] = sum over P of n_a^i n_b^j, i, j <= 2, by direct summation."""
+    n = np.arange(P.shape[-1], dtype=float)
+    powers = [np.ones_like(n), n, n**2]
+    return np.stack(
+        [np.stack([np.vecdot(f @ P, g) for g in powers], axis=-1) for f in powers], axis=-2
+    )

@@ -13,6 +13,8 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
+from oracle_reference import distribution_moments, joint_moments, thinned_distribution
+
 import qspr
 import qspr.oracle
 from qspr.oracle import (
@@ -81,14 +83,13 @@ def small_tuples(kind: ProbeKind, count: int, seed: int) -> tuple[list[ProbeStat
 
 
 def recorded_verify(monkeypatch, entries: int) -> tuple[list, list]:
-    """verify_closed_forms(50, 40, 2024) at FOCK_ENTRIES_PER_SLICE = entries, with each tuple's (P, mean, sd)."""
+    """verify_closed_forms(50, 40, 2024) at FOCK_ENTRIES_PER_SLICE = entries, with each tuple's (G, mean, sd)."""
     monkeypatch.setattr(qspr.oracle, "FOCK_ENTRIES_PER_SLICE", entries)
     seen = []
 
-    def recording(P):
-        moments = oracle_moments(P)
-        # P is a view of verify's workspace, which the next slice overwrites
-        seen.extend(zip(P.copy(), *moments))
+    def recording(G):
+        moments = oracle_moments(G)
+        seen.extend(zip(G, *moments))
         return moments
 
     monkeypatch.setattr(qspr.oracle, "oracle_moments", recording)
@@ -205,21 +206,45 @@ class TestBuildState:
 
 
 class TestApplyChannels:
+    """Each distribution check on the reference's P' from the production thinning, and its moment twin."""
+
     def test_identity_channel_preserves_distribution(self):
         amps = build_state(ProbeState(ProbeKind.TMC, 2.0), cutoff=30)
-        P = apply_channels(amps, T=1.0, eta_a=1.0, eta_b=1.0)
+        P = thinned_distribution(amps, T=1.0, eta_a=1.0, eta_b=1.0)
         assert P == pytest.approx(np.abs(amps) ** 2, abs=1e-14)
+
+    def test_identity_channel_gives_the_direct_sums(self):
+        amps = build_state(ProbeState(ProbeKind.TMC, 2.0), cutoff=30)
+        G = apply_channels(amps, T=1.0, eta_a=1.0, eta_b=1.0)
+        n = np.arange(31, dtype=float)
+        direct = [[np.sum(amps**2 * np.outer(n**i, n**j)) for j in range(3)] for i in range(3)]
+        assert G.shape == (3, 3)
+        assert G == pytest.approx(np.array(direct), rel=1e-14)
 
     def test_single_photon_binomial(self):
         amps = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
-        P = apply_channels(amps, T=0.5, eta_a=1.0, eta_b=1.0)
+        P = thinned_distribution(amps, T=0.5, eta_a=1.0, eta_b=1.0)
         assert P[0, 1] == pytest.approx(0.5, rel=1e-12)
         assert P[1, 1] == pytest.approx(0.5, rel=1e-12)
 
+    def test_single_photon_binomial_moments(self):
+        amps = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
+        G = apply_channels(amps, T=0.5, eta_a=1.0, eta_b=1.0)
+        # n_a is 0 or 1: both its mean and its second moment are the kept half
+        assert G[1, 0] == pytest.approx(0.5, rel=1e-12)
+        assert G[2, 0] == pytest.approx(0.5, rel=1e-12)
+
     def test_poisson_thinning(self):
         amps = build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=45)
-        marginal_a = apply_channels(amps, T=0.4, eta_a=1.0, eta_b=1.0).sum(axis=1)
+        marginal_a = thinned_distribution(amps, T=0.4, eta_a=1.0, eta_b=1.0).sum(axis=1)
         assert marginal_a[0] == pytest.approx(np.exp(-1.2), rel=1e-10)
+
+    def test_poisson_thinning_moments(self):
+        amps = build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=45)
+        G = apply_channels(amps, T=0.4, eta_a=1.0, eta_b=1.0)
+        # thinned Poisson(3) is Poisson(1.2): mean = variance
+        assert G[1, 0] == pytest.approx(1.2, rel=1e-10)
+        assert G[2, 0] - G[1, 0] ** 2 == pytest.approx(1.2, rel=1e-10)
 
     def test_channel_bounds_checked(self):
         amps = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
@@ -230,10 +255,36 @@ class TestApplyChannels:
         # binomial loss moves photons, never mass: sum + tail stays 1
         for probe in (ProbeState(ProbeKind.TMC, 2.5), tmsd_with(1.2, 0.35)):
             amps = build_state(probe, cutoff=45)
-            P = apply_channels(amps, T=0.37, eta_a=0.81, eta_b=0.64)
+            P = thinned_distribution(amps, T=0.37, eta_a=0.81, eta_b=0.64)
             assert np.all(P >= 0.0)
             tail_mass = 1.0 - np.sum(np.abs(amps) ** 2)
             assert P.sum() + tail_mass == pytest.approx(1.0, abs=1e-12)
+
+    def test_thinning_conserves_probability_moments(self):
+        # G[0, 0] is the thinned mass, summed through the thinning matrices' own rows
+        for probe in (ProbeState(ProbeKind.TMC, 2.5), tmsd_with(1.2, 0.35)):
+            amps = build_state(probe, cutoff=45)
+            G = apply_channels(amps, T=0.37, eta_a=0.81, eta_b=0.64)
+            tail_mass = 1.0 - np.sum(np.abs(amps) ** 2)
+            assert G[0, 0] + tail_mass == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFullDistributionReference:
+    """The contracted moments against sums over the whole thinned distribution, state by state."""
+
+    @pytest.mark.parametrize("kind", list(ProbeKind))
+    @pytest.mark.parametrize(("count", "cutoff"), [(50, 40), (5, MAX_CUTOFF)])
+    def test_contraction_matches_the_distribution(self, kind, count, cutoff):
+        states, channels = small_tuples(kind, count, seed=2024)
+        amps = build_state(states, cutoff)
+        P = thinned_distribution(amps, *channels.T)
+        G = apply_channels(amps, *channels.T)
+        assert G == pytest.approx(joint_moments(P), rel=1e-13, abs=0.0)
+        means, sds = oracle_moments(G)
+        ref_means, ref_sds = distribution_moments(P)
+        assert sds == pytest.approx(ref_sds, rel=1e-13, abs=0.0)
+        # the mean crosses zero: scale it by the noise, as verify does
+        assert np.all(np.abs(means - ref_means) <= 1e-13 * np.maximum(np.abs(ref_means), ref_sds))
 
 
 class TestThinningMatrix:
@@ -342,19 +393,20 @@ class TestSlices:
     def test_tuple_alone_equals_tuple_in_a_stack(self, kind):
         states, channels = small_tuples(kind, 7, seed=11)
         amps = build_state(states, cutoff=40)
-        P = apply_channels(amps, *channels.T)
-        means, sds = oracle_moments(P)
-        assert amps.shape == P.shape == (7, 41, 41) and means.shape == sds.shape == (7,)
+        G = apply_channels(amps, *channels.T)
+        means, sds = oracle_moments(G)
+        assert amps.shape == (7, 41, 41) and G.shape == (7, 3, 3) and means.shape == sds.shape == (7,)
         # the same stack in a workspace, as verify evaluates it: P overwrites the amplitudes
-        workspace = np.full((3, 7, 41, 41), np.nan)
+        workspace = np.full((2, 7, 41, 41), np.nan)
         in_place = apply_channels(build_state(states, 40, out=workspace[0]), *channels.T, out=workspace)
-        assert np.shares_memory(in_place, workspace[0]) and np.array_equal(in_place, P)
+        assert np.array_equal(in_place, G)
+        assert np.array_equal(workspace[0], np.where(amps**2 < np.finfo(float).tiny, 0.0, amps**2))
         for i, state in enumerate(states):
             alone = build_state(state, cutoff=40)
             assert np.array_equal(alone, amps[i])
-            P_alone = apply_channels(alone, *channels[i])
-            assert np.array_equal(P_alone, P[i])
-            assert oracle_moments(P_alone) == (means[i], sds[i])
+            G_alone = apply_channels(alone, *channels[i])
+            assert np.array_equal(G_alone, G[i])
+            assert oracle_moments(G_alone) == (means[i], sds[i])
 
     def test_drawn_tuples_stay_in_their_ranges(self):
         for kind in ProbeKind:
@@ -382,8 +434,8 @@ class TestSlices:
             other_reports, other_seen = recorded_verify(monkeypatch, entries)
             assert other_reports == reports
             assert len(other_seen) == len(seen)
-            for (P, mean, sd), (P0, mean0, sd0) in zip(other_seen, seen):
-                assert np.array_equal(P, P0) and (mean, sd) == (mean0, sd0)
+            for (G, mean, sd), (G0, mean0, sd0) in zip(other_seen, seen):
+                assert np.array_equal(G, G0) and (mean, sd) == (mean0, sd0)
 
     def test_one_under_truncated_tuple_fails_its_slice(self, monkeypatch):
         draw = qspr.oracle._draw_slice
