@@ -10,7 +10,7 @@ import numpy as np
 
 from . import __version__
 from .cases import CaseStudy, dataclass_from_json, require_json_type, resolve_case
-from .fit import NOISE_FLOOR
+from .fit import NOISE_FLOOR, split_at_tau
 from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from .probes import (
     DEFAULT_TMSD_GAIN,
@@ -161,6 +161,7 @@ def prepare(config: ExperimentConfig):
             f"N * nu must be <= {MAX_N_NU:.1e}, where the shot noise falls below "
             f"the fit's resolution; got {n_mean:g} * {nu}"
         )
+    split_at_tau(case.grid.times(), case.kinetics.tau_s)  # the fit's phases, checked before any work
     trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
     T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
     i_tau = trace.index_at(case.kinetics.tau_s)

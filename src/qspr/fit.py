@@ -308,6 +308,17 @@ def _fit_association(t: np.ndarray, Y_a: np.ndarray, baseline: np.ndarray) -> LM
     return lm_solve(resid, _sliced(partial(_association_warm_start, t), Y_a, baseline))
 
 
+def split_at_tau(t: np.ndarray, tau_s: float) -> int:
+    """Index of the first sample of ``t`` at or after tau, where the dissociation segment starts.
+
+    ValueError unless at least 2 samples precede tau and at least 3 follow from it.
+    """
+    i_tau = int(np.searchsorted(t, tau_s))
+    if t.size - i_tau < 3 or i_tau < 2:
+        raise ValueError("samples must span both kinetic phases")
+    return i_tau
+
+
 def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
     """Fit each row of a (B, n) block of (possibly noisy) sensorgrams on the grid ``t``.
 
@@ -335,9 +346,7 @@ def fit_sensorgrams(t, Y, tau_s: float, L0: float) -> FitResult:
         raise ValueError("need at least one sensorgram to fit")
     if not np.all(np.diff(t) > 0):
         raise ValueError("t must be increasing")
-    i_tau = int(np.searchsorted(t, tau_s))
-    if t.size - i_tau < 3 or i_tau < 2:
-        raise ValueError("samples must span both kinetic phases")
+    i_tau = split_at_tau(t, tau_s)
 
     sol_d = _fit_dissociation(t[i_tau:] - tau_s, columns(i_tau, t.size))
     k_d, kd_pinned = _rate_from_log(sol_d.x[:, 2])

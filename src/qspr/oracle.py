@@ -26,11 +26,11 @@ two axes, and one state is a stack of one. verify_closed_forms draws and
 evaluates FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time, so its
 memory does not grow with the tuple count: one draw of five doubles a tuple,
 one stack through the oracle and one thinning_law call per slice. A pass
-allocates one workspace of two slice-sized stacks, which build_state,
-_thinning_matrix and apply_channels write into through ``out``; called
-without it, they allocate the same buffers. Each state's moments are
-per-state matrix products of one shape, never one product over the stack, so
-they do not depend on the slice a state is evaluated in.
+allocates one workspace of two slice-sized stacks, written through ``out``:
+build_state's amplitudes, which verify then squares in place into P, in the
+first, and apply_channels's thinning matrices in the second. Each state's
+moments are per-state matrix products of one shape, never one product over
+the stack, so they do not depend on the slice a state is evaluated in.
 """
 from __future__ import annotations
 
@@ -54,10 +54,9 @@ TAIL_TOLERANCE = 1e-10
 # binomial here; C overflows a float only past 1,029.
 MAX_CUTOFF = 200
 # Fock entries, (cutoff+1)^2 per tuple, that verify_closed_forms evaluates in
-# one slice, at least one tuple: 19 tuples at cutoff 40, one at MAX_CUTOFF. A
-# pass holds two slice-sized stacks, 0.51 MB at cutoff 40, less than the
-# seven transient ones of a 2**14 slice without the workspace. At 2**16 a
-# warm cutoff-40 pass was 13% faster again, and a verify process took 0.7 MB
+# one slice, at least one tuple: 19 tuples at cutoff 40, one at MAX_CUTOFF. It
+# bounds a pass's memory: two slice-sized stacks, 0.51 MB at cutoff 40. At
+# 2**16 a warm cutoff-40 pass was 13% faster, and a verify process took 0.7 MB
 # more peak RSS.
 FOCK_ENTRIES_PER_SLICE = 2**15
 
@@ -192,39 +191,32 @@ def _thinning_matrix(cutoff: int, transmissivity, *, out: np.ndarray | None = No
     return out
 
 
-def apply_channels(
-    amplitudes: np.ndarray, T, eta_a, eta_b, *, out: Sequence[np.ndarray] | None = None
-) -> np.ndarray:
+def apply_channels(P: np.ndarray, T, eta_a, eta_b, *, out: np.ndarray | None = None) -> np.ndarray:
     """Joint moments G[..., i, j] = E[n_a^i n_b^j], i, j <= 2, after the sensor (T) and both losses.
 
-    ``amplitudes`` is a state or a stack of states from build_state, whose
-    cutoff is its last axis's length less one; T, eta_a and eta_b are scalars
-    or arrays over the stack's leading axes. The sensor and the signal-mode
-    loss compose into one binomial channel of transmissivity eta_a*T; the
-    reference mode is thinned by eta_b. Exact on the truncated basis since the
-    observable is photon-number diagonal. Every moment of the thinned
-    distribution S_a^T P S_b is a form f^T (S_a^T P S_b) g with f, g in
-    V = [1, k, k^2], taken as (S_a V)^T P (S_b V): each state is three (d, d)
-    by (d, 3) products and one (3, d) by (d, 3), whatever the stack holds.
+    ``P`` is the joint photon-number distribution, |amplitudes|^2 of a state
+    or a stack of states from build_state, whose cutoff is its last axis's
+    length less one; T, eta_a and eta_b are scalars or arrays over the stack's
+    leading axes. The sensor and the signal-mode loss compose into one
+    binomial channel of transmissivity eta_a*T; the reference mode is thinned
+    by eta_b. Exact on the truncated basis since the observable is
+    photon-number diagonal. Every moment of the thinned distribution
+    S_a^T P S_b is a form f^T (S_a^T P S_b) g with f, g in V = [1, k, k^2],
+    taken as (S_a V)^T P (S_b V): each state is three (d, d) by (d, 3)
+    products and one (3, d) by (d, 3), whatever the stack holds.
 
-    ``out`` holds two C-contiguous arrays of the amplitudes' stack shape, the
-    amplitudes' own array allowed as the first; P overwrites the first and
-    the thinning matrices the second. Without it the two are allocated.
+    ``out``, one C-contiguous array of P's stack shape, takes each thinning
+    matrix in turn; without it each is allocated.
     """
     for name, val in (("T", T), ("eta_a", eta_a), ("eta_b", eta_b)):
         val = np.asarray(val)
         if not np.all((val >= 0) & (val <= 1)):
             raise ValueError(f"{name} must lie in [0, 1]")
-    cutoff = amplitudes.shape[-1] - 1
-    stack = np.broadcast_shapes(amplitudes.shape[:-2], np.shape(T), np.shape(eta_a), np.shape(eta_b))
-    if out is None:
-        out = [np.empty(stack + amplitudes.shape[-2:]) for _ in range(2)]
-    P = np.square(amplitudes, out=out[0])
-    # subnormals carry no mass a moment sees, and every product with one is slow
-    np.copyto(P, 0.0, where=P < np.finfo(float).tiny)
+    cutoff = P.shape[-1] - 1
+    stack = np.broadcast_shapes(P.shape[:-2], np.shape(T), np.shape(eta_a), np.shape(eta_b))
     V = np.arange(cutoff + 1, dtype=float)[:, None] ** np.arange(3)
-    signal = _thinning_matrix(cutoff, np.broadcast_to(np.multiply(eta_a, T), stack), out=out[1]) @ V
-    reference = _thinning_matrix(cutoff, np.broadcast_to(eta_b, stack), out=out[1]) @ V
+    signal = _thinning_matrix(cutoff, np.broadcast_to(np.multiply(eta_a, T), stack), out=out) @ V
+    reference = _thinning_matrix(cutoff, np.broadcast_to(eta_b, stack), out=out) @ V
     return np.swapaxes(signal, -1, -2) @ (P @ reference)
 
 
@@ -296,11 +288,11 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
     if not 1 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff}")
     per_slice = min(tuples, max(1, FOCK_ENTRIES_PER_SLICE // (cutoff + 1) ** 2))
-    # one workspace for the whole pass: the amplitudes and P in the first
+    # one workspace for the whole pass: the amplitudes, then P, in the first
     # array, the thinning matrices in the second. Fresh arrays per slice let
     # malloc return the heap top to the OS and fault it back in on the next
-    # one wherever glibc keeps its 128 KB trim threshold;
-    # tests/verify_faults.py counts those faults
+    # one wherever glibc keeps its 128 KB trim threshold; tests/verify_faults.py
+    # counts those faults
     workspace = np.empty((2, per_slice, cutoff + 1, cutoff + 1))
     rng = np.random.default_rng(seed)
     reports = []
@@ -309,8 +301,9 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
         for start in range(0, tuples, per_slice):
             states, channels = _draw_slice(kind, rng, min(per_slice, tuples - start))
             T, eta_a, eta_b = channels.T
-            buffers = workspace[:, : len(states)]
-            G = apply_channels(build_state(states, cutoff, out=buffers[0]), T, eta_a, eta_b, out=buffers)
+            amps, thinning = workspace[:, : len(states)]
+            P = np.square(build_state(states, cutoff, out=amps), out=amps)
+            G = apply_channels(P, T, eta_a, eta_b, out=thinning)
             mm_oracle, dm_oracle = oracle_moments(G)
             moments = np.array([state.input_moments for state in states]).T
             mm_closed, dm_closed = thinning_law(moments, T, eta_a, eta_b)

@@ -16,8 +16,7 @@ from qspr.oracle import _thinning_matrix
 def thinned_distribution(amplitudes: np.ndarray, T, eta_a, eta_b) -> np.ndarray:
     """Joint probabilities P'[..., n_a, n_b] of a state or stack after the sensor (T) and both losses."""
     cutoff = amplitudes.shape[-1] - 1
-    P = np.square(amplitudes)
-    np.copyto(P, 0.0, where=P < np.finfo(float).tiny)
+    P = np.square(amplitudes)  # as verify_closed_forms forms it
     signal = _thinning_matrix(cutoff, np.multiply(eta_a, T))
     reference = _thinning_matrix(cutoff, eta_b)
     return np.swapaxes(signal, -1, -2) @ P @ reference

@@ -949,6 +949,21 @@ class TestCommandLine:
             assert capsys.readouterr().err == "error: eta_a must lie in (0, 1]\n", command
             assert not out.exists(), command
 
+    @pytest.mark.parametrize("tau_s", [5000.0, 2195.0], ids=["past-the-grid", "one-dissociation-sample"])
+    def test_grid_the_fit_cannot_split_at_tau_exits_2(self, tmp_path, monkeypatch, capsys, tau_s):
+        # the 0-2200 s grid needs 2 samples before tau and 3 from it on; both
+        # commands check the fit's split with the N * nu bound, before the reconstruction
+        forbid_reconstruction(monkeypatch)
+        kinetics = {"k_a": 9360.0, "k_d": 0.00785, "L0": 2.74e-07, "tau_s": tau_s}
+        doc = {"states": ["tmc"], "m_values": [2], "p": 2, "overrides": {"kinetics": kinetics}}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        for command in ("sensorgram", "run"):
+            assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == "error: samples must span both kinetic phases\n", command
+            assert not out.exists(), command
+
     def test_failed_sensorgram_draw_leaves_no_output(self, tmp_path, monkeypatch, capsys):
         import qspr.experiment as experiment
 

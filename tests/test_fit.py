@@ -7,7 +7,7 @@ import pytest
 import scalar_reference
 from qspr.cases import KAUSAITE2007, LAHIRI1999
 import qspr.fit as fit_module
-from qspr.fit import MAX_ITERS, fit_sensorgrams, lm_solve
+from qspr.fit import MAX_ITERS, fit_sensorgrams, lm_solve, split_at_tau
 from qspr.kinetics import SensorgramShape, ideal_sensorgram
 from qspr.probes import ProbeKind, ProbeState, ScenarioMode, SensingScenario
 from qspr.simulate import SimulationPlan, synthesize_noisy_sensorgrams
@@ -298,6 +298,15 @@ class TestFitSensorgram:
         t = np.linspace(0.0, 900.0, 90)
         with pytest.raises(ValueError, match="phases"):
             fit_sensorgrams(t, np.ones_like(t)[None], tau_s=1000.0, L0=1.0)
+
+    def test_split_is_the_first_sample_at_or_after_tau(self):
+        t = np.arange(0.0, 100.0, 10.0)
+        assert split_at_tau(t, 30.0) == 3 and split_at_tau(t, 30.5) == 4
+        # 2 samples before tau and 3 from it are the fewest each segment fits
+        assert split_at_tau(t, 20.0) == 2 and split_at_tau(t, 70.0) == 7
+        for tau in (10.0, 70.5, 1000.0):
+            with pytest.raises(ValueError, match="^samples must span both kinetic phases$"):
+                split_at_tau(t, tau)
 
 
 @pytest.fixture

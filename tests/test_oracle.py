@@ -215,7 +215,7 @@ class TestApplyChannels:
 
     def test_identity_channel_gives_the_direct_sums(self):
         amps = build_state(ProbeState(ProbeKind.TMC, 2.0), cutoff=30)
-        G = apply_channels(amps, T=1.0, eta_a=1.0, eta_b=1.0)
+        G = apply_channels(np.square(amps), T=1.0, eta_a=1.0, eta_b=1.0)
         n = np.arange(31, dtype=float)
         direct = [[np.sum(amps**2 * np.outer(n**i, n**j)) for j in range(3)] for i in range(3)]
         assert G.shape == (3, 3)
@@ -229,7 +229,7 @@ class TestApplyChannels:
 
     def test_single_photon_binomial_moments(self):
         amps = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
-        G = apply_channels(amps, T=0.5, eta_a=1.0, eta_b=1.0)
+        G = apply_channels(np.square(amps), T=0.5, eta_a=1.0, eta_b=1.0)
         # n_a is 0 or 1: both its mean and its second moment are the kept half
         assert G[1, 0] == pytest.approx(0.5, rel=1e-12)
         assert G[2, 0] == pytest.approx(0.5, rel=1e-12)
@@ -241,7 +241,7 @@ class TestApplyChannels:
 
     def test_poisson_thinning_moments(self):
         amps = build_state(ProbeState(ProbeKind.TMC, 3.0), cutoff=45)
-        G = apply_channels(amps, T=0.4, eta_a=1.0, eta_b=1.0)
+        G = apply_channels(np.square(amps), T=0.4, eta_a=1.0, eta_b=1.0)
         # thinned Poisson(3) is Poisson(1.2): mean = variance
         assert G[1, 0] == pytest.approx(1.2, rel=1e-10)
         assert G[2, 0] - G[1, 0] ** 2 == pytest.approx(1.2, rel=1e-10)
@@ -249,7 +249,7 @@ class TestApplyChannels:
     def test_channel_bounds_checked(self):
         amps = build_state(ProbeState(ProbeKind.TMF, 1.0), cutoff=3)
         with pytest.raises(ValueError):
-            apply_channels(amps, T=1.2, eta_a=1.0, eta_b=1.0)
+            apply_channels(np.square(amps), T=1.2, eta_a=1.0, eta_b=1.0)
 
     def test_thinning_conserves_probability(self):
         # binomial loss moves photons, never mass: sum + tail stays 1
@@ -264,7 +264,7 @@ class TestApplyChannels:
         # G[0, 0] is the thinned mass, summed through the thinning matrices' own rows
         for probe in (ProbeState(ProbeKind.TMC, 2.5), tmsd_with(1.2, 0.35)):
             amps = build_state(probe, cutoff=45)
-            G = apply_channels(amps, T=0.37, eta_a=0.81, eta_b=0.64)
+            G = apply_channels(np.square(amps), T=0.37, eta_a=0.81, eta_b=0.64)
             tail_mass = 1.0 - np.sum(np.abs(amps) ** 2)
             assert G[0, 0] + tail_mass == pytest.approx(1.0, abs=1e-12)
 
@@ -278,7 +278,7 @@ class TestFullDistributionReference:
         states, channels = small_tuples(kind, count, seed=2024)
         amps = build_state(states, cutoff)
         P = thinned_distribution(amps, *channels.T)
-        G = apply_channels(amps, *channels.T)
+        G = apply_channels(np.square(amps), *channels.T)
         assert G == pytest.approx(joint_moments(P), rel=1e-13, abs=0.0)
         means, sds = oracle_moments(G)
         ref_means, ref_sds = distribution_moments(P)
@@ -317,21 +317,21 @@ class TestThinningMatrix:
 class TestOracleMoments:
     def test_tmf_against_closed_form(self):
         amps = build_state(ProbeState(ProbeKind.TMF, 4.0), cutoff=10)
-        mm, dm = oracle_moments(apply_channels(amps, 0.3, 1.0, 1.0))
+        mm, dm = oracle_moments(apply_channels(np.square(amps), 0.3, 1.0, 1.0))
         assert type(mm) is float and type(dm) is float
         assert dm == pytest.approx(np.sqrt(4 * (0.3 * 0.7 + 0.0)), rel=1e-10)
 
     def test_tmsv_against_closed_form(self):
         probe = tmsv_with_r(0.4)
         amps = build_state(probe, cutoff=60)
-        mm, dm = oracle_moments(apply_channels(amps, 0.6, 0.8, 0.8))
+        mm, dm = oracle_moments(apply_channels(np.square(amps), 0.6, 0.8, 0.8))
         assert dm == pytest.approx(delta_M(probe, 0.6, 0.8, 0.8), rel=1e-8)
         assert mm == pytest.approx(mean_M(probe, 0.6, 0.8, 0.8), abs=1e-8)
 
     def test_tmsd_against_closed_form(self):
         probe = tmsd_with(2.0, float(np.arccosh(np.sqrt(1.5))))
         amps = build_state(probe, cutoff=60)
-        mm, dm = oracle_moments(apply_channels(amps, 0.5, 1.0, 1.0))
+        mm, dm = oracle_moments(apply_channels(np.square(amps), 0.5, 1.0, 1.0))
         assert dm == pytest.approx(delta_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
         assert mm == pytest.approx(mean_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
 
@@ -340,7 +340,7 @@ class TestOracleMoments:
         vals = []
         for cutoff in (40, 80):
             amps = build_state(probe, cutoff=cutoff)
-            vals.append(oracle_moments(apply_channels(amps, 0.55, 0.9, 0.7))[1])
+            vals.append(oracle_moments(apply_channels(np.square(amps), 0.55, 0.9, 0.7))[1])
         assert abs(vals[1] - vals[0]) < 1e-8
 
 
@@ -393,18 +393,19 @@ class TestSlices:
     def test_tuple_alone_equals_tuple_in_a_stack(self, kind):
         states, channels = small_tuples(kind, 7, seed=11)
         amps = build_state(states, cutoff=40)
-        G = apply_channels(amps, *channels.T)
+        G = apply_channels(np.square(amps), *channels.T)
         means, sds = oracle_moments(G)
         assert amps.shape == (7, 41, 41) and G.shape == (7, 3, 3) and means.shape == sds.shape == (7,)
         # the same stack in a workspace, as verify evaluates it: P overwrites the amplitudes
         workspace = np.full((2, 7, 41, 41), np.nan)
-        in_place = apply_channels(build_state(states, 40, out=workspace[0]), *channels.T, out=workspace)
+        P = np.square(build_state(states, 40, out=workspace[0]), out=workspace[0])
+        in_place = apply_channels(P, *channels.T, out=workspace[1])
         assert np.array_equal(in_place, G)
-        assert np.array_equal(workspace[0], np.where(amps**2 < np.finfo(float).tiny, 0.0, amps**2))
+        assert np.array_equal(workspace[0], amps**2)
         for i, state in enumerate(states):
             alone = build_state(state, cutoff=40)
             assert np.array_equal(alone, amps[i])
-            G_alone = apply_channels(alone, *channels[i])
+            G_alone = apply_channels(np.square(alone), *channels[i])
             assert np.array_equal(G_alone, G[i])
             assert oracle_moments(G_alone) == (means[i], sds[i])
 
