@@ -10,16 +10,20 @@ three vectors first and sums P against them: every amplitude and every
 binomial site still takes part, no row sum of S is taken to be 1 and no
 binomial moment is written in closed form. So the amplitudes and the
 numerical thinning check both the table and the law. The oracle needs numpy and
-the standard library only: one cached table of C(n, k), each an exact math.comb
-rounded once, serves the thinning law and the TMSD sectors. TMSD comes from the
-squeezing generator G = a b - a^dag b^dag alone, with no moment algebra. G keeps
+the standard library only, and one cached table: C(n, k), each an exact
+math.comb rounded once, serves the thinning law and the TMSD sectors. Each
+state is built from the floats its closed form reads, N, the gain G and
+|alpha|^2, never through a squeezing parameter r. A coherent column is the
+running product <0|alpha> = exp(-alpha^2/2), <n|alpha> = <n-1|alpha> alpha/sqrt(n).
+TMSD comes from the squeezing generator K = a b - a^dag b^dag alone. K keeps
 D = n_a - n_b fixed and |alpha>|0> puts coh[D] on the first site |D, 0> of
 sector D, where the SU(1,1) disentangling identity (Perelomov, Generalized
-Coherent States and Their Applications, 1986) gives the sector exactly:
-exp(rG)|D, 0> = sech(r)^(D+1) sum_j (-tanh r)^j sqrt(C(D+j, j)) |D+j, j>.
-So amps[D+j, j] = coh[D] sech(r)^(D+1) (-tanh r)^j sqrt(C(D+j, j)), one product
-over the box's sites. Every state here is exact on its box: truncation shows
-only as the probability mass outside it, which build_state bounds.
+Coherent States and Their Applications, 1986) gives the sector exactly; in
+G = cosh^2 r, sech r = G^(-1/2) and tanh r = ((G-1)/G)^(1/2), so
+amps[D+j, j] = coh[D] G^(-(D+1)/2) (-1)^j ((G-1)/G)^(j/2) sqrt(C(D+j, j)), one
+product over the box's sites. TMSV's Schmidt weights are the alpha = 0 case at
+G = N + 1, taken from N itself. Every state here is exact on its box:
+truncation shows only as the probability mass outside it, which build_state bounds.
 
 Every function acts on a stack of states of one family, (..., d, d) on the last
 two axes, and one state is a stack of one. verify_closed_forms draws and
@@ -37,7 +41,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, cosh, floor, lgamma, sinh
+from math import comb, cosh, floor, sinh
 
 import numpy as np
 
@@ -79,39 +83,33 @@ def _binomials(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return lost, binom
 
 
-@lru_cache(maxsize=2)
-def _log_factorials(cutoff: int) -> np.ndarray:
-    """log(n!) for n <= cutoff, read-only."""
-    out = np.array([lgamma(n + 1.0) for n in range(cutoff + 1)])
-    out.flags.writeable = False
-    return out
-
-
 def _coherent_amplitudes(alpha, cutoff: int) -> np.ndarray:
-    """<n|alpha> for real alpha >= 0 and n <= cutoff, on a last axis appended to alpha's shape."""
+    """<n|alpha> for real alpha >= 0 and n <= cutoff, on a last axis appended to alpha's shape.
+
+    One running product of <0|alpha> = exp(-alpha^2/2) and the steps alpha/sqrt(n):
+    <n|alpha> = <n-1|alpha> alpha/sqrt(n). At alpha = 0 it is the exact vacuum.
+    """
     alpha = np.asarray(alpha, dtype=float)[..., None]
-    n = np.arange(cutoff + 1)
-    # log alpha is -inf at alpha = 0 without taking log(0), and n = 0 skips it: the exact vacuum
-    log_alpha = np.log(alpha, out=np.full_like(alpha, -np.inf), where=alpha > 0)
-    logs = np.multiply(n, log_alpha, out=np.zeros(alpha.shape[:-1] + n.shape), where=n > 0)
-    logs -= 0.5 * alpha**2
-    logs -= 0.5 * _log_factorials(cutoff)
-    return np.exp(logs, out=logs)
+    steps = np.empty(alpha.shape[:-1] + (cutoff + 1,))
+    steps[..., :1] = np.exp(-0.5 * alpha**2)
+    steps[..., 1:] = alpha / np.sqrt(np.arange(1, cutoff + 1))
+    return np.cumprod(steps, axis=-1, out=steps)
 
 
-def _tmsd_amplitudes(alpha, r, cutoff: int, *, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(r (a b - a^dag b^dag)) |alpha>|0> on the (cutoff+1)^2 box, exactly, (k, d, d) for k pairs.
+def _tmsd_amplitudes(alpha, g, cutoff: int, *, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(r K) |alpha>|0>, K = a b - a^dag b^dag, on the (cutoff+1)^2 box, exactly, (k, d, d) for k pairs.
 
-    Written into ``out``, a (k, d, d) array, when given.
+    A pair is alpha and the gain g = cosh^2 r; written into ``out``, a (k, d, d) array, when given.
     """
     D, binom = _binomials(cutoff)
-    r = np.asarray(r, dtype=float)[:, None]
+    g = np.asarray(g, dtype=float)[:, None]
     n = np.arange(cutoff + 1)
-    head = _coherent_amplitudes(alpha, cutoff) * (1.0 / np.cosh(r)) ** (n + 1)  # coh[D] sech^(D+1)
+    head = _coherent_amplitudes(alpha, cutoff) * g ** (-0.5 * (n + 1))  # coh[D] sech^(D+1)
     # every index is on the box: mode="clip" writes into out without numpy's
     # error-safe copy of it
     amps = np.take(head, D, axis=-1, out=out, mode="clip")
-    amps *= ((-np.tanh(r)) ** n)[:, None, :]  # (-tanh r)^j
+    # (-tanh r)^j, each power of the once-rounded (g - 1)/g
+    amps *= ((-1.0) ** n * ((g - 1.0) / g) ** (0.5 * n))[:, None, :]
     amps *= np.sqrt(binom)  # 0 off the sector sites
     return amps
 
@@ -152,14 +150,14 @@ def build_state(
         amps.fill(0.0)
         amps[np.arange(len(stack)), n, n] = 1.0
     elif kind is ProbeKind.TMSV:
-        lam = np.tanh([state.squeeze_r for state in stack])[:, None]
+        N = np.array([state.n_mean for state in stack])[:, None]
         n = np.arange(d)
         amps.fill(0.0)
-        # S(r)|00> has Schmidt form sqrt(1-lam^2) * (-lam)^n |n,n>
-        amps[:, n, n] = np.sqrt(1.0 - lam**2) * (-lam) ** n
+        # S(r)|00> has Schmidt form sqrt(1-lam^2) * (-lam)^n |n,n>, 1 - lam^2 = 1/(N+1), lam^2 = N/(N+1)
+        amps[:, n, n] = (N + 1.0) ** -0.5 * ((-1.0) ** n * (N / (N + 1.0)) ** (0.5 * n))
     else:  # TMSD from its exact sector expansion
         alpha = np.sqrt([state.alpha_sq for state in stack])
-        _tmsd_amplitudes(alpha, [state.squeeze_r for state in stack], cutoff, out=amps)
+        _tmsd_amplitudes(alpha, [state.g for state in stack], cutoff, out=amps)
     flat = amps.reshape(len(stack), d * d)
     tail = np.maximum(1.0 - np.vecdot(flat, flat), 0.0)
     if np.any(tail > TAIL_TOLERANCE):

@@ -27,7 +27,6 @@ thinning_law evaluates <M> and Var M for one state's row of this table
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,15 +79,6 @@ class ProbeState:
         if self.kind is ProbeKind.TMSD:
             return (self.n_mean - (self.g - 1.0)) / self.g
         raise ValueError(f"{self.kind.value} state carries no displacement")
-
-    @property
-    def squeeze_r(self) -> float:
-        """Squeezing parameter r (TMSV: sinh^2 r = N; TMSD: cosh^2 r = G), by libm, not numpy's dispatch."""
-        if self.kind is ProbeKind.TMSV:
-            return math.asinh(math.sqrt(self.n_mean))
-        if self.kind is ProbeKind.TMSD:
-            return math.acosh(math.sqrt(self.g))
-        raise ValueError(f"{self.kind.value} state carries no squeezing")
 
     @property
     def n_reference(self) -> float:
@@ -179,19 +169,6 @@ def mean_M(state: ProbeState, T, eta_a: float, eta_b: float):
 def delta_M(state: ProbeState, T, eta_a: float, eta_b: float):
     """Single-shot uncertainty of the intensity difference M for the probe state."""
     return thinning_law(state.input_moments, T, eta_a, eta_b)[1]
-
-
-def tmsd_delta_M_large_alpha(state: ProbeState, T, eta_a: float, eta_b: float):
-    """TMSD uncertainty of the |alpha|^2 part of its moments (bright displaced beam).
-
-    TMSD moments are TMSV's at N = G - 1 plus |alpha|^2 (2G(G-1), G, -(G-1), G, G-1),
-    so delta_M(TMSD)^2 = delta_M(TMSV, N=G-1)^2 + tmsd_delta_M_large_alpha^2 exactly.
-    """
-    if state.kind is not ProbeKind.TMSD:
-        raise ValueError("the bright-beam form applies to TMSD states only")
-    G = state.g
-    per_alpha_sq = (2.0 * G * (G - 1.0), G, -(G - 1.0), G, G - 1.0)
-    return thinning_law(tuple(state.alpha_sq * m for m in per_alpha_sq), T, eta_a, eta_b)[1]
 
 
 def sensitivity(state: ProbeState, sc: SensingScenario) -> float:

@@ -45,7 +45,6 @@ CHECKS = {
     "tmc-n_ref": (
         lambda: ProbeState(ProbeKind.TMC, 10.0, n_ref=-1.0), "n_ref must be non-negative"),
     "tmc-alpha_sq": (lambda: TMC.alpha_sq, "tmc state carries no displacement"),
-    "tmc-squeeze_r": (lambda: TMC.squeeze_r, "tmc state carries no squeezing"),
     "delta_T-nu": (lambda: probes.delta_T(TMC, 0.5, STANDARD, 0), "nu must be >= 1"),
     "ensembles-grid": (
         lambda: ensembles(np.arange(5.0), np.full(4, 0.5)),

@@ -4,8 +4,9 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb, exp, factorial, sqrt
+from math import comb, cosh, exp, factorial, sinh, sqrt
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,43 @@ def sparse_tmsd_amplitudes(alpha: float, r: float, cutoff: int) -> np.ndarray:
     return expm_multiply(r * generator, v0.ravel()).reshape(d, d)
 
 
+def exact_coherent(alpha: Decimal, cutoff: int) -> list[Decimal]:
+    """<n|alpha> for n <= cutoff, to 60 digits, in the current decimal context."""
+    amps = [(-alpha * alpha / 2).exp()]
+    for n in range(1, cutoff + 1):
+        amps.append(amps[-1] * alpha / Decimal(n).sqrt())
+    return amps
+
+
+def exact_tmsd(state: ProbeState, cutoff: int) -> dict[tuple[int, int], Decimal]:
+    """Sector sites (D + j, j) of the state's own float G and |alpha|^2, to 60 digits.
+
+    Only the sites where coh[D] G^(-(D+1)/2) ((G-1)/G)^(j/2), the oracle's running
+    product before sqrt(C(D+j, j)), is a normal float: below it the product underflows.
+    """
+    tiny = Decimal(np.finfo(float).tiny)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        G = Decimal(state.g)
+        coh = exact_coherent(Decimal(state.alpha_sq).sqrt(), cutoff)
+        sech, tanh = 1 / G.sqrt(), ((G - 1) / G).sqrt()
+        sites = {}
+        for D in range(cutoff + 1):
+            for j in range(cutoff + 1 - D):
+                partial = coh[D] * sech ** (D + 1) * tanh**j
+                if partial >= tiny:
+                    sites[D + j, j] = (-1) ** j * partial * Decimal(comb(D + j, j)).sqrt()
+        return sites
+
+
+def worst_ulps(computed: np.ndarray, exact) -> float:
+    """Largest |computed - exact| in ulp = 2^-52 |exact| over (index, exact value) pairs."""
+    eps = Decimal(np.finfo(float).eps)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return max(float(abs(Decimal(computed[i]) - e) / (eps * abs(e))) for i, e in exact)
+
+
 def imported_after_oracle(package: str) -> str:
     """The list, as printed, of modules under `package` that a fresh `import qspr.oracle` loads."""
     code = f"import sys, qspr.oracle; print([m for m in sys.modules if m.startswith('{package}')])"
@@ -116,7 +154,7 @@ class TestSectorExponential:
             for r in (0.1, 0.5):
                 alpha = float(np.sqrt(alpha_sq))
                 ref = sparse_tmsd_amplitudes(alpha, r, cutoff + 40)[:d, :d]
-                amps = _tmsd_amplitudes([alpha], [r], cutoff)[0]
+                amps = _tmsd_amplitudes([alpha], [np.cosh(r) ** 2], cutoff)[0]
                 assert np.max(np.abs(amps - ref)) <= 1e-12, (alpha_sq, r)
         if cutoff == 6:  # the edge site |6, 0>, alone in sector D = cutoff, carries real weight
             assert abs(ref[6, 0]) > 0.1
@@ -144,6 +182,59 @@ class TestCoherentAmplitudes:
         assert np.array_equal(_coherent_amplitudes(100.0, 40), np.zeros(41))
         with pytest.raises(TruncationError, match="tail mass 1.00e\\+00"):
             build_state(ProbeState(ProbeKind.TMC, 1e4), cutoff=40)
+
+
+class TestExactAmplitudes:
+    """Amplitudes against 60-digit decimal values at the same float inputs.
+
+    An ulp here is 2^-52 |exact|, so one correctly rounded operation costs at
+    most half of one; exp and pow are taken to be within one. Each bound is one
+    ulp per factor and per product of the amplitude's running product.
+    """
+
+    @pytest.mark.parametrize("cutoff", [40, 200])
+    def test_coherent_columns(self, cutoff):
+        # <n|alpha> is exp(-alpha^2/2), within 2 ulp (the rounded alpha^2, at
+        # most 4, moves it by at most 1), times n steps alpha/sqrt(m), a square
+        # root and a quotient each, in n products: 2 + 1.5 n <= 2 (cutoff + 1)
+        for alpha_sq in (0.1, 1.0, 4.0):
+            alpha = sqrt(alpha_sq)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                exact = exact_coherent(Decimal(alpha), cutoff)
+            amps = _coherent_amplitudes(alpha, cutoff)
+            assert worst_ulps(amps, enumerate(exact)) <= 2 * (cutoff + 1), alpha_sq
+
+    @pytest.mark.parametrize("cutoff", [40, 200])
+    def test_tmsd_states(self, cutoff):
+        # site (D + j, j) with D + j <= cutoff: coh[D] of the rounded
+        # alpha = sqrt(|alpha|^2), 2.5 + 2 D (its rounding raised to the D);
+        # G^(-(D+1)/2), 1; the quotient (G - 1)/G, exact G - 1 over G, raised to
+        # j/2, 1 + j/4; sqrt(C(D+j, j)), 0.75; three products, 1.5. In all
+        # 6.75 + 2 D + j/4 <= 3 (cutoff + 1)
+        for r in (0.1, 0.5):
+            for alpha_sq in (0.1, 4.0):
+                state = tmsd_with(alpha_sq, r)
+                amps = build_state(state, cutoff)
+                exact = exact_tmsd(state, cutoff)
+                assert worst_ulps(amps, exact.items()) <= 3 * (cutoff + 1), (r, alpha_sq)
+                assert np.all(amps[np.triu_indices(cutoff + 1, 1)] == 0.0)
+
+    @pytest.mark.parametrize("cutoff", [40, 200])
+    def test_tmsv_states(self, cutoff):
+        # weight n: (N + 1)^(-1/2) of the rounded N + 1, 1.25; the quotient
+        # N/(N + 1), two roundings, raised to n/2, 1 + n/2; one product, 0.5.
+        # In all 2.75 + n/2 <= 3 (cutoff + 1)
+        for r in (0.1, 0.5):
+            state = tmsv_with_r(r)
+            amps = build_state(state, cutoff)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                N = Decimal(state.n_mean)
+                lam = (N / (N + 1)).sqrt()
+                exact = [((n, n), (-1) ** n * lam**n / (N + 1).sqrt()) for n in range(cutoff + 1)]
+            assert worst_ulps(amps, exact) <= 3 * (cutoff + 1), r
+            assert np.array_equal(amps, np.diag(np.diag(amps)))
 
 
 class TestBuildState:
@@ -419,10 +510,11 @@ class TestSlices:
                 assert np.all((n >= 0.5) & (n < 4.0))
             elif kind is ProbeKind.TMF:
                 assert sorted(set(n)) == [1.0, 2.0, 3.0, 4.0]
+            elif kind is ProbeKind.TMSV:
+                assert np.all((n >= sinh(0.1) ** 2) & (n <= sinh(0.5) ** 2))
             else:
-                r = np.array([state.squeeze_r for state in states])
-                assert np.all((r > 0.1 - 1e-12) & (r < 0.5 + 1e-12))
-            if kind is ProbeKind.TMSD:
+                g = np.array([state.g for state in states])
+                assert np.all((g >= cosh(0.1) ** 2) & (g <= cosh(0.5) ** 2))
                 alpha_sq = np.array([state.alpha_sq for state in states])
                 assert np.all((alpha_sq > 0.1 - 1e-12) & (alpha_sq < 4.0 + 1e-12))
 

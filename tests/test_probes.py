@@ -17,7 +17,6 @@ from qspr.probes import (
     midpoint_enhancement_map,
     sensitivity,
     thinning_law,
-    tmsd_delta_M_large_alpha,
 )
 
 NO_LOSS = SensingScenario(mode=ScenarioMode.STANDARD, eta_a=1.0)
@@ -32,11 +31,6 @@ class TestProbeState:
         state = ProbeState(kind=ProbeKind.TMSD, n_mean=10.0, g=4.5)
         assert state.alpha_sq == pytest.approx((10.0 - 3.5) / 4.5)
         assert state.n_reference == pytest.approx(10.0 - state.alpha_sq)
-        assert np.cosh(state.squeeze_r) ** 2 == pytest.approx(4.5, rel=1e-12)
-
-    def test_tmsv_squeezing_fixed_by_energy(self):
-        state = ProbeState(kind=ProbeKind.TMSV, n_mean=3.0)
-        assert np.sinh(state.squeeze_r) ** 2 == pytest.approx(3.0, rel=1e-12)
 
     def test_tmsd_needs_enough_photons(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -111,15 +105,6 @@ class TestDeltaM:
             assert delta_M(tmsd, T, ea, eb) == pytest.approx(
                 delta_M(tmsv, T, ea, eb), rel=1e-12
             )
-
-    def test_large_alpha_asymptotics(self):
-        state = tmsd_from_alpha(1e4, 4.5)
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            T, ea, eb = rng.uniform(0.1, 1.0, size=3)
-            exact = delta_M(state, T, ea, eb)
-            approx = tmsd_delta_M_large_alpha(state, T, ea, eb)
-            assert abs(approx / exact - 1.0) < 0.01
 
     def test_nonnegative_everywhere(self):
         rng = np.random.default_rng(7)
@@ -326,9 +311,8 @@ class TestThinningLaw:
             tmsd = ProbeState(ProbeKind.TMSD, float(rng.uniform(g - 1.0, 1e4)), g=g)
             tmsv = ProbeState(ProbeKind.TMSV, g - 1.0)
             T, ea, eb = rng.uniform(0.0, 1.0, size=3)
-            expected = delta_M(tmsv, T, ea, eb) ** 2 + tmsd_delta_M_large_alpha(tmsd, T, ea, eb) ** 2
+            # TMSD's moments are TMSV's at N = G - 1 plus |alpha|^2 (2G(G-1), G, -(G-1), G, G-1)
+            per_alpha_sq = (2.0 * g * (g - 1.0), g, -(g - 1.0), g, g - 1.0)
+            bright = thinning_law(tuple(tmsd.alpha_sq * m for m in per_alpha_sq), T, ea, eb)[1]
+            expected = delta_M(tmsv, T, ea, eb) ** 2 + bright**2
             assert delta_M(tmsd, T, ea, eb) ** 2 == pytest.approx(expected, rel=1e-12)
-
-    def test_bright_beam_form_needs_tmsd(self):
-        with pytest.raises(ValueError, match="TMSD"):
-            tmsd_delta_M_large_alpha(ProbeState(ProbeKind.TMSV, 3.0), 0.5, 1.0, 1.0)
