@@ -25,11 +25,12 @@ product over the box's sites. TMSV's Schmidt weights are the alpha = 0 case at
 G = N + 1, taken from N itself. Every state here is exact on its box:
 truncation shows only as the probability mass outside it, which build_state bounds.
 
-Every function acts on a stack of states of one family, (..., d, d) on the last
-two axes, and one state is a stack of one. verify_closed_forms draws and
-evaluates FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time, so its
-memory does not grow with the tuple count: one draw of five doubles a tuple,
-one stack through the oracle and one thinning_law call per slice. A pass
+Every function acts on a stack of states, (..., d, d) on the last two axes;
+build_state makes it from a column ProbeState, one family's states, and one
+state is a (d, d) array. verify_closed_forms draws and evaluates
+FOCK_ENTRIES_PER_SLICE Fock entries of tuples at a time, so its memory does
+not grow with the tuple count: one draw of five doubles a tuple, one column
+state through the oracle and one thinning_law call per slice. A pass
 allocates one workspace of two slice-sized stacks, written through ``out``:
 build_state's amplitudes, which verify then squares in place into P, in the
 first, and apply_channels's thinning matrices in the second. Each state's
@@ -38,10 +39,9 @@ the stack, so they do not depend on the slice a state is evaluated in.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, cosh, floor, sinh
+from math import comb, cosh, sinh
 
 import numpy as np
 
@@ -114,14 +114,12 @@ def _tmsd_amplitudes(alpha, g, cutoff: int, *, out: np.ndarray | None = None) ->
     return amps
 
 
-def build_state(
-    states: ProbeState | Sequence[ProbeState], cutoff: int, *, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Explicit truncated amplitudes [..., n_a, n_b] of one probe state or a stack of one family.
+def build_state(state: ProbeState, cutoff: int, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Explicit truncated amplitudes [..., n_a, n_b] of one probe state or of a column state's k.
 
-    A single state gives a (cutoff+1, cutoff+1) array, a sequence of k states
-    a (k, cutoff+1, cutoff+1) stack, written into ``out`` when that is given,
-    a C-contiguous (k, cutoff+1, cutoff+1) array. The amplitudes are real:
+    A float ``n_mean`` gives a (cutoff+1, cutoff+1) array, a 1-D column of k
+    states a (k, cutoff+1, cutoff+1) stack, written into ``out`` when that is
+    given, a C-contiguous (k, cutoff+1, cutoff+1) array. The amplitudes are real:
     every probe state has a real alpha and a fixed squeezing phase. Every
     amplitude on the box is exact, so the one truncation guard is the
     probability mass outside it: TruncationError, naming the first state that
@@ -129,41 +127,35 @@ def build_state(
     """
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
-    single = isinstance(states, ProbeState)
-    stack = [states] if single else list(states)
-    kinds = {state.kind for state in stack}
-    if len(kinds) != 1:
-        raise ValueError("a stack of states must hold one probe family")
-    kind = kinds.pop()
+    N = np.reshape(state.n_mean, -1)
     d = cutoff + 1
-    amps = np.empty((len(stack), d, d)) if out is None else out
-    if kind is ProbeKind.TMC:
-        coh = _coherent_amplitudes(np.sqrt([(state.n_mean, state.n_reference) for state in stack]), cutoff)
+    amps = np.empty((N.size, d, d)) if out is None else out
+    if state.kind is ProbeKind.TMC:
+        pairs = np.column_stack(np.broadcast_arrays(N, np.reshape(state.n_reference, -1)))
+        coh = _coherent_amplitudes(np.sqrt(pairs), cutoff)
         np.multiply(coh[:, 0, :, None], coh[:, 1, None, :], out=amps)
-    elif kind is ProbeKind.TMF:
-        n_mean = np.array([state.n_mean for state in stack])
-        if np.any(n_mean != np.floor(n_mean)):
+    elif state.kind is ProbeKind.TMF:
+        if np.any(N != np.floor(N)):
             raise ValueError("TMF oracle state needs an integer photon number")
-        n = n_mean.astype(int)
+        n = N.astype(int)
         if np.any(n > cutoff):
             raise TruncationError(f"cutoff {cutoff} below Fock number {n[np.argmax(n > cutoff)]}")
         amps.fill(0.0)
-        amps[np.arange(len(stack)), n, n] = 1.0
-    elif kind is ProbeKind.TMSV:
-        N = np.array([state.n_mean for state in stack])[:, None]
-        n = np.arange(d)
+        amps[np.arange(N.size), n, n] = 1.0
+    elif state.kind is ProbeKind.TMSV:
+        n, N_col = np.arange(d), N[:, None]
         amps.fill(0.0)
         # S(r)|00> has Schmidt form sqrt(1-lam^2) * (-lam)^n |n,n>, 1 - lam^2 = 1/(N+1), lam^2 = N/(N+1)
-        amps[:, n, n] = (N + 1.0) ** -0.5 * ((-1.0) ** n * (N / (N + 1.0)) ** (0.5 * n))
+        amps[:, n, n] = (N_col + 1.0) ** -0.5 * ((-1.0) ** n * (N_col / (N_col + 1.0)) ** (0.5 * n))
     else:  # TMSD from its exact sector expansion
-        alpha = np.sqrt([state.alpha_sq for state in stack])
-        _tmsd_amplitudes(alpha, [state.g for state in stack], cutoff, out=amps)
-    flat = amps.reshape(len(stack), d * d)
+        alpha = np.sqrt(np.reshape(state.alpha_sq, -1))
+        _tmsd_amplitudes(alpha, np.broadcast_to(state.g, N.shape), cutoff, out=amps)
+    flat = amps.reshape(N.size, d * d)
     tail = np.maximum(1.0 - np.vecdot(flat, flat), 0.0)
     if np.any(tail > TAIL_TOLERANCE):
         first = tail[np.argmax(tail > TAIL_TOLERANCE)]
         raise TruncationError(f"truncated tail mass {first:.2e} exceeds {TAIL_TOLERANCE:.1e}")
-    return amps[0] if single else amps
+    return amps if np.ndim(state.n_mean) else amps[0]
 
 
 def _thinning_matrix(cutoff: int, transmissivity, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -233,7 +225,7 @@ def oracle_moments(G: np.ndarray):
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Worst-case deviation between oracle and closed forms for one probe family.
+    """Worst-case deviation between oracle and closed forms over the tuples of one ProbeKind.
 
     A deviation is NaN when any tuple's is, so a non-finite result never passes.
     """
@@ -247,29 +239,28 @@ class OracleReport:
         return float(np.maximum(self.max_dev_delta_M, self.max_dev_mean_M))
 
 
-def _small_state(kind: ProbeKind, u: float, v: float) -> ProbeState:
-    """Small-parameter state (N <= 4, r <= 0.5, |alpha|^2 <= 4) from two uniform doubles in [0, 1)."""
-    if kind is ProbeKind.TMC:
-        return ProbeState(kind, 0.5 + 3.5 * u)
-    if kind is ProbeKind.TMF:
-        return ProbeState(kind, float(1 + floor(4.0 * u)))
-    r = 0.1 + 0.4 * u
-    if kind is ProbeKind.TMSV:
-        return ProbeState(kind, sinh(r) ** 2)
-    g, alpha_sq = cosh(r) ** 2, 0.1 + 3.9 * v
-    return ProbeState(kind, g * alpha_sq + (g - 1.0), g=g)
-
-
-def _draw_slice(kind: ProbeKind, rng: np.random.Generator, count: int) -> tuple[list[ProbeState], np.ndarray]:
-    """``count`` small states of one family and their (T, eta_a, eta_b) rows, each in [0.05, 0.95].
+def _draw_slice(kind: ProbeKind, rng: np.random.Generator, count: int) -> tuple[ProbeState, np.ndarray]:
+    """A column state of ``count`` small states and their (T, eta_a, eta_b) rows, each in [0.05, 0.95].
 
     One (count, 5) draw: the i-th tuple of a family takes its doubles 5i to
     5i + 4 whatever the slice, the channels from the first three and the
-    state from the last two. sinh and cosh act on Python floats, so a state
-    does not follow numpy's SIMD dispatch.
+    state from the last two, u and v: TMC N = 0.5 + 3.5u, TMF N = 1 + floor(4u),
+    and r = 0.1 + 0.4u, TMSV N = sinh^2 r, TMSD G = cosh^2 r and
+    |alpha|^2 = 0.1 + 3.9v (N <= 4, r <= 0.5, |alpha|^2 <= 4). sinh and cosh
+    act on Python floats, and the rest is +, * and floor, so a state does not
+    follow numpy's SIMD dispatch.
     """
-    u = rng.random((count, 5))
-    return [_small_state(kind, a, b) for a, b in u[:, 3:].tolist()], 0.05 + 0.9 * u[:, :3]
+    draws = rng.random((count, 5))
+    channels, (u, v) = 0.05 + 0.9 * draws[:, :3], draws[:, 3:].T
+    if kind is ProbeKind.TMC:
+        return ProbeState(kind, 0.5 + 3.5 * u), channels
+    if kind is ProbeKind.TMF:
+        return ProbeState(kind, 1.0 + np.floor(4.0 * u)), channels
+    r = (0.1 + 0.4 * u).tolist()
+    if kind is ProbeKind.TMSV:
+        return ProbeState(kind, np.array([sinh(x) ** 2 for x in r])), channels
+    g = np.array([cosh(x) ** 2 for x in r])
+    return ProbeState(kind, g * (0.1 + 3.9 * v) + (g - 1.0), g=g), channels
 
 
 def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleReport]:
@@ -297,14 +288,14 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
     for kind in ProbeKind:
         worst_dm = worst_mm = 0.0
         for start in range(0, tuples, per_slice):
-            states, channels = _draw_slice(kind, rng, min(per_slice, tuples - start))
+            count = min(per_slice, tuples - start)
+            states, channels = _draw_slice(kind, rng, count)
             T, eta_a, eta_b = channels.T
-            amps, thinning = workspace[:, : len(states)]
+            amps, thinning = workspace[:, :count]
             P = np.square(build_state(states, cutoff, out=amps), out=amps)
             G = apply_channels(P, T, eta_a, eta_b, out=thinning)
             mm_oracle, dm_oracle = oracle_moments(G)
-            moments = np.array([state.input_moments for state in states]).T
-            mm_closed, dm_closed = thinning_law(moments, T, eta_a, eta_b)
+            mm_closed, dm_closed = thinning_law(states.input_moments, T, eta_a, eta_b)
             # np.max and np.maximum carry a NaN through, where Python's max may drop it
             worst_dm = np.maximum(worst_dm, np.max(np.abs(dm_oracle - dm_closed) / dm_closed))
             scale = np.maximum(np.abs(mm_closed), dm_closed)

@@ -21,8 +21,8 @@ with input moments C = Cov(n_a, n_b), D_a = Var n_a - C, D_b = Var n_b - C:
     TMSD (G(G-1)(1+2|alpha|^2), G|alpha|^2, -(G-1)|alpha|^2)
 
 Every term is >= 0 for TMC, TMF and TMSV, so the sum has no cancellation.
-thinning_law evaluates <M> and Var M for one state's row of this table
-(ProbeState.input_moments) or for a whole table of states in one call.
+thinning_law evaluates <M> and Var M for one state's row of this table or
+for a column state's whole table (ProbeState.input_moments) in one call.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ DEFAULT_TMSD_GAIN = 4.5  # G = cosh^2 r, practical squeezing level
 
 @dataclass(frozen=True)
 class ProbeState:
-    """A probe state with N mean photons in the signal mode.
+    """A probe state with N mean photons in the signal mode, or a column of them.
 
     Attributes:
         kind: probe family.
@@ -52,25 +52,30 @@ class ProbeState:
         g: squeezing gain G = cosh^2(r), TMSD only.
         n_ref: reference-mode mean photon number, TMC only; defaults to
             ``n_mean`` (balanced classical benchmark).
+
+    Floats for one state; for a column state, one family's table, arrays that
+    broadcast together, one entry per state, which thinning_law and the oracle
+    take whole. A column state is neither hashable nor comparable, so a
+    SimulationPlan holds a single state.
     """
 
     kind: ProbeKind
-    n_mean: float
-    g: float = DEFAULT_TMSD_GAIN
-    n_ref: float | None = None
+    n_mean: float | np.ndarray
+    g: float | np.ndarray = DEFAULT_TMSD_GAIN
+    n_ref: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not self.n_mean > 0:
+        if not np.all(self.n_mean > 0):
             raise ValueError("n_mean must be positive")
         if self.kind is ProbeKind.TMSD:
-            if not self.g > 1:
+            if not np.all(self.g > 1):
                 raise ValueError("TMSD gain G must exceed 1")
-            if self.alpha_sq < 0:
+            if np.any(self.alpha_sq < 0):
                 raise ValueError("TMSD requires n_mean >= G - 1 so that |alpha|^2 >= 0")
         if self.n_ref is not None:
             if self.kind is not ProbeKind.TMC:
                 raise ValueError("n_ref applies to TMC states only")
-            if not self.n_ref >= 0:
+            if not np.all(self.n_ref >= 0):
                 raise ValueError("n_ref must be non-negative")
 
     @property
@@ -187,13 +192,13 @@ def delta_T(state: ProbeState, T, sc: SensingScenario, nu: int):
 def matched_classical_reference(state: ProbeState) -> ProbeState:
     """TMC benchmark with the per-mode mean photon numbers of ``state``.
 
-    A TMC state is its own benchmark. Other balanced references are
-    canonicalized to ``n_ref=None`` so that equal physical configurations
-    compare (and hash) equal.
+    A TMC state is its own benchmark. Other balanced references, a column's
+    when every entry is, are canonicalized to ``n_ref=None`` so that equal
+    physical configurations compare (and hash) equal.
     """
     if state.kind is ProbeKind.TMC:
         return state
-    n_ref = None if state.n_reference == state.n_mean else state.n_reference
+    n_ref = None if np.array_equal(state.n_reference, state.n_mean) else state.n_reference
     return ProbeState(kind=ProbeKind.TMC, n_mean=state.n_mean, n_ref=n_ref)
 
 
@@ -215,13 +220,9 @@ def midpoint_enhancement_map(
     N_values,
     g: float = DEFAULT_TMSD_GAIN,
 ) -> np.ndarray:
-    """R_M tabulated on a (N, T) grid; rows follow N_values, columns T_values."""
+    """R_M on a (N, T) grid, rows N_values and columns T_values, from one column state of the N values."""
     T_values = np.asarray(T_values, dtype=float)
     N_values = np.asarray(N_values, dtype=float)
     if T_values.size == 0 or N_values.size == 0:
         raise ValueError("T and N ranges must be non-empty")
-    grid = np.empty((N_values.size, T_values.size))
-    for i, n in enumerate(N_values):
-        state = ProbeState(kind=kind, n_mean=float(n), g=g)
-        grid[i] = enhancement_RM(state, T_values, sc)
-    return grid
+    return enhancement_RM(ProbeState(kind, N_values[:, None], g=g), T_values, sc)

@@ -616,17 +616,23 @@ class TestRunExperiment:
         reason="numpy dispatches no AVX-512 loop here, so turning it off changes nothing",
     )
     def test_maps_do_not_follow_numpy_dispatch(self):
-        # the maps are closed forms on an N axis from libm's pow, so numpy's
-        # AVX-512 loops (off in the second process) must not move a value
+        # the maps are closed forms on an N axis from libm's pow, and verify's
+        # drawn states take sinh and cosh on Python floats and +, * and floor
+        # otherwise, so numpy's AVX-512 loops (off in the second process) must
+        # not move a value
         script = (
             "import numpy as np\n"
             "from qspr.experiment import MAP_N\n"
+            "from qspr.oracle import _draw_slice\n"
             "from qspr.probes import ProbeKind, ScenarioMode, SensingScenario, midpoint_enhancement_map\n"
             "sc = SensingScenario(ScenarioMode.OPTIMIZED, eta_a=0.9, t_mid=0.5)\n"
             "T = np.linspace(0.2, 0.8, 41)\n"
             "print(repr(MAP_N))\n"
             "for kind in (ProbeKind.TMF, ProbeKind.TMSV, ProbeKind.TMSD):\n"
             "    print(repr(midpoint_enhancement_map(kind, sc, T, MAP_N).tolist()))\n"
+            "for kind in ProbeKind:\n"
+            "    state, channels = _draw_slice(kind, np.random.default_rng(42), 200)\n"
+            "    print(repr([state.n_mean.tolist(), np.asarray(state.g).tolist(), channels.tolist()]))\n"
         )
         src = str(Path(qspr.__file__).resolve().parents[1])
         env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
@@ -640,7 +646,7 @@ class TestRunExperiment:
             )
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
-        assert len(outputs[0].splitlines()) == 4
+        assert len(outputs[0].splitlines()) == 8
         assert outputs[1] == outputs[0]
 
     def test_tmsd_map_starts_at_g_minus_1(self, tmp_path):

@@ -45,6 +45,18 @@ CHECKS = {
     "tmc-n_ref": (
         lambda: ProbeState(ProbeKind.TMC, 10.0, n_ref=-1.0), "n_ref must be non-negative"),
     "tmc-alpha_sq": (lambda: TMC.alpha_sq, "tmc state carries no displacement"),
+    # a column state: one bad entry in an otherwise valid column raises the scalar's message
+    "column-n_mean": (
+        lambda: ProbeState(ProbeKind.TMC, np.array([10.0, 0.0, 5.0])), "n_mean must be positive"),
+    "column-tmsd-gain": (
+        lambda: ProbeState(ProbeKind.TMSD, np.array([10.0, 10.0]), g=np.array([4.5, 1.0])),
+        "TMSD gain G must exceed 1"),
+    "column-tmsd-alpha_sq": (
+        lambda: ProbeState(ProbeKind.TMSD, np.array([10.0, 2.0, 10.0])),
+        "TMSD requires n_mean >= G - 1 so that |alpha|^2 >= 0"),
+    "column-tmc-n_ref": (
+        lambda: ProbeState(ProbeKind.TMC, np.array([10.0, 10.0]), n_ref=np.array([5.0, -1.0])),
+        "n_ref must be non-negative"),
     "delta_T-nu": (lambda: probes.delta_T(TMC, 0.5, STANDARD, 0), "nu must be >= 1"),
     "ensembles-grid": (
         lambda: ensembles(np.arange(5.0), np.full(4, 0.5)),

@@ -30,7 +30,7 @@ from qspr.oracle import (
     oracle_moments,
     verify_closed_forms,
 )
-from qspr.probes import ProbeKind, ProbeState, delta_M, mean_M
+from qspr.probes import ProbeKind, ProbeState, delta_M, mean_M, thinning_law
 
 
 def tmsv_with_r(r: float) -> ProbeState:
@@ -115,8 +115,8 @@ def imported_after_oracle(package: str) -> str:
     return done.stdout.strip()
 
 
-def small_tuples(kind: ProbeKind, count: int, seed: int) -> tuple[list[ProbeState], np.ndarray]:
-    """``count`` states and their (T, eta_a, eta_b) rows, drawn as verify_closed_forms draws them."""
+def small_tuples(kind: ProbeKind, count: int, seed: int) -> tuple[ProbeState, np.ndarray]:
+    """A column of ``count`` states and their (T, eta_a, eta_b) rows, drawn as verify draws them."""
     return _draw_slice(kind, np.random.default_rng(seed), count)
 
 
@@ -426,6 +426,18 @@ class TestOracleMoments:
         assert dm == pytest.approx(delta_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
         assert mm == pytest.approx(mean_M(probe, 0.5, 1.0, 1.0), rel=1e-6)
 
+    def test_unbalanced_tmc_column_against_the_thinning_law(self):
+        # the classical twin of a TMSD plan carries N_ref != N, a row that verify never draws
+        u = np.random.default_rng(3).random((200, 5))
+        states = ProbeState(ProbeKind.TMC, 0.5 + 3.5 * u[:, 3], n_ref=0.5 + 3.5 * u[:, 4])
+        T, eta_a, eta_b = (0.05 + 0.9 * u[:, :3]).T
+        G = apply_channels(np.square(build_state(states, 40)), T, eta_a, eta_b)
+        mm_oracle, dm_oracle = oracle_moments(G)
+        mm_closed, dm_closed = thinning_law(states.input_moments, T, eta_a, eta_b)
+        # verify's deviations: relative, the mean scaled by the noise where it crosses zero
+        assert np.max(np.abs(dm_oracle - dm_closed) / dm_closed) <= 1e-13
+        assert np.max(np.abs(mm_oracle - mm_closed) / np.maximum(np.abs(mm_closed), dm_closed)) <= 1e-13
+
     def test_cutoff_convergence(self):
         probe = tmsd_with(1.5, 0.4)
         vals = []
@@ -493,8 +505,9 @@ class TestSlices:
         in_place = apply_channels(P, *channels.T, out=workspace[1])
         assert np.array_equal(in_place, G)
         assert np.array_equal(workspace[0], amps**2)
-        for i, state in enumerate(states):
-            alone = build_state(state, cutoff=40)
+        g = np.broadcast_to(states.g, (7,))
+        for i in range(7):
+            alone = build_state(ProbeState(kind, float(states.n_mean[i]), g=float(g[i])), cutoff=40)
             assert np.array_equal(alone, amps[i])
             G_alone = apply_channels(np.square(alone), *channels[i])
             assert np.array_equal(G_alone, G[i])
@@ -505,7 +518,7 @@ class TestSlices:
             states, channels = small_tuples(kind, 400, seed=5)
             assert channels.shape == (400, 3)
             assert np.all((channels >= 0.05) & (channels <= 0.95))
-            n = np.array([state.n_mean for state in states])
+            n = states.n_mean
             if kind is ProbeKind.TMC:
                 assert np.all((n >= 0.5) & (n < 4.0))
             elif kind is ProbeKind.TMF:
@@ -513,9 +526,8 @@ class TestSlices:
             elif kind is ProbeKind.TMSV:
                 assert np.all((n >= sinh(0.1) ** 2) & (n <= sinh(0.5) ** 2))
             else:
-                g = np.array([state.g for state in states])
-                assert np.all((g >= cosh(0.1) ** 2) & (g <= cosh(0.5) ** 2))
-                alpha_sq = np.array([state.alpha_sq for state in states])
+                assert np.all((states.g >= cosh(0.1) ** 2) & (states.g <= cosh(0.5) ** 2))
+                alpha_sq = states.alpha_sq
                 assert np.all((alpha_sq > 0.1 - 1e-12) & (alpha_sq < 4.0 + 1e-12))
 
     def test_verify_is_independent_of_the_slice_size(self, monkeypatch):
@@ -536,10 +548,11 @@ class TestSlices:
 
         def one_bright(kind, rng, count):
             states, channels = draw(kind, rng, count)
-            drawn.extend(states)
+            drawn.extend(states.n_mean)
             # the fourth TMC state needs a cutoff above 40: Poisson(30) leaves ~3% beyond it
-            states[3] = ProbeState(ProbeKind.TMC, 30.0)
-            return states, channels
+            n_mean = states.n_mean.copy()
+            n_mean[3] = 30.0
+            return ProbeState(states.kind, n_mean), channels
 
         monkeypatch.setattr(qspr.oracle, "_draw_slice", one_bright)
         assert qspr.oracle.FOCK_ENTRIES_PER_SLICE // 41**2 >= 9
@@ -548,13 +561,8 @@ class TestSlices:
         assert len(drawn) == 9  # the whole slice was drawn before it was evaluated
 
     def test_stack_error_names_its_first_failing_state(self):
-        ok = ProbeState(ProbeKind.TMC, 2.0)
         with pytest.raises(TruncationError) as one:
-            build_state([ProbeState(ProbeKind.TMC, 30.0)], cutoff=40)
+            build_state(ProbeState(ProbeKind.TMC, np.array([30.0])), cutoff=40)
         with pytest.raises(TruncationError) as stacked:
-            build_state([ok, ProbeState(ProbeKind.TMC, 30.0), ProbeState(ProbeKind.TMC, 35.0), ok], cutoff=40)
+            build_state(ProbeState(ProbeKind.TMC, np.array([2.0, 30.0, 35.0, 2.0])), cutoff=40)
         assert str(stacked.value) == str(one.value)
-
-    def test_stack_holds_one_family(self):
-        with pytest.raises(ValueError, match="one probe family"):
-            build_state([ProbeState(ProbeKind.TMC, 2.0), tmsv_with_r(0.3)], cutoff=40)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qspr.experiment import MAP_N
 from qspr.probes import (
     ProbeKind,
     ProbeState,
@@ -222,6 +223,21 @@ class TestMidpointMap:
     def test_empty_ranges_rejected(self):
         with pytest.raises(ValueError):
             midpoint_enhancement_map(ProbeKind.TMF, NO_LOSS, [], self.N_GRID)
+
+    @pytest.mark.parametrize(
+        "sc",
+        [SensingScenario(ScenarioMode.STANDARD, eta_a=0.9), SensingScenario(ScenarioMode.OPTIMIZED, 0.9, 0.45)],
+        ids=["standard", "optimized"],
+    )
+    @pytest.mark.parametrize("kind", [ProbeKind.TMF, ProbeKind.TMSV, ProbeKind.TMSD])
+    def test_each_row_is_its_state_alone(self, kind, sc):
+        # 3.5 = G - 1 balances TMSD's twin (|alpha|^2 = 0); above it the twin is unbalanced
+        N = (3.5, *MAP_N)
+        T = np.linspace(0.2, 0.8, 41)
+        grid = midpoint_enhancement_map(kind, sc, T, N)
+        assert grid.shape == (len(N), 41)
+        for row, n in zip(grid, N):
+            assert np.array_equal(row, enhancement_RM(ProbeState(kind, n), T, sc))
 
 
 class TestBroadcastLaw:
