@@ -20,7 +20,6 @@ from .probes import (
     SensingScenario,
     enhancement_RM,
     mean_M,
-    midpoint_enhancement_map,
 )
 from .simulate import (
     MAX_COUNT,
@@ -73,11 +72,10 @@ class ExperimentConfig:
     overrides: dict | None = None
 
     def __post_init__(self) -> None:
-        hints = typing.get_type_hints(ExperimentConfig)
-        for name in ("p", "seed", "nu_values", "m_values"):  # counts, typed as JSON loads them
+        for name, hint in typing.get_type_hints(ExperimentConfig).items():  # typed as JSON loads them
             value = getattr(self, name)
             value = list(value) if isinstance(value, tuple) else value
-            require_json_type("config", name, value, hints[name])
+            require_json_type("config", name, value, hint)
         if not self.states:
             raise ValueError("config needs at least one probe state")
         unknown = [s for s in self.states if s not in {k.value for k in ProbeKind}]
@@ -139,7 +137,7 @@ def build_case(config: ExperimentConfig) -> CaseStudy:
     return CaseStudy.from_dict({**base, **(config.overrides or {}), "name": config.case})
 
 
-def _make_state(name: str, n_mean: float, tmsd_gain: float) -> ProbeState:
+def _make_state(name: str, n_mean: float | np.ndarray, tmsd_gain: float) -> ProbeState:
     kind = ProbeKind(name)
     if kind is ProbeKind.TMSD:
         return ProbeState(kind=kind, n_mean=n_mean, g=tmsd_gain)
@@ -241,8 +239,8 @@ def run(config: ExperimentConfig, threads: int = 1) -> tuple[list, dict]:
         map_N = MAP_N
         if state_name == ProbeKind.TMSD.value:
             map_N = [n for n in MAP_N if n >= config.tmsd_gain - 1.0]
-        grid = midpoint_enhancement_map(
-            ProbeKind(state_name), scenario, map_T, map_N, g=config.tmsd_gain
+        grid = enhancement_RM(
+            _make_state(state_name, np.array(map_N)[:, None], config.tmsd_gain), map_T, scenario
         )
         rows = [
             (n, T, r) for n, row in zip(map(str, map_N), grid.tolist())

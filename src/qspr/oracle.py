@@ -137,9 +137,9 @@ def build_state(state: ProbeState, cutoff: int, *, out: np.ndarray | None = None
     elif state.kind is ProbeKind.TMF:
         if np.any(N != np.floor(N)):
             raise ValueError("TMF oracle state needs an integer photon number")
+        if np.any(N > cutoff):  # before the int cast, which 1e19 or inf would overflow
+            raise TruncationError(f"cutoff {cutoff} below Fock number {N[np.argmax(N > cutoff)]:g}")
         n = N.astype(int)
-        if np.any(n > cutoff):
-            raise TruncationError(f"cutoff {cutoff} below Fock number {n[np.argmax(n > cutoff)]}")
         amps.fill(0.0)
         amps[np.arange(N.size), n, n] = 1.0
     elif state.kind is ProbeKind.TMSV:

@@ -207,22 +207,9 @@ def enhancement_RM(state: ProbeState, T, sc: SensingScenario):
 
     The classical reference is a TMC state with the same per-mode mean photon
     numbers, so R_M = 1 for any TMC state. R_M > 1 means the probe beats the
-    shot-noise limit at this T.
+    shot-noise limit at this T. A column state of k N values, shape (k, 1),
+    against a T axis gives the (k, len(T)) grid of R_M.
     """
     reference = matched_classical_reference(state)
     return delta_M(reference, T, sc.eta_a, sc.eta_b) / delta_M(state, T, sc.eta_a, sc.eta_b)
 
-
-def midpoint_enhancement_map(
-    kind: ProbeKind,
-    sc: SensingScenario,
-    T_values,
-    N_values,
-    g: float = DEFAULT_TMSD_GAIN,
-) -> np.ndarray:
-    """R_M on a (N, T) grid, rows N_values and columns T_values, from one column state of the N values."""
-    T_values = np.asarray(T_values, dtype=float)
-    N_values = np.asarray(N_values, dtype=float)
-    if T_values.size == 0 or N_values.size == 0:
-        raise ValueError("T and N ranges must be non-empty")
-    return enhancement_RM(ProbeState(kind, N_values[:, None], g=g), T_values, sc)

@@ -11,6 +11,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,10 +113,19 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("p", 3.7), ("seed", True), ("nu_values", (10.5,)), ("m_values", (2.0,))],
-        ids=["p-float", "seed-bool", "nu-float", "m-float"],
+        [
+            ("p", 3.7),
+            ("seed", True),
+            ("nu_values", (10.5,)),
+            ("m_values", (2.0,)),
+            ("n_values", (True,)),
+            ("eta_a", True),
+            ("tmsd_gain", "4.5"),
+            ("states", "tmc"),
+        ],
+        ids=["p-float", "seed-bool", "nu-float", "m-float", "n-bool", "eta-bool", "gain-str", "states-str"],
     )
-    def test_counts_built_in_python_are_typed_as_json_loads_them(self, key, value):
+    def test_fields_built_in_python_are_typed_as_json_loads_them(self, key, value):
         # a config whose manifest could not replay it is refused when it is
         # built, with the JSON loader's message
         with pytest.raises(ValueError) as built:
@@ -624,12 +634,12 @@ class TestRunExperiment:
             "import numpy as np\n"
             "from qspr.experiment import MAP_N\n"
             "from qspr.oracle import _draw_slice\n"
-            "from qspr.probes import ProbeKind, ScenarioMode, SensingScenario, midpoint_enhancement_map\n"
+            "from qspr.probes import ProbeKind, ProbeState, ScenarioMode, SensingScenario, enhancement_RM\n"
             "sc = SensingScenario(ScenarioMode.OPTIMIZED, eta_a=0.9, t_mid=0.5)\n"
             "T = np.linspace(0.2, 0.8, 41)\n"
             "print(repr(MAP_N))\n"
             "for kind in (ProbeKind.TMF, ProbeKind.TMSV, ProbeKind.TMSD):\n"
-            "    print(repr(midpoint_enhancement_map(kind, sc, T, MAP_N).tolist()))\n"
+            "    print(repr(enhancement_RM(ProbeState(kind, np.array(MAP_N)[:, None]), T, sc).tolist()))\n"
             "for kind in ProbeKind:\n"
             "    state, channels = _draw_slice(kind, np.random.default_rng(42), 200)\n"
             "    print(repr([state.n_mean.tolist(), np.asarray(state.g).tolist(), channels.tolist()]))\n"
@@ -662,10 +672,14 @@ class TestRunExperiment:
     def test_failed_map_leaves_no_output(self, tmp_path, monkeypatch):
         import qspr.experiment as experiment
 
-        def broken(*args, **kwargs):
-            raise ValueError("map failed")
+        real = experiment.enhancement_RM
 
-        monkeypatch.setattr(experiment, "midpoint_enhancement_map", broken)
+        def broken(state, T, sc):  # a map's column state; results rows take single states
+            if np.ndim(state.n_mean):
+                raise ValueError("map failed")
+            return real(state, T, sc)
+
+        monkeypatch.setattr(experiment, "enhancement_RM", broken)
         cfg = tiny_config(tmp_path / "out")
         with pytest.raises(ValueError, match="map failed"):
             run_experiment(cfg)

@@ -1,5 +1,6 @@
 """Truncated-Fock oracle: state construction, loss channels, moment checks."""
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -274,6 +275,11 @@ class TestBuildState:
             build_state(ProbeState(ProbeKind.TMC, 4.0), cutoff=8)
         with pytest.raises(TruncationError):
             build_state(ProbeState(ProbeKind.TMF, 6.0), cutoff=4)
+        # the float N meets the cutoff before its int cast, which 1e19 and inf
+        # overflow (with numpy's invalid-cast warning, which the pytest config makes an error)
+        for n_mean, named in ((41.0, "41"), (1e19, "1e+19"), (np.inf, "inf")):
+            with pytest.raises(TruncationError, match=rf"below Fock number {re.escape(named)}$"):
+                build_state(ProbeState(ProbeKind.TMF, n_mean), cutoff=40)
 
     def test_tmsd_unconverged_exponential_raises(self):
         # the squeezing leak past cutoff 12 is 2.55e-8 against a 1e-10 tolerance

@@ -15,7 +15,6 @@ from qspr.probes import (
     enhancement_RM,
     matched_classical_reference,
     mean_M,
-    midpoint_enhancement_map,
     sensitivity,
     thinning_law,
 )
@@ -202,27 +201,24 @@ class TestEnhancement:
 
 class TestMidpointMap:
     T_GRID = np.linspace(0.3, 0.6, 7)
-    N_GRID = np.array([10.0, 100.0, 1e3, 1e4])
+    # a map's rows: a column state of its N values against the T axis
+    N_COLUMN = np.array([10.0, 100.0, 1e3, 1e4])[:, None]
 
     def test_tmf_standard_rows_identical(self):
-        grid = midpoint_enhancement_map(ProbeKind.TMF, NO_LOSS, self.T_GRID, self.N_GRID)
+        grid = enhancement_RM(ProbeState(ProbeKind.TMF, self.N_COLUMN), self.T_GRID, NO_LOSS)
         assert grid.shape == (4, 7)
         assert np.max(np.abs(grid - grid[0])) < 1e-12
 
     def test_tmsv_standard_decreasing_in_n(self):
-        grid = midpoint_enhancement_map(ProbeKind.TMSV, NO_LOSS, self.T_GRID, self.N_GRID)
+        grid = enhancement_RM(ProbeState(ProbeKind.TMSV, self.N_COLUMN), self.T_GRID, NO_LOSS)
         assert np.all(np.diff(grid, axis=0) < 0)
 
     def test_optimized_midpoint_tmf_equals_tmsv(self):
         sc = SensingScenario(ScenarioMode.OPTIMIZED, eta_a=1.0, t_mid=0.4507)
         t_col = np.array([0.4507])
-        tmf = midpoint_enhancement_map(ProbeKind.TMF, sc, t_col, self.N_GRID)
-        tmsv = midpoint_enhancement_map(ProbeKind.TMSV, sc, t_col, self.N_GRID)
+        tmf = enhancement_RM(ProbeState(ProbeKind.TMF, self.N_COLUMN), t_col, sc)
+        tmsv = enhancement_RM(ProbeState(ProbeKind.TMSV, self.N_COLUMN), t_col, sc)
         assert tmf == pytest.approx(tmsv, rel=1e-12)
-
-    def test_empty_ranges_rejected(self):
-        with pytest.raises(ValueError):
-            midpoint_enhancement_map(ProbeKind.TMF, NO_LOSS, [], self.N_GRID)
 
     @pytest.mark.parametrize(
         "sc",
@@ -232,11 +228,11 @@ class TestMidpointMap:
     @pytest.mark.parametrize("kind", [ProbeKind.TMF, ProbeKind.TMSV, ProbeKind.TMSD])
     def test_each_row_is_its_state_alone(self, kind, sc):
         # 3.5 = G - 1 balances TMSD's twin (|alpha|^2 = 0); above it the twin is unbalanced
-        N = (3.5, *MAP_N)
+        N = np.array((3.5, *MAP_N))
         T = np.linspace(0.2, 0.8, 41)
-        grid = midpoint_enhancement_map(kind, sc, T, N)
+        grid = enhancement_RM(ProbeState(kind, N[:, None]), T, sc)
         assert grid.shape == (len(N), 41)
-        for row, n in zip(grid, N):
+        for row, n in zip(grid, N.tolist()):
             assert np.array_equal(row, enhancement_RM(ProbeState(kind, n), T, sc))
 
 
