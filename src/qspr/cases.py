@@ -19,6 +19,7 @@ thickness; its closed form is 71.2747 deg.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
 import types
 import typing
@@ -28,6 +29,8 @@ from .kinetics import KineticParameters, SensorgramShape, TimeGrid
 from .spr_optics import OpticalStack, resonance_angle
 
 PBS_BUFFER_INDEX = 1.3385  # phosphate-buffered saline at the probe wavelengths
+# a dataclass's field annotations, looked up once per class: read them, never change them
+field_types = functools.cache(typing.get_type_hints)
 
 
 def _fits(value, hint) -> bool:
@@ -66,13 +69,14 @@ def require_json_type(where: str, key: str, value, hint) -> None:
     raise ValueError(f"{where} key {key!r} must be {name}, got {value!r}")
 
 
-def dataclass_from_json(cls, doc, where: str):
+def dataclass_from_json(cls, doc, where: str, *, check_types: bool = True):
     """Build dataclass ``cls`` from a JSON object, nested dataclasses included.
 
     Unknown keys, missing keys without a default, values whose JSON type does
     not match the field annotation and non-finite numbers raise ValueError
-    naming ``where``.
-    JSON lists become tuples; a ``complex`` field reads ``[re, im]`` or a number.
+    naming ``where``; ``check_types=False`` leaves types to a ``cls`` whose
+    ``__post_init__`` checks them. JSON lists become tuples; a ``complex``
+    field reads ``[re, im]`` or a number.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must be a JSON object, got {doc!r}")
@@ -88,12 +92,12 @@ def dataclass_from_json(cls, doc, where: str):
     ]
     if missing:
         raise ValueError(f"missing {where} keys: {missing}")
-    hints = typing.get_type_hints(cls)
+    hints = field_types(cls)
     kwargs = {}
     for key, value in doc.items():
         if dataclasses.is_dataclass(hints[key]):
             value = dataclass_from_json(hints[key], value, key)
-        else:
+        elif check_types:
             require_json_type(where, key, value, hints[key])
         if hints[key] is complex:
             value = complex(*value) if isinstance(value, list) else complex(value)

@@ -3,13 +3,12 @@ from __future__ import annotations
 
 import dataclasses
 import sys
-import typing
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .cases import CaseStudy, dataclass_from_json, require_json_type, resolve_case
+from .cases import CaseStudy, dataclass_from_json, field_types, require_json_type, resolve_case
 from .fit import NOISE_FLOOR, split_at_tau
 from .kinetics import linearize_sensorgram, reconstruct_transmittance_sensorgram
 from .probes import (
@@ -72,10 +71,9 @@ class ExperimentConfig:
     overrides: dict | None = None
 
     def __post_init__(self) -> None:
-        for name, hint in typing.get_type_hints(ExperimentConfig).items():  # typed as JSON loads them
+        for name, hint in field_types(ExperimentConfig).items():  # typed as JSON loads them
             value = getattr(self, name)
-            value = list(value) if isinstance(value, tuple) else value
-            require_json_type("config", name, value, hint)
+            require_json_type("config", name, list(value) if isinstance(value, tuple) else value, hint)
         if not self.states:
             raise ValueError("config needs at least one probe state")
         unknown = [s for s in self.states if s not in {k.value for k in ProbeKind}]
@@ -114,10 +112,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        """Config from a JSON document; checks each value's JSON type first."""
+        """Config from a JSON document; __post_init__ checks each value's JSON type first."""
         if isinstance(doc, dict) and "config" in doc and "schema_version" in doc:
             doc = doc["config"]  # manifest round-trip
-        return dataclass_from_json(cls, doc, "config")
+        return dataclass_from_json(cls, doc, "config", check_types=False)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)

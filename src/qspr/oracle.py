@@ -1,19 +1,18 @@
 """Brute-force verification of the measurement moments in a truncated Fock basis.
 
 :mod:`qspr.probes` applies one thinning law to a hand-derived table of input
-photon-number moments. Here states are explicit amplitude arrays and the
-channels are explicit binomial thinning matrices S (exact, as M is
-photon-number diagonal). Every moment of the thinned distribution
-S_a^T P S_b is a form f^T S_a^T P S_b g with f, g in [1, k, k^2] over the
-kept photon numbers k, so apply_channels contracts each matrix with those
-three vectors first and sums P against them: every amplitude and every
-binomial site still takes part, no row sum of S is taken to be 1 and no
-binomial moment is written in closed form. So the amplitudes and the
-numerical thinning check both the table and the law. The oracle needs numpy and
-the standard library only, and one cached table: C(n, k), each an exact
-math.comb rounded once, serves the thinning law and the TMSD sectors. Each
-state is built from the floats its closed form reads, N, the gain G and
-|alpha|^2, never through a squeezing parameter r. A coherent column is the
+photon-number moments. Here states are explicit amplitude arrays and each
+channel is binomial thinning S[n, k] = C(n, k) p^k (1-p)^(n-k), exact as M is
+photon-number diagonal. Every moment of S_a^T P S_b is a form f^T S_a^T P S_b g
+with f, g in V = [1, k, k^2], so apply_channels sums P against each channel's
+S V = (C o Q) (diag(p^k) V), Q[n, k] = (1-p)^(n-k), and never forms S: every
+amplitude and every binomial site takes part, no row sum of S is taken to be 1
+and no binomial moment is written in closed form. So the amplitudes and the
+numerical thinning check both the table and the law. The oracle needs numpy
+and the standard library only, and one cached table: C(n, k), each an exact
+math.comb rounded once, serves the thinning and the TMSD sectors. Each state
+is built from the floats its closed form reads, N, the gain G and |alpha|^2,
+never through a squeezing parameter r. A coherent column is the
 running product <0|alpha> = exp(-alpha^2/2), <n|alpha> = <n-1|alpha> alpha/sqrt(n).
 TMSD comes from the squeezing generator K = a b - a^dag b^dag alone. K keeps
 D = n_a - n_b fixed and |alpha>|0> puts coh[D] on the first site |D, 0> of
@@ -33,7 +32,7 @@ not grow with the tuple count: one draw of five doubles a tuple, one column
 state through the oracle and one thinning_law call per slice. A pass
 allocates one workspace of two slice-sized stacks, written through ``out``:
 build_state's amplitudes, which verify then squares in place into P, in the
-first, and apply_channels's thinning matrices in the second. Each state's
+first, and each channel's sites C(n, k) (1-p)^(n-k) in the second. Each state's
 moments are per-state matrix products of one shape, never one product over
 the stack, so they do not depend on the slice a state is evaluated in.
 """
@@ -52,8 +51,8 @@ from .probes import ProbeKind, ProbeState, thinning_law
 TAIL_TOLERANCE = 1e-10
 # largest cutoff a verify pass accepts, over five times the 36 that the largest
 # small state needs (TMSD, |alpha|^2 = 4, r = 0.5). Cost sets it, not range: each
-# tuple builds and contracts its (d, d) box and two (d, d) thinning matrices,
-# O(d^2) work, and 50 tuples per family take about 0.12 s in a warm process on
+# tuple builds its (d, d) box and contracts it with each channel's (d, d) sites,
+# O(d^2) work, and 50 tuples per family take about 0.11 s in a warm process on
 # a 2-core host against 0.01 s at cutoff 40. C(200, 100) ~ 9e58 is the largest
 # binomial here; C overflows a float only past 1,029.
 MAX_CUTOFF = 200
@@ -158,55 +157,56 @@ def build_state(state: ProbeState, cutoff: int, *, out: np.ndarray | None = None
     return amps if np.ndim(state.n_mean) else amps[0]
 
 
-def _thinning_matrix(cutoff: int, transmissivity, *, out: np.ndarray | None = None) -> np.ndarray:
-    """Binomial probabilities C(n, k) p^k (1-p)^(n-k) of keeping k of n photons, [..., n, k].
+def _power_tables(cutoff: int, transmissivity) -> tuple[np.ndarray, np.ndarray]:
+    """(1-p)^j and p^k, j, k <= cutoff, on a last axis appended to the transmissivities' shape.
 
-    One (d, d) matrix per transmissivity: a scalar p gives (d, d), an array of
-    shape S gives S + (d, d), written into ``out`` of that shape when given. A
-    site is a product of three floats, which never overflows (C(200, 100) ~
-    9e58) and lies within a few ulp of the exact value wherever p^k is normal;
-    0**0 = 1 keeps p = 0 and p = 1 exact. Sites k > n are exact zeros.
+    0**0 = 1 keeps p = 0 and 1 exact; C(n, k) p^k (1-p)^(n-k) is a few ulp off wherever p^k is normal.
     """
-    lost, binom = _binomials(cutoff)
     p = np.asarray(transmissivity, dtype=float)[..., None]
     k = np.arange(cutoff + 1)
-    # raise p and 1 - p to each k once and gather; 1 - p rounds to q, and
-    # k ((1 - q) - p) q^(k-1) restores its exact rest to first order
+    # 1 - p rounds to q, and k ((1 - q) - p) q^(k-1) restores its exact rest to first order
     q = 1.0 - p
     q_pow = q**k
     q_pow[..., 1:] += ((1.0 - q) - p) * k[1:] * q_pow[..., :-1]
-    out = np.take(q_pow, lost, axis=-1, out=out, mode="clip")
-    out *= (p**k)[..., None, :]
-    out *= binom
-    return out
+    return q_pow, p**k
+
+
+def _channel_moments(cutoff: int, transmissivity, *, out: np.ndarray | None = None):
+    """Yield S V, [..., n, j], V = [1, k, k^2], for each channel on the transmissivities' first axis.
+
+    S V = (C o Q) (diag(p^k) V), Q[n, k] = (1-p)^(n-k): p^k scales the moment
+    vectors, one (..., 3, d) table, never the (d, d) sites, which ``out`` takes
+    in turn when given. Sites k > n are exact zeros.
+    """
+    lost, binom = _binomials(cutoff)
+    q_pow, p_pow = _power_tables(cutoff, transmissivity)
+    moments = p_pow[..., None, :] * np.arange(cutoff + 1.0) ** np.arange(3)[:, None]
+    for lost_pow, kept_moments in zip(q_pow, moments):
+        # every index is on the table: mode="clip" writes into out without numpy's error-safe copy
+        sites = np.take(lost_pow, lost, axis=-1, out=out, mode="clip")
+        sites *= binom
+        yield sites @ np.swapaxes(kept_moments, -1, -2)
 
 
 def apply_channels(P: np.ndarray, T, eta_a, eta_b, *, out: np.ndarray | None = None) -> np.ndarray:
     """Joint moments G[..., i, j] = E[n_a^i n_b^j], i, j <= 2, after the sensor (T) and both losses.
 
     ``P`` is the joint photon-number distribution, |amplitudes|^2 of a state
-    or a stack of states from build_state, whose cutoff is its last axis's
-    length less one; T, eta_a and eta_b are scalars or arrays over the stack's
-    leading axes. The sensor and the signal-mode loss compose into one
-    binomial channel of transmissivity eta_a*T; the reference mode is thinned
-    by eta_b. Exact on the truncated basis since the observable is
-    photon-number diagonal. Every moment of the thinned distribution
-    S_a^T P S_b is a form f^T (S_a^T P S_b) g with f, g in V = [1, k, k^2],
-    taken as (S_a V)^T P (S_b V): each state is three (d, d) by (d, 3)
-    products and one (3, d) by (d, 3), whatever the stack holds.
-
-    ``out``, one C-contiguous array of P's stack shape, takes each thinning
-    matrix in turn; without it each is allocated.
+    or a stack of states from build_state; T, eta_a and eta_b are scalars or
+    arrays over the stack's leading axes. The sensor and the signal-mode loss
+    compose into one binomial channel of transmissivity eta_a*T; the reference
+    mode is thinned by eta_b. G = (S_a V)^T P (S_b V): per state, three (d, d)
+    by (d, 3) products and one (3, d) by (d, 3), whatever the stack holds.
+    ``out``, one C-contiguous array of P's stack shape, takes each channel's sites in turn.
     """
-    for name, val in (("T", T), ("eta_a", eta_a), ("eta_b", eta_b)):
-        val = np.asarray(val)
-        if not np.all((val >= 0) & (val <= 1)):
+    for name, val in zip(("T", "eta_a", "eta_b"), map(np.asarray, (T, eta_a, eta_b))):
+        # a NaN fails both comparisons; the initial values pass an empty stack
+        if not (val.min(initial=0.0) >= 0.0 and val.max(initial=1.0) <= 1.0):
             raise ValueError(f"{name} must lie in [0, 1]")
-    cutoff = P.shape[-1] - 1
     stack = np.broadcast_shapes(P.shape[:-2], np.shape(T), np.shape(eta_a), np.shape(eta_b))
-    V = np.arange(cutoff + 1, dtype=float)[:, None] ** np.arange(3)
-    signal = _thinning_matrix(cutoff, np.broadcast_to(np.multiply(eta_a, T), stack), out=out) @ V
-    reference = _thinning_matrix(cutoff, np.broadcast_to(eta_b, stack), out=out) @ V
+    p = np.empty((2, *stack))  # both channels' power tables in one pass
+    p[0], p[1] = np.multiply(eta_a, T), eta_b
+    signal, reference = _channel_moments(P.shape[-1] - 1, p, out=out)
     return np.swapaxes(signal, -1, -2) @ (P @ reference)
 
 
@@ -277,11 +277,9 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
     if not 1 <= cutoff <= MAX_CUTOFF:
         raise ValueError(f"cutoff must lie in [1, {MAX_CUTOFF}], got {cutoff}")
     per_slice = min(tuples, max(1, FOCK_ENTRIES_PER_SLICE // (cutoff + 1) ** 2))
-    # one workspace for the whole pass: the amplitudes, then P, in the first
-    # array, the thinning matrices in the second. Fresh arrays per slice let
-    # malloc return the heap top to the OS and fault it back in on the next
-    # one wherever glibc keeps its 128 KB trim threshold; tests/verify_faults.py
-    # counts those faults
+    # one workspace for the pass: amplitudes, then P, in the first array, channel sites in the
+    # second. Fresh arrays per slice let malloc return the heap top to the OS and fault it back
+    # in wherever glibc keeps its 128 KB trim threshold; tests/verify_faults.py counts those faults
     workspace = np.empty((2, per_slice, cutoff + 1, cutoff + 1))
     rng = np.random.default_rng(seed)
     reports = []
@@ -291,9 +289,9 @@ def verify_closed_forms(tuples: int, cutoff: int, seed: int) -> list[OracleRepor
             count = min(per_slice, tuples - start)
             states, channels = _draw_slice(kind, rng, count)
             T, eta_a, eta_b = channels.T
-            amps, thinning = workspace[:, :count]
+            amps, sites = workspace[:, :count]
             P = np.square(build_state(states, cutoff, out=amps), out=amps)
-            G = apply_channels(P, T, eta_a, eta_b, out=thinning)
+            G = apply_channels(P, T, eta_a, eta_b, out=sites)
             mm_oracle, dm_oracle = oracle_moments(G)
             mm_closed, dm_closed = thinning_law(states.input_moments, T, eta_a, eta_b)
             # np.max and np.maximum carry a NaN through, where Python's max may drop it

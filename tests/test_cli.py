@@ -135,6 +135,26 @@ class TestConfig:
         assert str(built.value) == str(loaded.value)
         assert str(built.value).startswith(f"config key {key!r} must be ")
 
+    def test_loading_checks_each_key_once(self, monkeypatch):
+        checked = Counter()
+
+        def counting(where, key, value, hint):
+            checked[key] += 1
+            return check(where, key, value, hint)
+
+        check = qspr.cases.require_json_type
+        monkeypatch.setattr(qspr.cases, "require_json_type", counting)
+        monkeypatch.setattr(qspr.experiment, "require_json_type", counting)
+        cfg = ExperimentConfig.from_dict({"states": ["tmc"], "m_values": [2], "p": 5})
+        assert checked == Counter({f.name: 1 for f in dataclasses.fields(ExperimentConfig)})
+        checked.clear()
+        dataclasses.replace(cfg, p=1500)
+        assert set(checked.values()) == {1}
+        # a custom case's nested classes check their own keys, which no __post_init__ repeats
+        checked.clear()
+        build_case(ExperimentConfig(case="custom", overrides=KAUSAITE2007.to_dict()))
+        assert checked["k_a"] == checked["n_prism"] == 1
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"cases": "kausaite2007"})

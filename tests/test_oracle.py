@@ -15,7 +15,7 @@ import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import expm_multiply
 
-from oracle_reference import distribution_moments, joint_moments, thinned_distribution
+from oracle_reference import distribution_moments, joint_moments, thinned_distribution, thinning_matrix
 
 import qspr
 import qspr.oracle
@@ -23,8 +23,8 @@ from qspr.oracle import (
     MAX_CUTOFF,
     TruncationError,
     _coherent_amplitudes,
+    _channel_moments,
     _draw_slice,
-    _thinning_matrix,
     _tmsd_amplitudes,
     apply_channels,
     build_state,
@@ -348,6 +348,27 @@ class TestApplyChannels:
         with pytest.raises(ValueError):
             apply_channels(np.square(amps), T=1.2, eta_a=1.0, eta_b=1.0)
 
+    @pytest.mark.parametrize(
+        ("name", "bad"), [("T", np.nan), ("eta_a", np.nan), ("eta_b", -0.1), ("T", [0.5, np.nan, 0.5])]
+    )
+    def test_nan_or_out_of_range_channel_is_named(self, name, bad):
+        P = np.square(build_state(ProbeState(ProbeKind.TMF, np.array([1.0, 2.0, 1.0])), cutoff=3))
+        channels = {"T": 0.5, "eta_a": 0.9, "eta_b": 0.8, name: bad}
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\]$"):
+            apply_channels(P, **channels)
+
+    def test_empty_stack_gives_empty_moments(self):
+        assert apply_channels(np.zeros((0, 4, 4)), np.empty(0), 0.5, 0.5).shape == (0, 3, 3)
+        assert apply_channels(np.eye(4) / 4, 0.5, np.empty((2, 0)), 1.0).shape == (2, 0, 3, 3)
+
+    def test_stack_with_scalar_channels_is_each_state(self):
+        states, channels = small_tuples(ProbeKind.TMSD, 7, seed=3)
+        P = np.square(build_state(states, cutoff=40))
+        G = apply_channels(P, 0.37, channels[:, 1], 0.64)
+        assert G.shape == (7, 3, 3)
+        for i in range(7):
+            assert np.array_equal(G[i], apply_channels(P[i], 0.37, channels[i, 1], 0.64))
+
     def test_thinning_conserves_probability(self):
         # binomial loss moves photons, never mass: sum + tail stays 1
         for probe in (ProbeState(ProbeKind.TMC, 2.5), tmsd_with(1.2, 0.35)):
@@ -358,7 +379,7 @@ class TestApplyChannels:
             assert P.sum() + tail_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_thinning_conserves_probability_moments(self):
-        # G[0, 0] is the thinned mass, summed through the thinning matrices' own rows
+        # G[0, 0] is the thinned mass, summed through each channel's own binomial sites
         for probe in (ProbeState(ProbeKind.TMC, 2.5), tmsd_with(1.2, 0.35)):
             amps = build_state(probe, cutoff=45)
             G = apply_channels(np.square(amps), T=0.37, eta_a=0.81, eta_b=0.64)
@@ -384,13 +405,31 @@ class TestFullDistributionReference:
         assert np.all(np.abs(means - ref_means) <= 1e-13 * np.maximum(np.abs(ref_means), ref_sds))
 
 
+def exact_channel_moments(p: float, cutoff: int) -> list[list[float]]:
+    """sum_k C(n, k) p^k (1-p)^(n-k) k^j, j <= 2, for each n <= cutoff: exact Fraction sums, each rounded once."""
+    # the float p taken exactly, a / den, so 1 - p is exact too; row n's sum is
+    # an integer over den^n
+    a, den = Fraction(p).as_integer_ratio()
+    kept, lost = [a**k for k in range(cutoff + 1)], [(den - a) ** k for k in range(cutoff + 1)]
+    rows = []
+    for n in range(cutoff + 1):
+        sites = [comb(n, k) * kept[k] * lost[n - k] for k in range(n + 1)]
+        rows.append([float(Fraction(sum(site * k**j for k, site in enumerate(sites)), den**n)) for j in range(3)])
+    return rows
+
+
+TRANSMISSIVITIES = [0.0025, 0.05, 0.37, 0.45, 0.5, 0.9025]
+
+
 class TestThinningMatrix:
-    @pytest.mark.parametrize("p", [0.0025, 0.05, 0.37, 0.45, 0.5, 0.9025])
+    """The reference's full matrix, built from the production power tables and binomials."""
+
+    @pytest.mark.parametrize("p", TRANSMISSIVITIES)
     def test_matches_exact_rational(self, p):
         # the float p taken exactly, so 1 - p is exact too; at p = 0.45, (1 - p)^40
         # is 18 ulp off unless the thinning adds back the rounded-off rest of 1 - p
         P = Fraction(p)
-        matrix = _thinning_matrix(40, p)
+        matrix = thinning_matrix(40, p)
         for n in range(41):
             for k in range(n + 1):
                 exact = float(comb(n, k) * P**k * (1 - P) ** (n - k))
@@ -399,16 +438,44 @@ class TestThinningMatrix:
 
     def test_stack_of_transmissivities_is_each_matrix(self):
         p = np.array([[0.0, 0.37], [0.81, 1.0]])
-        stack = _thinning_matrix(40, p)
+        stack = thinning_matrix(40, p)
         assert stack.shape == (2, 2, 41, 41)
         for i, j in np.ndindex(p.shape):
-            assert np.array_equal(stack[i, j], _thinning_matrix(40, p[i, j]))
+            assert np.array_equal(stack[i, j], thinning_matrix(40, p[i, j]))
 
     def test_exact_endpoints(self):
-        assert np.array_equal(_thinning_matrix(40, 1.0), np.eye(41))
+        assert np.array_equal(thinning_matrix(40, 1.0), np.eye(41))
         lose_all = np.zeros((41, 41))
         lose_all[:, 0] = 1.0
-        assert np.array_equal(_thinning_matrix(40, 0.0), lose_all)
+        assert np.array_equal(thinning_matrix(40, 0.0), lose_all)
+
+
+class TestChannelMoments:
+    """The production contraction S V, V = [1, k, k^2], without the matrix S."""
+
+    @pytest.mark.parametrize("cutoff", [40, MAX_CUTOFF])
+    @pytest.mark.parametrize("p", TRANSMISSIVITIES)
+    def test_matches_exact_rational_sums(self, p, cutoff):
+        (contracted,) = _channel_moments(cutoff, [p])
+        exact = np.array(exact_channel_moments(p, cutoff))
+        assert contracted.shape == (cutoff + 1, 3)
+        # row 0 is [1, 0, 0]: those zeros must be exact too
+        assert np.all(np.abs(contracted - exact) <= 16 * np.finfo(float).eps * exact)
+
+    def test_exact_endpoints(self):
+        V = np.arange(41, dtype=float)[:, None] ** np.arange(3)
+        assert np.array_equal(next(_channel_moments(40, [1.0])), V)
+        lose_all = np.zeros((41, 3))
+        lose_all[:, 0] = 1.0
+        assert np.array_equal(next(_channel_moments(40, [0.0])), lose_all)
+
+    def test_stack_of_transmissivities_is_each_contraction(self):
+        p = np.array([[0.0, 0.37], [0.81, 1.0]])
+        # the first axis is the channel axis: two channels of two states each
+        stack = np.stack(list(_channel_moments(40, p, out=np.full((2, 41, 41), np.nan))))
+        assert stack.shape == (2, 2, 41, 3)
+        for i, j in np.ndindex(p.shape):
+            assert np.array_equal(stack[i, j], next(_channel_moments(40, [p[i, j]])))
 
 
 class TestOracleMoments:
