@@ -148,7 +148,7 @@ def _columns_as_rows(*columns: np.ndarray) -> list[tuple]:
 
 
 def prepare(config: ExperimentConfig):
-    """Case, grids, ideal traces, scenario (with t_mid) and swept nu values of every subcommand."""
+    """Case, grids, ideal traces, scenario (t_mid the centre of T_L's range) and swept nu values."""
     case = build_case(config)
     nu_values = config.nu_values if config.nu_values is not None else (case.nu_default,)
     n_mean, nu = max(config.n_values), max(nu_values)
@@ -160,10 +160,8 @@ def prepare(config: ExperimentConfig):
     split_at_tau(case.grid.times(), case.kinetics.tau_s)  # the fit's phases, checked before any work
     trace = reconstruct_transmittance_sensorgram(case.angular_shape(), case.stack, case.grid)
     T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, case.kinetics.tau_s)
-    i_tau = trace.index_at(case.kinetics.tau_s)
-    scenario = SensingScenario(
-        mode=ScenarioMode(config.scenario), eta_a=config.eta_a, t_mid=0.5 * (T_L[0] + T_L[i_tau])
-    )
+    t_mid = 0.5 * (T_L.min() + T_L.max())
+    scenario = SensingScenario(mode=ScenarioMode(config.scenario), eta_a=config.eta_a, t_mid=t_mid)
     return case, trace, T_L, scenario, nu_values
 
 

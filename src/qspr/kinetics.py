@@ -124,17 +124,14 @@ class TransmittanceTrace:
     """Reconstructed intensity-interrogation sensorgram.
 
     Carries the analyte-index trace alongside the transmittance so downstream
-    calibration never has to re-invert the optics.
+    calibration never has to re-invert the optics. It has no rule for tau:
+    ``linearize_sensorgram`` and ``qspr.fit.split_at_tau`` each place it.
     """
 
     t: np.ndarray
     theta_deg: np.ndarray
     n_a: np.ndarray
     transmittance: np.ndarray
-
-    def index_at(self, time: float) -> int:
-        """Grid index closest to ``time``."""
-        return int(np.argmin(np.abs(self.t - time)))
 
 
 def reconstruct_transmittance_sensorgram(

@@ -313,12 +313,13 @@ def _substream_normals(seed: int, sets, m: int, n: int) -> np.ndarray:
     return _ndtri(Z)
 
 
-def _noise_law(plan: SimulationPlan, T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard deviation dM/sqrt(nu) of the plan's measured sensorgram on T."""
-    if np.any(T < 0) or np.any(T > 1):
+def _noise_law(plan: SimulationPlan, T: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """m, and the mean and standard deviation dM/sqrt(nu) of the plan's measured sensorgram on T."""
+    # a NaN fails both comparisons; the initial values pass an empty grid
+    if not (T.min(initial=0.0) >= 0.0 and T.max(initial=1.0) <= 1.0):
         raise ValueError("ideal transmittance must lie in [0, 1]")
     mean, sd = thinning_law(plan.state.input_moments, T, plan.scenario.eta_a, plan.scenario.eta_b)
-    return mean, sd / np.sqrt(plan.nu)
+    return plan.m, mean, sd / np.sqrt(plan.nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,37 +365,38 @@ def synthesize_noisy_sensorgrams(transmittance, plans, seed: int, sets) -> np.nd
     must be an integer in [0, MAX_COUNT), one word of the substream key.
     """
     plans = list(plans)
+    if not plans:
+        raise ValueError("synthesize_noisy_sensorgrams needs one or more plans")
     if not all(isinstance(s, (int, np.integer)) and 0 <= s < MAX_COUNT for s in sets):
         raise ValueError("sets must be integer set indices in [0, 2**32)")
     T = np.asarray(transmittance, dtype=float)
-    Z = _substream_normals(seed, sets, max(plan.m for plan in plans), T.size)
-    return _NoisyRows(Z, [(plan.m, *_noise_law(plan, T)) for plan in plans]).columns(0, T.size)
+    laws = [_noise_law(plan, T) for plan in plans]
+    Z = _substream_normals(seed, sets, max(m for m, _, _ in laws), T.size)
+    return _NoisyRows(Z, laws).columns(0, T.size)
 
 
 def _fit_chunk(
     sets: range,
     *,
-    plans: list[SimulationPlan],
-    laws: list[tuple[np.ndarray, np.ndarray]],
+    laws: list[tuple[int, np.ndarray, np.ndarray]],
     t: np.ndarray,
     kinetics: KineticParameters,
     seed: int,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per plan, the set averages kbar (sets, 3) and usable-fit counts (sets,) of a chunk.
+    """Per noise law (m, mean, sigma), a chunk's set averages kbar (sets, 3) and usable counts (sets,).
 
-    The chunk's normals are drawn once, for the largest m; a plan with m
+    The chunk's normals are drawn once, for the largest m; a law with m
     sensorgrams per set reads the first m of each set, which is exactly its own
-    draw. All plans share one block fit, which builds its rows from the normals
+    draw. All laws share one block fit, which builds its rows from the normals
     one segment at a time. A set without a usable fit gets kbar 0 and count 0.
     """
-    Z = _substream_normals(seed, sets, max(plan.m for plan in plans), t.size)
-    noisy = _NoisyRows(Z, [(plan.m, *law) for plan, law in zip(plans, laws)])
-    fits = fit_sensorgrams(t, noisy, kinetics.tau_s, kinetics.L0)
+    Z = _substream_normals(seed, sets, max(m for m, _, _ in laws), t.size)
+    fits = fit_sensorgrams(t, _NoisyRows(Z, laws), kinetics.tau_s, kinetics.L0)
     rates = np.column_stack([fits.k_a, fits.k_s, fits.k_d])
     out, end = [], 0
-    for plan in plans:
-        shape = (len(sets), plan.m)
-        rows = slice(end, end + len(sets) * plan.m)
+    for m, _, _ in laws:
+        shape = (len(sets), m)
+        rows = slice(end, end + len(sets) * m)
         end = rows.stop
         converged = fits.converged[rows].reshape(shape)
         usable = converged.sum(axis=1)
@@ -460,7 +462,7 @@ def run_ensembles(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     laws = [_noise_law(plan, T) for plan in fitted]
-    worker = partial(_fit_chunk, plans=fitted, laws=laws, t=t, kinetics=kinetics, seed=seed)
+    worker = partial(_fit_chunk, laws=laws, t=t, kinetics=kinetics, seed=seed)
     count = _chunk_count(p, sum(plan.m for plan in fitted))
     chunks = _chunks(p, count)
     # outputs do not depend on the worker count, so more workers than CPUs buy nothing

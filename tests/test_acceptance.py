@@ -33,8 +33,8 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def t_mid(kausaite2007):
-    trace, T_L = kausaite2007
-    return 0.5 * (T_L[0] + T_L[trace.index_at(KAUSAITE2007.kinetics.tau_s)])
+    _, T_L = kausaite2007
+    return 0.5 * (T_L.min() + T_L.max())  # as qspr.experiment.prepare derives it
 
 
 def r_k(result) -> dict[str, float]:

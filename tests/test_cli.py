@@ -21,7 +21,14 @@ import qspr
 from qspr.cases import KAUSAITE2007, LAHIRI1999, CaseStudy, resolve_case
 from qspr.cli import build_parser, main, run_experiment
 from qspr.experiment import MAX_N_NU, ExperimentConfig, build_case
-from qspr.probes import DEFAULT_TMSD_GAIN, ProbeKind, ProbeState
+from qspr.probes import (
+    DEFAULT_TMSD_GAIN,
+    ProbeKind,
+    ProbeState,
+    ScenarioMode,
+    SensingScenario,
+    enhancement_RM,
+)
 from qspr.simulate import RESULT_BUDGET_BYTES
 
 
@@ -638,6 +645,20 @@ class TestRunExperiment:
         assert len(rows) == 41 * 25
         n_values = sorted({float(r["N"]) for r in rows})
         assert n_values[0] == 10.0 and n_values[-1] == pytest.approx(1e4)
+
+    def test_midpoint_is_the_centre_of_T_L_range_off_the_grid(self, tmp_path):
+        # tau = 1107 s lies between two samples: T_mid is the midpoint of T_L's
+        # range, the centre of the maps' T axis, whichever neighbour is nearer
+        kinetics = {**KAUSAITE2007.to_dict()["kinetics"], "tau_s": 1107.0}
+        cfg = tiny_config(tmp_path / "out", m_values=(2,), p=2, overrides={"kinetics": kinetics})
+        manifest = run_experiment(cfg)
+        T_L = [float(r["T_L"]) for r in read_rows(tmp_path / "out" / "sensorgram_ideal.csv")]
+        t_mid = manifest["midpoint_transmittance"]
+        assert t_mid == 0.5 * (min(T_L) + max(T_L))
+        scenario = SensingScenario(ScenarioMode(cfg.scenario), eta_a=cfg.eta_a, t_mid=t_mid)
+        for row in read_rows(tmp_path / "out" / "results.csv"):
+            state = ProbeState(ProbeKind(row["state"]), float(row["N"]))
+            assert float(row["R_M_midpoint"]) == float(enhancement_RM(state, t_mid, scenario))
 
     AVX512_OFF = "AVX512_SPR AVX512_ICL X86_V4"
 

@@ -19,6 +19,16 @@ def ensembles(t, transmittance, workers=1):
     return simulate.run_ensembles([PLAN], t, transmittance, KAUSAITE2007.kinetics, 1, 2, workers)
 
 
+def kausaite_with_nan():
+    """The kausaite2007 grid and ideal transmittance, with one NaN sample."""
+    trace = kinetics.reconstruct_transmittance_sensorgram(
+        KAUSAITE2007.angular_shape(), KAUSAITE2007.stack, KAUSAITE2007.grid
+    )
+    T = trace.transmittance.copy()
+    T[100] = np.nan
+    return trace.t, T
+
+
 CHECKS = {
     "config-not-an-object": (
         lambda: ExperimentConfig.from_dict([1]), "config must be a JSON object, got [1]"),
@@ -63,6 +73,15 @@ CHECKS = {
         "t and transmittance must share one grid"),
     "ensembles-workers": (
         lambda: ensembles(np.arange(5.0), np.full(5, 0.5), workers=0), "workers must be >= 1"),
+    # one NaN sample is out of range too: neither a NaN column nor failed fits
+    "ensembles-nan-transmittance": (
+        lambda: ensembles(*kausaite_with_nan()), "ideal transmittance must lie in [0, 1]"),
+    "sensorgrams-nan-transmittance": (
+        lambda: simulate.synthesize_noisy_sensorgrams(kausaite_with_nan()[1], [PLAN], 1, [0]),
+        "ideal transmittance must lie in [0, 1]"),
+    "sensorgrams-no-plans": (
+        lambda: simulate.synthesize_noisy_sensorgrams(np.full(5, 0.5), [], 1, [0]),
+        "synthesize_noisy_sensorgrams needs one or more plans"),
     "stack-absorption": (
         lambda: replace(KAUSAITE2007.stack, eps_metal=complex(-20.0, -1.0)),
         "Im(eps_metal) must be non-negative"),

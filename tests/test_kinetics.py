@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qspr.cases import KAUSAITE2007, LAHIRI1999
+from qspr.fit import split_at_tau
 from qspr.kinetics import (
     KineticParameters,
     SensorgramShape,
@@ -127,7 +128,7 @@ class TestReconstruction:
 
     def test_kausaite_midpoint(self, kausaite2007):
         trace, _ = kausaite2007
-        i_tau = trace.index_at(1100.0)
+        i_tau = split_at_tau(trace.t, 1100.0)
         assert np.argmax(trace.transmittance) == i_tau
         t_mid = 0.5 * (trace.transmittance[0] + trace.transmittance[i_tau])
         assert t_mid == pytest.approx(0.4507, abs=2e-3)
@@ -136,7 +137,7 @@ class TestReconstruction:
 
     def test_lahiri_midpoint(self, lahiri1999):
         trace, _ = lahiri1999
-        i_tau = trace.index_at(300.0)
+        i_tau = split_at_tau(trace.t, 300.0)
         t_mid = 0.5 * (trace.transmittance[0] + trace.transmittance[i_tau])
         assert t_mid == pytest.approx(0.4824, abs=2e-3)
         assert t_mid == pytest.approx(0.4824, abs=1e-3)
@@ -156,7 +157,7 @@ class TestLinearization:
     def test_endpoints_pinned(self, kausaite2007):
         trace, _ = kausaite2007
         T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, 1100.0)
-        i_tau = trace.index_at(1100.0)
+        i_tau = split_at_tau(trace.t, 1100.0)
         assert T_L[0] == trace.transmittance[0]
         assert T_L[i_tau] == pytest.approx(trace.transmittance[i_tau], rel=1e-14)
 
@@ -171,7 +172,7 @@ class TestLinearization:
     def test_lahiri_needs_no_calibration(self, lahiri1999):
         trace, _ = lahiri1999
         T_L = linearize_sensorgram(trace.t, trace.transmittance, trace.n_a, 300.0)
-        i_tau = trace.index_at(300.0)
+        i_tau = split_at_tau(trace.t, 300.0)
         deviation = np.max(np.abs(trace.transmittance - T_L))
         full_range = abs(trace.transmittance[i_tau] - trace.transmittance[0])
         assert deviation / full_range < 0.01

@@ -571,7 +571,7 @@ class TestSharedBlocks:
         def peak(sets: int) -> int:
             # the block as _fit_chunk hands it over: normals plus the noise law
             Z = simulate._substream_normals(42, range(sets), plan.m, t.size)
-            rows = simulate._NoisyRows(Z, [(plan.m, *law)])
+            rows = simulate._NoisyRows(Z, [law])
             tracemalloc.start()
             try:
                 fit_sensorgrams(t, rows, KINETICS.tau_s, KINETICS.L0)
