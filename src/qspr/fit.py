@@ -9,9 +9,9 @@ temporaries are bounded by the slice while its per-row state is a few hundred
 bytes. A row's result depends only on its own data, never on the rest of the
 block or on the slicing, and bitwise so: each segment is a C-ordered column
 range, so every row sum runs over one row's contiguous samples in one order;
-Jacobians are column-major, so every entry of a row's normal equations is one
-dot product of two contiguous vectors; and the batched solves are evaluated
-one row at a time.
+Jacobians are parameter-major, one C-ordered (rows, n) block per parameter, so
+every entry of a row's normal equations is one dot product of two contiguous
+vectors; and the batched solves are evaluated one row at a time.
 
 The solver drives a two-segment fit of a (B, n) block of sensorgrams sharing
 one time grid: the dissociation tail is fitted first for (baseline, amplitude,
@@ -45,8 +45,8 @@ COST_TOLERANCE = 1e-12  # relative decrease of the squared norm
 # stops on a relative decrease of COST_TOLERANCE, so the noise must exceed
 # eps / sqrt(COST_TOLERANCE) = 2.2e-10
 NOISE_FLOOR = np.finfo(float).eps / np.sqrt(COST_TOLERANCE)
-# live rows per residual evaluation: bounds the (rows, n, P) temporaries of a
-# solve whatever the number of rows that share its loop
+# live rows per residual evaluation: bounds the (P + 1, rows, n) workspace of a
+# segment solve whatever the number of rows that share its loop
 ROWS_PER_SLICE = 128
 
 
@@ -64,21 +64,27 @@ class LMSolution:
 
 
 def _row_products(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row squared norm, J^T J and J^T r of residuals (k, n) and Jacobians (k, P, n).
+    """Per-row squared norm, J^T J and J^T r of residuals (k, n) and Jacobians (P, k, n).
 
     Every entry is one dot product of two contiguous n-vectors of one row, the
-    one ``np.dot`` takes for that pair, whatever the number of rows k.
+    one ``np.dot`` takes for that pair, whatever the number of rows k; J^T J
+    forms each unordered pair once and mirrors it, so it is exactly symmetric.
     """
-    if r.shape[1] < J.shape[1]:
+    n_params = len(J)
+    if r.shape[1] < n_params:
         raise ValueError("need at least as many data points as parameters")
-    return np.vecdot(r, r), np.vecdot(J[:, :, None, :], J[:, None, :, :]), np.vecdot(J, r[:, None, :])
+    JtJ = np.empty((len(r), n_params, n_params))
+    for a in range(n_params):
+        for b in range(a, n_params):
+            JtJ[:, a, b] = JtJ[:, b, a] = np.vecdot(J[a], J[b])
+    return np.vecdot(r, r), JtJ, np.vecdot(J, r).T
 
 
 def _products(fun, X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row squared norm (k,), J^T J (k, P, P) and J^T r (k, P) of ``fun`` at X (k, P).
 
     ``fun`` sees at most ROWS_PER_SLICE rows at a time, and a slice's residuals
-    and Jacobians are freed before the next slice is evaluated.
+    and Jacobians are read before the next slice is evaluated.
     """
     k, n_params = X.shape
     ssq, JtJ, g = np.empty(k), np.empty((k, n_params, n_params)), np.empty((k, n_params))
@@ -109,10 +115,12 @@ def lm_solve(
 ) -> LMSolution:
     """Minimize ||r_b(x_b)||^2 for every row b of a (B, P) parameter block.
 
-    ``fun(X, rows) -> (R, J)`` evaluates the residuals (k, n) and the
-    column-major Jacobians (k, P, n), one contiguous n-vector per parameter,
-    of the block rows ``rows`` at their parameters ``X`` (k, P); it sees at
-    most ROWS_PER_SLICE rows per call. Levenberg-Marquardt with
+    ``fun(X, rows) -> (R, J)`` evaluates the residuals R (k, n) and the
+    parameter-major Jacobians J (P, k, n) of the block rows ``rows`` at their
+    parameters ``X`` (k, P): each J[a] is one C-contiguous (k, n) block, a
+    contiguous n-vector per row. ``fun`` sees at most ROWS_PER_SLICE rows per
+    call, and R and J are read before its next call, so it may return views
+    of one buffer that it overwrites each time. Levenberg-Marquardt with
     multiplicative damping on the scaled normal equations; a step is accepted
     only if it strictly decreases the row's residual norm. A row that runs out
     of iterations or damping keeps its last iterate, flagged non-converged.
@@ -269,19 +277,24 @@ def _sliced(start: Callable[..., np.ndarray], *blocks: np.ndarray) -> np.ndarray
     ])
 
 
+def _workspace(n_params: int, n_rows: int, n: int) -> np.ndarray:
+    """One segment solve's buffer for R and J: (1 + P, slice rows, n), R first."""
+    return np.empty((1 + n_params, min(ROWS_PER_SLICE, n_rows), n))
+
+
 def _fit_dissociation(t_rel: np.ndarray, Y_d: np.ndarray) -> LMSolution:
     """(baseline, amplitude, ln k_d) rows of b + A*exp(-k_d*t_rel) fitted to Y_d."""
+    work = _workspace(3, len(Y_d), t_rel.size)
+    work[1] = 1.0  # the baseline's Jacobian, the same at every evaluation
 
     def resid(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        R, J = work[0, : len(X)], work[1:, : len(X)]
         b, a, ln_kd = X[:, 0:1], X[:, 1:2], X[:, 2:3]
         kd = np.exp(np.clip(ln_kd, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
-        decay = np.exp(-kd * t_rel)
-        J = np.empty((len(X), 3, t_rel.size))
-        J[:, 0] = 1.0
-        J[:, 1] = decay
-        np.multiply(-a * kd, t_rel, out=J[:, 2])
-        J[:, 2] *= decay
-        R = np.multiply(a, decay, out=decay)  # b + a*decay - y, one buffer
+        decay = np.exp(np.multiply(-kd, t_rel, out=J[1]), out=J[1])
+        np.multiply(-a * kd, t_rel, out=J[2])
+        J[2] *= decay
+        np.multiply(a, decay, out=R)  # b + a*decay - y
         R += b
         R -= Y_d[rows]
         return R, J
@@ -291,16 +304,17 @@ def _fit_dissociation(t_rel: np.ndarray, Y_d: np.ndarray) -> LMSolution:
 
 def _fit_association(t: np.ndarray, Y_a: np.ndarray, baseline: np.ndarray) -> LMSolution:
     """(amplitude, ln k_s) rows of baseline + A*(1 - exp(-k_s*t)) fitted to Y_a."""
+    work = _workspace(2, len(Y_a), t.size)
 
     def resid(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        R, J = work[0, : len(X)], work[1:, : len(X)]
         a_inf, ln_ks = X[:, 0:1], X[:, 1:2]
         ks = np.exp(np.clip(ln_ks, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
-        decay = np.exp(-ks * t)
-        J = np.empty((len(X), 2, t.size))
-        rise = np.subtract(1.0, decay, out=J[:, 0])
-        np.multiply(a_inf * ks, t, out=J[:, 1])
-        J[:, 1] *= decay
-        R = np.multiply(a_inf, rise, out=decay)  # baseline + a_inf*rise - y, one buffer
+        decay = np.exp(np.multiply(-ks, t, out=R), out=R)
+        rise = np.subtract(1.0, decay, out=J[0])
+        np.multiply(a_inf * ks, t, out=J[1])
+        J[1] *= decay
+        np.multiply(a_inf, rise, out=R)  # baseline + a_inf*rise - y, over decay
         R += baseline[rows, None]
         R -= Y_a[rows]
         return R, J

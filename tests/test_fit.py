@@ -21,7 +21,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             model = a * np.exp(-k * t)
-            J = np.stack([np.exp(-k * t), -a * t * np.exp(-k * t)], axis=1)
+            J = np.stack([np.exp(-k * t), -a * t * np.exp(-k * t)])
             return model - y, J
 
         sol = lm_solve(fun, [[2.0, 0.3]])
@@ -36,7 +36,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            return a * decay - y, np.stack([decay, -a * t * decay], axis=1)
+            return a * decay - y, np.stack([decay, -a * t * decay])
 
         sol = lm_solve(fun, [[1.0, 0.1]])
         assert sol.converged == (True,)
@@ -51,7 +51,7 @@ class TestLMSolve:
             a, b, k = X[:, :1], X[:, 1:2], X[:, 2:]
             decay = np.exp(-k * t)
             r = (a + b) * decay - y
-            J = np.stack([decay, decay, -(a + b) * t * decay], axis=1)
+            J = np.stack([decay, decay, -(a + b) * t * decay])
             return r, J
 
         sol = lm_solve(fun, [[1.0, 1.0, 0.1]])
@@ -70,7 +70,7 @@ class TestLMSolve:
             decay = np.exp(-k * t)
             r = a * decay + b - y
             costs.append(float(r[0] @ r[0]))
-            J = np.stack([decay, np.ones_like(decay), -a * t * decay], axis=1)
+            J = np.stack([decay, np.ones_like(decay), -a * t * decay])
             return r, J
 
         lm_solve(fun, [[1.0, 0.0, 0.5]])
@@ -91,7 +91,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            return a * decay - y, np.stack([decay, -a * t * decay], axis=1)
+            return a * decay - y, np.stack([decay, -a * t * decay])
 
         monkeypatch.setattr(fit_module, "MAX_ITERS", 3)
         sol = lm_solve(fun, [[1.0, 1.0]])
@@ -99,7 +99,7 @@ class TestLMSolve:
 
     def test_rejects_underdetermined_data(self):
         def fun(X, rows):
-            return X[:, :1] - 1.0, np.array([[[1.0], [0.0]]])
+            return X[:, :1] - 1.0, np.array([[[1.0]], [[0.0]]])
 
         with pytest.raises(ValueError):
             lm_solve(fun, [[0.0, 0.0]])
@@ -115,7 +115,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            return a * decay - Y[rows], np.stack([decay, -a * t * decay], axis=1)
+            return a * decay - Y[rows], np.stack([decay, -a * t * decay])
 
         x0 = np.array([[1.0, 0.1], [1.0, 0.01], [2.0, 0.3], [5.0, 0.04]])
         sol = lm_solve(fun, x0)
@@ -140,7 +140,7 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], np.exp(np.clip(X[:, 1:], -50.0, 50.0))
             decay = np.exp(-k * t)
-            return a * decay - Y[rows], np.stack([decay, -a * k * t * decay], axis=1)
+            return a * decay - Y[rows], np.stack([decay, -a * k * t * decay])
 
         x0 = np.tile([1.0, np.log(0.02)], (333, 1))
         default = lm_solve(fun, x0)
@@ -163,8 +163,8 @@ class TestLMSolve:
         def fun(X, rows):
             a, k = X[:, :1], X[:, 1:]
             decay = np.exp(-k * t)
-            J = np.stack([decay, -a * t * decay], axis=1)
-            J[rows == 1, 0, 0] = np.inf
+            J = np.stack([decay, -a * t * decay])
+            J[0, rows == 1, 0] = np.inf
             return a * decay - Y[rows], J
 
         sol = lm_solve(fun, [[1.0, 0.1], [1.0, 0.01]])
@@ -185,7 +185,7 @@ class TestLMSolve:
 
         def fun(X, rows):
             a, b = X[:, :1], X[:, 1:]
-            J = np.stack([np.ones((len(X), t.size)), T[rows]], axis=1)
+            J = np.stack([np.ones((len(X), t.size)), T[rows]])
             return a + b * T[rows] - Y[rows], J
 
         raised, solve = [], np.linalg.solve
@@ -206,24 +206,79 @@ class TestLMSolve:
         alone = lm_solve(fun, [[0.0, 0.0]])
         assert np.array_equal(alone.x[0], sol.x[0]) and alone.iterations[0] == sol.iterations[0]
 
+    def test_views_of_one_reused_buffer_give_the_same_solution(self, monkeypatch):
+        # lm_solve reads R and J before it calls fun again, so a fun that
+        # returns views of one buffer, overwritten (NaN first) at every call,
+        # gives the solution of a fun that returns fresh arrays, bit for bit.
+        # Nearly undamped, the block takes rejected steps, and row 6, whose two
+        # Jacobian columns are equal, makes the batched solve raise
+        t = np.arange(0.0, 505.0, 5.0)
+        rng = np.random.default_rng(5)
+        a, k = rng.uniform(0.5, 5.0, (6, 1)), rng.uniform(1e-3, 0.3, (6, 1))
+        Y = np.vstack([a * np.exp(-k * t) + 0.05 * rng.standard_normal((6, t.size)), np.full(t.size, 2.0)])
+        evaluations = []
+
+        def fresh(X, rows):
+            a, k = X[:, :1], np.exp(np.clip(X[:, 1:], -50.0, 50.0))
+            decay = np.exp(-k * t)
+            R, J = a * decay - Y[rows], np.stack([decay, -a * k * t * decay])
+            flat = rows == 6
+            R[flat] = X[flat, :1] + X[flat, 1:] - Y[rows[flat]]
+            J[:, flat] = 1.0
+            evaluations.append((rows.copy(), np.vecdot(R, R)))
+            return R, J
+
+        buffer = np.empty((3, 3, t.size))
+
+        def reused(X, rows):
+            R, J = fresh(X, rows)
+            buffer.fill(np.nan)
+            buffer[0, : len(X)], buffer[1:, : len(X)] = R, J
+            return buffer[0, : len(X)], buffer[1:, : len(X)]
+
+        raised, solve = [], np.linalg.solve
+
+        def spy(A, b):
+            try:
+                return solve(A, b)
+            except np.linalg.LinAlgError:
+                raised.append(len(A))
+                raise
+
+        monkeypatch.setattr(fit_module, "DAMPING_INIT", 1e-20)
+        monkeypatch.setattr(fit_module, "ROWS_PER_SLICE", 3)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x0 = np.tile([1.0, np.log(0.02)], (7, 1))
+        expected = lm_solve(fresh, x0)
+        best, rejected = np.full(7, np.inf), 0
+        for rows, ssq in evaluations:
+            rejected += np.count_nonzero(~(ssq < best[rows]))
+            best[rows] = np.minimum(best[rows], ssq)
+        assert rejected > 0 and raised and raised[0] > 1
+        reused_solution = lm_solve(reused, x0)
+        for field in dataclasses.fields(expected):
+            assert np.array_equal(getattr(reused_solution, field.name), getattr(expected, field.name)), field.name
+
 
 class TestRowProducts:
     @pytest.mark.parametrize("rows", [1, 7, 300])
     def test_entries_are_dots_of_contiguous_columns(self, rows):
         # every entry of a row's normal equations is np.dot of two of that
         # row's contiguous vectors, bit for bit, whatever the block size, and
-        # the row alone gives the same bits as the row inside the block
+        # the row alone gives the same bits as the row inside the block; each
+        # row's J^T J is exactly symmetric
         rng = np.random.default_rng(rows)
         r = rng.standard_normal((rows, 111)) * np.exp(rng.uniform(-20.0, 20.0, (rows, 1)))
-        J = rng.standard_normal((rows, 3, 111)) * np.exp(rng.uniform(-20.0, 20.0, (rows, 3, 1)))
+        J = rng.standard_normal((3, rows, 111)) * np.exp(rng.uniform(-20.0, 20.0, (3, rows, 1)))
         block = fit_module._row_products(r, J)
+        assert np.array_equal(block[1], block[1].transpose(0, 2, 1))
         for i in range(rows):
             expected = (
                 np.dot(r[i], r[i]),
-                [[np.dot(a, b) for b in J[i]] for a in J[i]],
-                [np.dot(a, r[i]) for a in J[i]],
+                [[np.dot(a, b) for b in J[:, i]] for a in J[:, i]],
+                [np.dot(a, r[i]) for a in J[:, i]],
             )
-            alone = fit_module._row_products(r[i : i + 1], J[i : i + 1])
+            alone = fit_module._row_products(r[i : i + 1], J[:, i : i + 1])
             for whole, single, dots in zip(block, alone, expected):
                 assert np.array_equal(whole[i], dots) and np.array_equal(single[0], dots)
 

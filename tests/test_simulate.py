@@ -519,9 +519,9 @@ README_PLANS = [
     for n_mean in (10.0, 100.0, 1000.0)
     for nu in (100, 1000)
 ]
-# growth of a block fit's tracemalloc peak per row beyond 256 rows: about 1.3 KB,
+# growth of a block fit's tracemalloc peak per row beyond 256 rows: about 1.2 KB,
 # the row's segment data (at most 111 samples, 888 B) and its LM state; the
-# evaluation temporaries are bounded by fit.ROWS_PER_SLICE and do not grow
+# evaluation workspace is bounded by fit.ROWS_PER_SLICE and does not grow
 FIT_BYTES_PER_EXTRA_ROW = 2_000
 
 
