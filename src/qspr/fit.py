@@ -2,15 +2,16 @@
 
 One Levenberg-Marquardt solver (damped Gauss-Newton, analytic Jacobians) runs
 one loop for a (B, P) block of parameter rows. Every row keeps its own damping,
-iteration count and convergence tests and leaves the block when it finishes.
-Residuals and Jacobians are evaluated ROWS_PER_SLICE live rows at a time, and
-each row keeps only its squared norm and normal equations, so the loop's
-temporaries are bounded by the slice while its per-row state is a few hundred
-bytes. A row's result depends only on its own data, never on the rest of the
-block or on the slicing, and bitwise so: each segment is a C-ordered column
-range, so every row sum runs over one row's contiguous samples in one order;
-Jacobians are parameter-major, one C-ordered (rows, n) block per parameter, so
-every entry of a row's normal equations is one dot product of two contiguous
+iteration count and convergence tests. The loop's state holds the running rows
+only: a row that finishes writes its result and leaves the state. Residuals and
+Jacobians are evaluated ROWS_PER_SLICE running rows at a time, straight into
+each row's squared norm and normal equations, so the loop's temporaries are
+bounded by the slice while a running row's state is about 150 bytes (P = 3).
+A row's result depends only on its own data, never on the rest of the block or
+on the slicing, and bitwise so: each segment is a C-ordered column range, so
+every row sum runs over one row's contiguous samples in one order; Jacobians
+are parameter-major, one C-ordered (rows, n) block per parameter, so every
+entry of a row's normal equations is one dot product of two contiguous
 vectors; and the batched solves are evaluated one row at a time.
 
 The solver drives a two-segment fit of a (B, n) block of sensorgrams sharing
@@ -63,8 +64,11 @@ class LMSolution:
     iterations: tuple[int, ...]
 
 
-def _row_products(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row squared norm, J^T J and J^T r of residuals (k, n) and Jacobians (P, k, n).
+def _row_products(
+    r: np.ndarray, J: np.ndarray, ssq: np.ndarray, JtJ: np.ndarray, g: np.ndarray
+) -> None:
+    """Write the squared norm (k,), J^T J (k, P, P) and J^T r (k, P) of each row
+    of residuals (k, n) and Jacobians (P, k, n) into ``ssq``, ``JtJ`` and ``g``.
 
     Every entry is one dot product of two contiguous n-vectors of one row, the
     one ``np.dot`` takes for that pair, whatever the number of rows k; J^T J
@@ -73,24 +77,26 @@ def _row_products(r: np.ndarray, J: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     n_params = len(J)
     if r.shape[1] < n_params:
         raise ValueError("need at least as many data points as parameters")
-    JtJ = np.empty((len(r), n_params, n_params))
+    np.vecdot(r, r, out=ssq)
     for a in range(n_params):
+        np.vecdot(J[a], r, out=g[:, a])
         for b in range(a, n_params):
-            JtJ[:, a, b] = JtJ[:, b, a] = np.vecdot(J[a], J[b])
-    return np.vecdot(r, r), JtJ, np.vecdot(J, r).T
+            np.vecdot(J[a], J[b], out=JtJ[:, a, b])
+            JtJ[:, b, a] = JtJ[:, a, b]
 
 
 def _products(fun, X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row squared norm (k,), J^T J (k, P, P) and J^T r (k, P) of ``fun`` at X (k, P).
 
     ``fun`` sees at most ROWS_PER_SLICE rows at a time, and a slice's residuals
-    and Jacobians are read before the next slice is evaluated.
+    and Jacobians are read, straight into the outputs, before the next slice is
+    evaluated.
     """
     k, n_params = X.shape
     ssq, JtJ, g = np.empty(k), np.empty((k, n_params, n_params)), np.empty((k, n_params))
     for start in range(0, k, ROWS_PER_SLICE):
         part = slice(start, start + ROWS_PER_SLICE)
-        ssq[part], JtJ[part], g[part] = _row_products(*fun(X[part], rows[part]))
+        _row_products(*fun(X[part], rows[part]), ssq[part], JtJ[part], g[part])
     return ssq, JtJ, g
 
 
@@ -118,85 +124,91 @@ def lm_solve(
     ``fun(X, rows) -> (R, J)`` evaluates the residuals R (k, n) and the
     parameter-major Jacobians J (P, k, n) of the block rows ``rows`` at their
     parameters ``X`` (k, P): each J[a] is one C-contiguous (k, n) block, a
-    contiguous n-vector per row. ``fun`` sees at most ROWS_PER_SLICE rows per
-    call, and R and J are read before its next call, so it may return views
-    of one buffer that it overwrites each time. Levenberg-Marquardt with
-    multiplicative damping on the scaled normal equations; a step is accepted
-    only if it strictly decreases the row's residual norm. A row that runs out
-    of iterations or damping keeps its last iterate, flagged non-converged.
-    Each row keeps only its squared norm and normal equations (J^T J and
-    J^T r), from the start and from each accepted step; a rejected step reuses
-    them.
+    contiguous n-vector per row. ``fun`` sees ascending rows, at most
+    ROWS_PER_SLICE per call, and R and J are read before its next call, so it
+    may return views of one buffer that it overwrites each time.
+    Levenberg-Marquardt with multiplicative damping on the scaled normal
+    equations; a step is accepted only if it strictly decreases the row's
+    residual norm. A row that runs out of iterations or damping keeps its last
+    accepted iterate, flagged non-converged.
+
+    The loop's state holds the running rows only: each row's x, squared norm,
+    normal equations (J^T J and J^T r), damping, iteration count and index
+    into the block. An accepted step overwrites its row's entries in place; a
+    rejected step reuses them. Rows that finish write their x, flag and
+    iteration count to the result and leave the state together, at the top of
+    the next iteration.
     """
     x = np.array(x0, dtype=float, ndmin=2)
     if not np.all(np.isfinite(x)):
         raise ValueError("initial parameters must be finite")
     n_rows, n_params = x.shape
-    ssq, JtJ, g = _products(fun, x, np.arange(n_rows))
-    lam = np.full(n_rows, DAMPING_INIT)
-    iterations = np.zeros(n_rows, dtype=int)
+    x_out = np.empty_like(x)
     converged = np.zeros(n_rows, dtype=bool)
-    running = np.ones(n_rows, dtype=bool)
-    on_diag = np.arange(n_params)
+    iterations = np.zeros(n_rows, dtype=int)
 
+    rows = np.arange(n_rows)
+    ssq, JtJ, g = _products(fun, x, rows)
+    lam = np.full(n_rows, DAMPING_INIT)
+    iters = np.zeros(n_rows, dtype=int)
+    done = flag = np.zeros(n_rows, dtype=bool)  # rows the last iteration finished, and their flags
     while True:
-        live = np.flatnonzero(running & (iterations < MAX_ITERS))
-        if not live.size:
-            break
-        g_live, diag = g[live], JtJ[live][:, on_diag, on_diag]
+        diag = JtJ.reshape(len(rows), -1)[:, :: n_params + 1]
         # scale-free first-order test: residual nearly orthogonal to every column
-        col_norm = np.sqrt(np.maximum(diag, 0.0)) * np.maximum(np.sqrt(ssq[live]), _TINY)[:, None]
-        cosine = np.where(col_norm > 0.0, np.abs(g_live) / np.maximum(col_norm, _TINY), 0.0).max(axis=1)
-        stationary = (ssq[live] == 0.0) | (cosine < GRAD_TOLERANCE)
-        converged[live[stationary]] = True
-        running[live[stationary]] = False
-        go = ~stationary
-        live, g_live, diag, cosine = live[go], g_live[go], diag[go], cosine[go]
-        if not live.size:
-            continue
+        col_norm = np.sqrt(np.maximum(diag, 0.0)) * np.maximum(np.sqrt(ssq), _TINY)[:, None]
+        cosine = np.where(col_norm > 0.0, np.abs(g) / np.maximum(col_norm, _TINY), 0.0).max(axis=1)
+        # a row out of iterations leaves unconverged, before the stationary test
+        in_budget = iters < MAX_ITERS
+        stationary = in_budget & ((ssq == 0.0) | (cosine < GRAD_TOLERANCE))
+        leave = done | stationary | ~in_budget
+        if leave.any():
+            out = rows[leave]
+            x_out[out], iterations[out] = x[leave], iters[leave]
+            converged[out] = np.where(done, flag, stationary)[leave]
+            stay = ~leave
+            rows, x, ssq, JtJ, g, lam, iters, diag, cosine = (
+                a[stay] for a in (rows, x, ssq, JtJ, g, lam, iters, diag, cosine)
+            )
+            if not rows.size:
+                break
         # floor the damping scale so rank-deficient Jacobians stay solvable
         diag = np.maximum(diag, 1e-12 * np.maximum(diag.max(axis=1), 1.0)[:, None])
-        iterations[live] += 1
-        damped = JtJ[live]
-        damped[:, on_diag, on_diag] += lam[live, None] * diag
-        step, solved = _solve_rows(damped, -g_live)
+        iters += 1
+        damped = JtJ.copy()
+        damped.reshape(len(rows), -1)[:, :: n_params + 1] += lam[:, None] * diag
+        step, solved = _solve_rows(damped, -g)
         # the next evaluation is the loop's memory peak: hold only what it needs
-        del damped, g_live, diag
+        del damped, diag
 
-        singular = live[~solved]
-        lam[singular] *= 10.0
-        running[singular[lam[singular] > 1e14]] = False
-
-        live, step, cosine = live[solved], step[solved], cosine[solved]
-        x_new = x[live] + step
-        # each row's products are its own, so selecting after the product
-        # equals forming them from the selected rows
-        ssq_new, JtJ_new, g_new = _products(fun, x_new, live)
-        better = np.isfinite(ssq_new) & (ssq_new < ssq[live])
-
-        moved = live[better]
-        reduction = ssq[moved] - ssq_new[better]
-        x[moved], ssq[moved] = x_new[better], ssq_new[better]
-        JtJ[moved], g[moved] = JtJ_new[better], g_new[better]
+        x_new = x + step
+        if solved.all():
+            ssq_new, JtJ_new, g_new = _products(fun, x_new, rows)
+        else:
+            # a singular row is not evaluated: its NaN squared norm rejects it
+            ssq_new, JtJ_new, g_new = np.full(len(rows), np.nan), np.empty_like(JtJ), np.empty_like(g)
+            products = _products(fun, x_new[solved], rows[solved])
+            ssq_new[solved], JtJ_new[solved], g_new[solved] = products
+        better = np.isfinite(ssq_new) & (ssq_new < ssq)
+        reduction = ssq - ssq_new  # read on the accepted rows only
+        np.copyto(x, x_new, where=better[:, None])
+        np.copyto(ssq, ssq_new, where=better)
+        np.copyto(JtJ, JtJ_new, where=better[:, None, None])
+        np.copyto(g, g_new, where=better[:, None])
         del x_new, ssq_new, JtJ_new, g_new
-        lam[moved] = np.maximum(lam[moved] / 3.0, 1e-14)
-        small_step = np.linalg.norm(step[better], axis=1) <= STEP_TOLERANCE * (
-            np.linalg.norm(x[moved], axis=1) + STEP_TOLERANCE
-        )
-        done = small_step | (reduction <= COST_TOLERANCE * np.maximum(ssq[moved], _TINY))
-        converged[moved[done]] = True
-        running[moved[done]] = False
+        lam = np.where(better, np.maximum(lam / 3.0, 1e-14), lam * np.where(solved, 7.0, 10.0))
 
-        stuck = live[~better]
-        lam[stuck] *= 7.0
-        exhausted = lam[stuck] > 1e14
-        # damping exhausted: accept the iterate as stationary if no descent
-        # direction remains, otherwise flag non-convergence
-        converged[stuck[exhausted]] = cosine[~better][exhausted] < 1e-4
-        running[stuck[exhausted]] = False
+        small_step = np.sqrt(np.add.reduce(step * step, axis=1)) <= STEP_TOLERANCE * (
+            np.sqrt(np.add.reduce(x * x, axis=1)) + STEP_TOLERANCE
+        )
+        small_cost = reduction <= COST_TOLERANCE * np.maximum(ssq, _TINY)
+        # damping exhausted (rejected or singular rows): accept the iterate as
+        # stationary if no descent direction remains, otherwise flag non-convergence
+        exhausted = lam > 1e14
+        done = better & (small_step | small_cost) | exhausted
+        flag = better | (solved & (cosine < 1e-4))
 
     return LMSolution(
-        x=x,
+        x=x_out,
         converged=tuple(converged.tolist()),
         iterations=tuple(iterations.tolist()),
     )
@@ -290,7 +302,7 @@ def _fit_dissociation(t_rel: np.ndarray, Y_d: np.ndarray) -> LMSolution:
     def resid(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         R, J = work[0, : len(X)], work[1:, : len(X)]
         b, a, ln_kd = X[:, 0:1], X[:, 1:2], X[:, 2:3]
-        kd = np.exp(np.clip(ln_kd, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
+        kd = np.exp(np.minimum(np.maximum(ln_kd, -_LN_RATE_LIMIT), _LN_RATE_LIMIT))
         decay = np.exp(np.multiply(-kd, t_rel, out=J[1]), out=J[1])
         np.multiply(-a * kd, t_rel, out=J[2])
         J[2] *= decay
@@ -309,7 +321,7 @@ def _fit_association(t: np.ndarray, Y_a: np.ndarray, baseline: np.ndarray) -> LM
     def resid(X: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         R, J = work[0, : len(X)], work[1:, : len(X)]
         a_inf, ln_ks = X[:, 0:1], X[:, 1:2]
-        ks = np.exp(np.clip(ln_ks, -_LN_RATE_LIMIT, _LN_RATE_LIMIT))
+        ks = np.exp(np.minimum(np.maximum(ln_ks, -_LN_RATE_LIMIT), _LN_RATE_LIMIT))
         decay = np.exp(np.multiply(-ks, t, out=R), out=R)
         rise = np.subtract(1.0, decay, out=J[0])
         np.multiply(a_inf * ks, t, out=J[1])

@@ -259,6 +259,114 @@ class TestLMSolve:
         for field in dataclasses.fields(expected):
             assert np.array_equal(getattr(reused_solution, field.name), getattr(expected, field.name)), field.name
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_every_exit_leaves_the_block_bit_for_bit(self, monkeypatch):
+        # one block whose rows leave by every exit, each kind twice in two
+        # orders, so rows leave the running state at scattered positions
+        # and in different iterations. Undamped (DAMPING_INIT = 0), the
+        # "singular" row's equal Jacobian columns make every solve of it raise;
+        # "exhausted" takes one step, then its Jacobian holds an infinite entry
+        # and 34 rejected steps use up the damping; "budget" halves its first
+        # parameter each step and never meets a test. Every row equals its solo
+        # solve bit for bit at every slicing
+        t = np.arange(0.0, 505.0, 5.0)
+        wave = np.cos(np.pi * np.arange(t.size) / 10.0)
+        truth, start = np.array([3.0, np.log(0.02)]), np.array([2.5, np.log(0.025)])
+
+        def exponential(x, y):
+            a, k = x[0], np.exp(x[1])
+            decay = np.exp(-k * t)
+            return a * decay - y, np.stack([decay, -a * k * t * decay])
+
+        def moved_to_inf(x, y):
+            r, J = exponential(x, y)
+            if not np.array_equal(x, start):
+                J[0, 0] = np.inf
+            return r, J
+
+        def halving(x):
+            # each Gauss-Newton step halves x[0]: no test ever stops it
+            return x[0] ** 2 + x[1] * wave, np.stack([np.full_like(t, 2.0 * x[0]), wave])
+
+        exact = exponential(truth, 0.0)[0]
+        noisy = exact + 0.05 * np.random.default_rng(3).standard_normal(t.size)
+        kinds = {  # residuals and Jacobian of one row's x, and its start
+            "stationary": (lambda x: exponential(x, exact), truth),
+            "step": (lambda x: exponential(x, exact), start),
+            "cost": (lambda x: exponential(x, noisy), start),
+            "exhausted": (lambda x: moved_to_inf(x, exact), start),
+            "singular": (lambda x: (x[0] + x[1] - 2.0 - wave, np.ones((2, t.size))), np.zeros(2)),
+            "budget": (halving, np.ones(2)),
+        }
+        names = [*kinds, *list(kinds)[2:], *list(kinds)[:2]]  # the block's kind of each row
+        evaluations = {name: [] for name in kinds}
+
+        def fun(X, rows):
+            assert np.all(np.diff(rows) > 0) and len(rows) <= fit_module.ROWS_PER_SLICE
+            R, J = np.empty((len(X), t.size)), np.empty((2, len(X), t.size))
+            for i, (x, row) in enumerate(zip(X, rows)):
+                R[i], J[:, i] = kinds[names[row]][0](x)
+                evaluations[names[row]].append((x.copy(), np.dot(R[i], R[i])))
+            return R, J
+
+        raised, solve = [], np.linalg.solve
+
+        def spy(A, b):
+            try:
+                return solve(A, b)
+            except np.linalg.LinAlgError:
+                raised.append(len(A))
+                raise
+
+        monkeypatch.setattr(fit_module, "DAMPING_INIT", 0.0)
+        monkeypatch.setattr(fit_module, "MAX_ITERS", 50)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        x0 = np.array([kinds[name][1] for name in names])
+
+        def alone(name):
+            first = names.index(name)
+            return lm_solve(lambda X, rows: fun(X, rows + first), x0[first : first + 1])
+
+        solo = {name: alone(name) for name in kinds}
+
+        def accepted(name):
+            """The row's start and accepted iterates, each with its squared norm."""
+            path = [evaluations[name][0]]
+            for x, ssq in evaluations[name][1:]:
+                if ssq < path[-1][1]:
+                    path.append((x, ssq))
+            return path
+
+        def last_step(name):
+            """|step| / |x| and the relative cost reduction of the last accepted step."""
+            (x_prev, ssq_prev), (x, ssq) = accepted(name)[-2:]
+            reduction = (ssq_prev - ssq) / max(ssq, np.finfo(float).tiny)
+            return np.linalg.norm(x - x_prev) / np.linalg.norm(x), reduction
+
+        outcome = {name: (sol.converged[0], sol.iterations[0]) for name, sol in solo.items()}
+        for name in kinds.keys() - {"singular"}:  # one evaluation per iteration
+            assert outcome[name][1] == len(evaluations[name]) - 1
+        assert outcome["stationary"] == (True, 0) and len(evaluations["stationary"]) == 1
+        assert outcome["step"][0] and last_step("step")[0] < 1e-2 * fit_module.STEP_TOLERANCE
+        assert outcome["cost"][0] and last_step("cost")[1] <= fit_module.COST_TOLERANCE
+        assert last_step("cost")[0] > 1e2 * fit_module.STEP_TOLERANCE
+        assert not outcome["exhausted"][0] and outcome["exhausted"][1] < 50
+        assert len(accepted("exhausted")) == 2
+        assert outcome["singular"] == (False, 50) and len(evaluations["singular"]) == 1 and 1 in raised
+        assert outcome["budget"] == (False, 50) and len(accepted("budget")) == 51
+        for name in ("exhausted", "budget"):  # the last accepted iterate
+            assert np.array_equal(solo[name].x[0], accepted(name)[-1][0])
+        assert np.array_equal(solo["singular"].x[0], [0.0, 0.0])
+
+        for rows_per_slice in (1, 3, fit_module.ROWS_PER_SLICE):
+            monkeypatch.setattr(fit_module, "ROWS_PER_SLICE", rows_per_slice)
+            raised.clear()
+            block = lm_solve(fun, x0)
+            assert raised[0] == len(names) - 2  # the first solve, of every row but the stationary ones
+            for i, name in enumerate(names):
+                assert np.array_equal(block.x[i], solo[name].x[0]), (rows_per_slice, name)
+                assert (block.converged[i], block.iterations[i]) == outcome[name], (rows_per_slice, name)
+
 
 class TestRowProducts:
     @pytest.mark.parametrize("rows", [1, 7, 300])
@@ -266,11 +374,18 @@ class TestRowProducts:
         # every entry of a row's normal equations is np.dot of two of that
         # row's contiguous vectors, bit for bit, whatever the block size, and
         # the row alone gives the same bits as the row inside the block; each
-        # row's J^T J is exactly symmetric
+        # row's J^T J is exactly symmetric. The outputs start as NaN, so an
+        # entry left unwritten fails
         rng = np.random.default_rng(rows)
         r = rng.standard_normal((rows, 111)) * np.exp(rng.uniform(-20.0, 20.0, (rows, 1)))
         J = rng.standard_normal((3, rows, 111)) * np.exp(rng.uniform(-20.0, 20.0, (3, rows, 1)))
-        block = fit_module._row_products(r, J)
+
+        def products(r, J):
+            out = np.full(len(r), np.nan), np.full((len(r), 3, 3), np.nan), np.full((len(r), 3), np.nan)
+            fit_module._row_products(r, J, *out)
+            return out
+
+        block = products(r, J)
         assert np.array_equal(block[1], block[1].transpose(0, 2, 1))
         for i in range(rows):
             expected = (
@@ -278,7 +393,7 @@ class TestRowProducts:
                 [[np.dot(a, b) for b in J[:, i]] for a in J[:, i]],
                 [np.dot(a, r[i]) for a in J[:, i]],
             )
-            alone = fit_module._row_products(r[i : i + 1], J[:, i : i + 1])
+            alone = products(r[i : i + 1], J[:, i : i + 1])
             for whole, single, dots in zip(block, alone, expected):
                 assert np.array_equal(whole[i], dots) and np.array_equal(single[0], dots)
 
@@ -423,13 +538,13 @@ class TestBlockFit:
     )
     def test_matches_scalar_loop_from_the_same_start(self, noisy_block, block, monkeypatch):
         # given the reference's own warm start, the block solver retraces the
-        # scalar loop on every row, failed fits included
+        # scalar loop on every row bit for bit, failed fits included
         monkeypatch.setattr(fit_module, "_dissociation_warm_start", polyfit_start)
         t, Y, tau, L0 = noisy_block(*block, rows=150)
         fits = fit_sensorgrams(t, Y, tau, L0)
         converged, expected = scalar_fits(t, Y, tau, L0)
         assert np.array_equal(fits.converged, converged)
-        assert np.allclose(rates(fits), expected, rtol=1e-6, atol=0.0)
+        assert np.array_equal(rates(fits), expected)
 
     def test_closed_form_start_deviation_is_bounded(self, noisy_block):
         # Known deviation: where most fits fail, the closed-form start (within

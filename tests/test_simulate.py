@@ -519,9 +519,10 @@ README_PLANS = [
     for n_mean in (10.0, 100.0, 1000.0)
     for nu in (100, 1000)
 ]
-# growth of a block fit's tracemalloc peak per row beyond 256 rows: about 1.2 KB,
-# the row's segment data (at most 111 samples, 888 B) and its LM state; the
-# evaluation workspace is bounded by fit.ROWS_PER_SLICE and does not grow
+# growth of a block fit's tracemalloc peak per row beyond 256 rows: 1,168 B,
+# the row's segment data (at most 111 samples, 888 B), its LM state and its
+# result; the evaluation workspace is bounded by fit.ROWS_PER_SLICE and does
+# not grow
 FIT_BYTES_PER_EXTRA_ROW = 2_000
 
 
@@ -549,9 +550,10 @@ class TestSharedBlocks:
     def test_run_independent_of_rows_per_block(
         self, kausaite_ideal, monkeypatch, rows_per_chunk, rows_per_slice
     ):
-        # at the default budget the README plans' 1,200 rows are one chunk,
+        # at the default budget the README plans and the 6 TMSD twins that
+        # run_ensembles adds, 1,500 rows of 30 fitted plans, are one chunk,
         # evaluated fit.ROWS_PER_SLICE rows at a time (None keeps that default);
-        # ROWS_PER_CHUNK = 1 fits one set of all 24 plans per chunk, and 10**6
+        # ROWS_PER_CHUNK = 1 fits one set of all 30 plans per chunk, and 10**6
         # all five sets in one chunk
         t, T_L = kausaite_ideal
         shared = run(README_PLANS, t, T_L, p=5, seed=42)
